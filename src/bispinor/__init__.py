@@ -1,25 +1,27 @@
 """Two-qubit encoding of a planar bi-spinor with one-shot dephasing.
 
 The four levels (a, b, c, d) map onto parity x spin. The package builds
-the 4x4 Hamiltonian and its invariant partner, diagonalizes them with a
-cyclic Jacobi sweep, translates the couplings into trapped-ion drive
-parameters, applies a phase-damping channel, and tracks negativity and
-geometric discord along the evolution.
+the 4x4 Hamiltonian and its invariant partner, diagonalizes them in
+closed form and with LAPACK, translates the couplings into trapped-ion
+drive parameters, applies a phase-damping channel, and tracks negativity
+and geometric discord along the evolution, one block of time samples at
+a time.
 """
 
 from .correlations import (CorrelationSample, fano_decompose, geometric_discord,
-                           negativity, purity, sample_correlations)
+                           negativity, purity, sample_correlations,
+                           sample_correlations_stack)
 from .dirac import (DiracParams, SpectralData, build_dirac_hamiltonian,
                     build_invariant_operator, compute_g2, eigenprojectors,
                     eigenvalue_closed_form)
-from .errors import (ConvergenceError, DegenerateSpectrumError,
-                     InvariantViolation, UnsupportedConfigurationError,
-                     UsageError)
+from .errors import (DegenerateSpectrumError, InvariantViolation,
+                     UnsupportedConfigurationError, UsageError)
 from .ionmap import IonParams, assemble_ion_hamiltonian, dirac_to_ion, ion_to_dirac
 from .linalg import (EigenSystem, evolution_operator, hermitian_eigensystem,
                      partial_transpose, tensor_product, trace_norm_hermitian)
 from .noise import (KrausSet, NoiseParams, apply_channel, build_kraus_set,
-                    coefficient_matrix, evolve_noiseless, evolve_noisy,
+                    coefficient_matrix, dephasing_mask, evolve_noiseless,
+                    evolve_noiseless_stack, evolve_noisy, evolve_noisy_stack,
                     validate_density_matrix)
 from .scenario import (FeatureReport, ScenarioConfig, TrajectoryRecord,
                        detect_features, emit_outputs, initial_state, load_config,
@@ -28,7 +30,6 @@ from .scenario import (FeatureReport, ScenarioConfig, TrajectoryRecord,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConvergenceError",
     "CorrelationSample",
     "DegenerateSpectrumError",
     "DiracParams",
@@ -49,6 +50,7 @@ __all__ = [
     "build_invariant_operator",
     "build_kraus_set",
     "coefficient_matrix",
+    "dephasing_mask",
     "compute_g2",
     "detect_features",
     "dirac_to_ion",
@@ -57,7 +59,9 @@ __all__ = [
     "emit_outputs",
     "evolution_operator",
     "evolve_noiseless",
+    "evolve_noiseless_stack",
     "evolve_noisy",
+    "evolve_noisy_stack",
     "fano_decompose",
     "geometric_discord",
     "hermitian_eigensystem",
@@ -71,6 +75,7 @@ __all__ = [
     "run_scenario",
     "run_trajectory",
     "sample_correlations",
+    "sample_correlations_stack",
     "tensor_product",
     "trace_norm_hermitian",
     "validate_density_matrix",

@@ -13,9 +13,8 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .errors import (ConvergenceError, DegenerateSpectrumError,
-                     InvariantViolation, UnsupportedConfigurationError,
-                     UsageError)
+from .errors import (DegenerateSpectrumError, InvariantViolation,
+                     UnsupportedConfigurationError, UsageError)
 from .ionmap import dirac_to_ion
 from .scenario import load_config, run_scenario, scenario_params
 
@@ -90,7 +89,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (InvariantViolation, DegenerateSpectrumError,
-            UnsupportedConfigurationError, ConvergenceError, ValueError) as exc:
+            UnsupportedConfigurationError, ValueError) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

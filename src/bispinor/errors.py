@@ -13,9 +13,5 @@ class UnsupportedConfigurationError(ValueError):
     """Input lies outside the restricted geometry a closed form was derived for."""
 
 
-class ConvergenceError(RuntimeError):
-    """Iterative eigensolver exhausted its sweep budget."""
-
-
 class UsageError(ValueError):
     """Bad CLI arguments or config file content."""

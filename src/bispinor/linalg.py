@@ -1,10 +1,12 @@
 """Dense complex linear algebra for matrices up to 4x4.
 
 Everything the rest of the package needs is here: Kronecker products on
-qubit factors, a cyclic complex Jacobi eigensolver for Hermitian matrices,
-partial transposition, the Hermitian trace norm and spectral evolution
-operators. Matrices are plain complex numpy arrays; all operations are
-pure functions and never mutate their inputs.
+qubit factors, the LAPACK Hermitian eigensolver with a fixed eigenvector
+phase convention, partial transposition, the Hermitian trace norm and
+spectral evolution operators. Matrices are plain complex numpy arrays;
+partial transposition and the trace norm also take (B, 4, 4) stacks, one
+matrix per trajectory sample. All operations are pure functions and never
+mutate their inputs.
 """
 
 from __future__ import annotations
@@ -13,18 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError
-
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
 
 PAULI = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
-
-#: sweep budget for the Jacobi iteration; random 4x4 inputs converge in <= 6
-JACOBI_MAX_SWEEPS = 50
-JACOBI_DEFAULT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -35,22 +31,26 @@ class EigenSystem:
     eigenvectors: np.ndarray
 
 
-def _as_square(M, dims=(2, 3, 4)) -> np.ndarray:
+def _as_square(M, dims=(2, 3, 4), stacked: bool = False) -> np.ndarray:
+    """Complex array of a square matrix, or of a (B, n, n) stack, shape-checked."""
     A = np.asarray(M, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    if A.shape[0] not in dims:
-        raise ValueError(f"unsupported dimension {A.shape[0]}, expected one of {dims}")
+    if A.ndim != (3 if stacked else 2) or A.shape[-1] != A.shape[-2]:
+        raise ValueError(f"expected a square matrix{' stack' if stacked else ''}, "
+                         f"got shape {A.shape}")
+    if A.shape[-1] not in dims:
+        raise ValueError(f"unsupported dimension {A.shape[-1]}, expected one of {dims}")
     return A
 
 
-def _max_norm(A) -> float:
-    return float(np.max(np.abs(A))) if A.size else 0.0
-
-
 def _require_hermitian(A, what: str) -> None:
-    # relative max-norm test, per the module tolerance conventions
-    if _max_norm(A - A.conj().T) > 1e-12 * max(1.0, _max_norm(A)):
+    # LAPACK cannot converge on non-finite entries, and NaN passes the
+    # residual test below, so they are refused first
+    if not np.all(np.isfinite(A)):
+        raise ValueError(f"{what} entries must be finite")
+    # relative max-norm test on every matrix of a stack
+    scale = np.maximum(1.0, np.max(np.abs(A), axis=(-2, -1)))
+    residual = np.max(np.abs(A - np.swapaxes(A.conj(), -1, -2)), axis=(-2, -1))
+    if np.any(residual > 1e-12 * scale):
         raise ValueError(f"{what} must be Hermitian")
 
 
@@ -69,24 +69,21 @@ def tensor_product(A, B) -> np.ndarray:
     """
     A = _as_square(A, dims=(2,))
     B = _as_square(B, dims=(2,))
-    return np.kron(A, B)
+    # np.kron's elementwise products, without its generic-shape overhead
+    return (A[:, None, :, None] * B[None, :, None, :]).reshape(4, 4)
 
 
-def hermitian_eigensystem(H, tol: float = JACOBI_DEFAULT_TOL) -> EigenSystem:
-    """Diagonalize a Hermitian matrix by cyclic complex Jacobi rotations.
+def hermitian_eigensystem(H) -> EigenSystem:
+    """Diagonalize a Hermitian matrix with LAPACK (``numpy.linalg.eigh``).
 
-    Sweeps run over all (p, q) pairs until the off-diagonal Frobenius mass
-    drops below ``tol``. Eigenvalues are returned ascending; each
-    eigenvector's phase is fixed by making its largest-magnitude component
-    real and positive (ties broken by lowest index) so results are
-    reproducible.
+    Eigenvalues are returned ascending; each eigenvector's phase is fixed
+    by making its largest-magnitude component real and positive (ties
+    broken by lowest index) so results are reproducible.
 
     Parameters
     ----------
     H : array_like, dim in {2, 3, 4}
-        Hermitian input.
-    tol : float
-        Convergence threshold on sqrt(sum of squared off-diagonal moduli).
+        Hermitian input with finite entries.
 
     Returns
     -------
@@ -95,62 +92,13 @@ def hermitian_eigensystem(H, tol: float = JACOBI_DEFAULT_TOL) -> EigenSystem:
     Raises
     ------
     ValueError
-        If the input is not Hermitian.
-    ConvergenceError
-        If the sweep budget (50) is exhausted.
+        If the input is not finite or not Hermitian.
     """
     A = _as_square(H)
     _require_hermitian(A, "eigensystem input")
-    n = A.shape[0]
-    A = (A + A.conj().T) / 2.0  # scrub roundoff asymmetry
-    V = np.eye(n, dtype=complex)
-
-    def off_mass(M):
-        # summed from the entries themselves; the sqrt(|M|_F^2 - diag^2)
-        # shortcut bottoms out near sqrt(eps) and can never reach tol
-        mask = ~np.eye(n, dtype=bool)
-        return float(np.sqrt(np.sum(np.abs(M[mask]) ** 2)))
-
-    converged = False
-    for _ in range(JACOBI_MAX_SWEEPS):
-        if off_mass(A) <= tol:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                r = abs(apq)
-                if r == 0.0:
-                    continue
-                phase = apq / r
-                tau = (A[q, q].real - A[p, p].real) / (2.0 * r)
-                t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + np.hypot(1.0, tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                J = np.eye(n, dtype=complex)
-                J[p, p] = c
-                J[q, q] = c
-                J[p, q] = s * phase
-                J[q, p] = -s * np.conj(phase)
-                A = J.conj().T @ A @ J
-                V = V @ J
-    if not converged and off_mass(A) > tol:
-        raise ConvergenceError(
-            f"Jacobi iteration did not reach tol={tol:g} in "
-            f"{JACOBI_MAX_SWEEPS} sweeps (off-diagonal mass {off_mass(A):g})"
-        )
-
-    lam = np.diag(A).real.copy()
-    order = np.argsort(lam, kind="stable")
-    lam = lam[order]
-    V = V[:, order]
-    for k in range(n):
-        col = V[:, k]
-        idx = int(np.argmax(np.abs(col)))  # first maximal index on ties
-        piv = col[idx]
-        if abs(piv) > 0.0:
-            V[:, k] = col * (np.conj(piv) / abs(piv))
-    return EigenSystem(eigenvalues=lam, eigenvectors=V)
+    lam, V = np.linalg.eigh(A)
+    piv = V[np.argmax(np.abs(V), axis=0), np.arange(A.shape[0])]  # first maximal index on ties
+    return EigenSystem(eigenvalues=lam, eigenvectors=V * (np.conj(piv) / np.abs(piv)))
 
 
 def partial_transpose(rho, subsystem: int) -> np.ndarray:
@@ -158,7 +106,8 @@ def partial_transpose(rho, subsystem: int) -> np.ndarray:
 
     Parameters
     ----------
-    rho : 4x4 array_like
+    rho : array_like, shape (4, 4) or (B, 4, 4)
+        One operator, or a stack transposed matrix by matrix.
     subsystem : int
         1 transposes the first qubit's indices, 2 the second's.
 
@@ -168,27 +117,35 @@ def partial_transpose(rho, subsystem: int) -> np.ndarray:
         Entry permutation only, so trace and Hermiticity survive exactly;
         applying the same transpose twice returns the input.
     """
-    A = _as_square(rho, dims=(4,))
-    blocks = A.reshape(2, 2, 2, 2)  # indices (i, k, j, l): row qubits, col qubits
+    A = np.asarray(rho)
+    A = _as_square(A, dims=(4,), stacked=A.ndim == 3)
+    lead = A.shape[:-2]
+    # indices (..., i, k, j, l): row qubits, then column qubits
+    blocks = A.reshape(lead + (2, 2, 2, 2))
     if subsystem == 1:
-        out = blocks.transpose(2, 1, 0, 3)
+        out = np.swapaxes(blocks, -4, -2)
     elif subsystem == 2:
-        out = blocks.transpose(0, 3, 2, 1)
+        out = np.swapaxes(blocks, -3, -1)
     else:
         raise ValueError("subsystem must be 1 or 2")
-    return out.reshape(4, 4).copy()
+    return out.reshape(lead + (4, 4)).copy()
 
 
-def trace_norm_hermitian(M) -> float:
-    """Sum of absolute eigenvalues of a Hermitian matrix."""
-    A = _as_square(M)
+def trace_norm_hermitian(M):
+    """Sum of absolute eigenvalues of a Hermitian matrix.
+
+    A (B, n, n) stack gives a length-B array, one norm per matrix; a
+    single matrix gives a float.
+    """
+    A = np.asarray(M)
+    A = _as_square(A, stacked=A.ndim == 3)
     _require_hermitian(A, "trace norm input")
-    es = hermitian_eigensystem(A)
-    return float(np.sum(np.abs(es.eigenvalues)))
+    norms = np.sum(np.abs(np.linalg.eigvalsh(A)), axis=-1)
+    return norms if A.ndim == 3 else float(norms)
 
 
 def evolution_operator(H, t: float) -> np.ndarray:
-    """U(t) = exp(-i H t) assembled spectrally from the Jacobi eigensystem.
+    """U(t) = exp(-i H t) assembled spectrally from the Hermitian eigensystem.
 
     Parameters
     ----------

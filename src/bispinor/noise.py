@@ -1,12 +1,17 @@
 """Local dephasing channel and its composition with the coherent dynamics.
 
 Each qubit dephases independently at the same rate Gamma. The channel is
-applied in one shot at elapsed time t through four diagonal Kraus
-operators (products of per-qubit pairs), which is equivalent to an
-elementwise rescaling of the density-matrix entries: single coherences
-pick up gamma = exp(-Gamma t / 2), double coherences gamma^2, populations
-are untouched. The noisy state at time t is the channel output rotated by
-the coherent evolution operator.
+applied in one shot at elapsed time t. Its operator-sum form has four
+diagonal Kraus operators (products of per-qubit pairs); it is equivalent
+to an elementwise rescaling of the density-matrix entries: single
+coherences pick up gamma = exp(-Gamma t / 2), double coherences gamma^2,
+populations are untouched. The noisy state at time t is the channel
+output rotated by the coherent evolution operator.
+
+Trajectories are evaluated on a whole stack of times at once: the
+channel as a (B, 4, 4) coefficient mask and the rotation as a (B, 4, 4)
+stack of evolution operators. The Kraus form (build_kraus_set,
+apply_channel) is the reference the elementwise form is checked against.
 """
 
 from __future__ import annotations
@@ -25,6 +30,15 @@ from .linalg import hermitian_eigensystem, tensor_product
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-9
+
+#: qubits whose level differs between row and column of each entry: the
+#: channel scales rho_kl by gamma ** _FLIPS[k, l]
+_FLIPS = np.array([
+    [0, 1, 1, 2],
+    [1, 0, 2, 1],
+    [1, 2, 0, 1],
+    [2, 1, 1, 0],
+])
 
 
 @dataclass(frozen=True)
@@ -69,15 +83,35 @@ def build_kraus_set(noise: NoiseParams, t: float) -> KrausSet:
     return KrausSet(operators=ops, gamma_factor=gamma, omega_factor=omega)
 
 
+def _mask_from_gamma(gamma: np.ndarray) -> np.ndarray:
+    # (B,) gamma factors -> (B, 4, 4) masks of 1, gamma and gamma * gamma
+    powers = np.stack((np.ones_like(gamma), gamma, gamma * gamma), axis=-1)
+    return powers[..., _FLIPS]
+
+
 def coefficient_matrix(ks: KrausSet) -> np.ndarray:
     """Elementwise form of the channel: rho_kl -> c_kl * rho_kl."""
-    g = ks.gamma_factor
-    return np.array([
-        [1.0, g, g, g * g],
-        [g, 1.0, g * g, g],
-        [g, g * g, 1.0, g],
-        [g * g, g, g, 1.0],
-    ])
+    return _mask_from_gamma(np.array(ks.gamma_factor))
+
+
+def dephasing_mask(noise: NoiseParams, times) -> np.ndarray:
+    """Elementwise channel coefficients at B elapsed times, shape (B, 4, 4).
+
+    times is a 1-D array. gamma(t) = sqrt(exp(-Gamma t)) is computed
+    exactly as build_kraus_set computes it. Every mask is checked to leave
+    the populations untouched (unit diagonal to 1e-12), the elementwise
+    form of Kraus completeness.
+    """
+    times = np.asarray(times, dtype=float)
+    if np.any(times < 0):
+        raise ValueError("channel is defined forward in time only (t >= 0)")
+    # math.exp, not np.exp: the vectorised exp differs from libm in the last
+    # bit on a few percent of arguments, and gamma must match the Kraus set's
+    rate = noise.gamma_rate
+    mask = _mask_from_gamma(np.sqrt([math.exp(-rate * t) for t in times.tolist()]))
+    if np.max(np.abs(np.diagonal(mask, axis1=-2, axis2=-1) - 1.0), initial=0.0) > 1e-12:
+        raise ValueError("dephasing mask failed the completeness check")
+    return mask
 
 
 def apply_channel(rho, ks: KrausSet) -> np.ndarray:
@@ -137,40 +171,56 @@ def _hamiltonian_eigensystem(params: DiracParams):
     return hermitian_eigensystem(build_dirac_hamiltonian(params))
 
 
-def evolve_noiseless(rho0, params: DiracParams, t: float) -> np.ndarray:
-    """Coherent evolution of a state for time t.
+def _evolution_stack(params: DiracParams, times: np.ndarray) -> np.ndarray:
+    """U(t) = exp(-i H t) for each of B times, shape (B, 4, 4).
 
-    Nondegenerate spectra use the projector-sum form
-    rho(t) = sum_{ns,ml} exp(-i (lambda_ns - lambda_ml) t) P_ns rho0 P_ml;
-    degenerate ones route automatically to U(t) rho0 U(t)^dag with U built
-    from the numeric eigensystem. The two paths agree to 1e-10 wherever
-    both apply, and either preserves purity.
+    Nondegenerate spectra use the analytic projectors,
+    U(t) = sum_k exp(-i lambda_k t) P_k; degenerate ones route to
+    V diag(exp(-i lambda t)) V^dag from the numeric eigensystem.
     """
-    rho0 = np.asarray(rho0, dtype=complex)
     spectral = _spectral_or_none(params)
     if spectral is None:
         es = _hamiltonian_eigensystem(params)
-        phases = np.exp(-1j * es.eigenvalues * t)
-        U = (es.eigenvectors * phases) @ es.eigenvectors.conj().T
-        return U @ rho0 @ U.conj().T
+        phases = np.exp(-1j * np.multiply.outer(times, es.eigenvalues))
+        return (es.eigenvectors * phases[:, None, :]) @ es.eigenvectors.conj().T
     keys = list(spectral.projectors)
-    left = {key: spectral.projectors[key] @ rho0 for key in keys}
-    out = np.zeros((4, 4), dtype=complex)
-    for k1 in keys:
-        for k2 in keys:
-            phase = np.exp(-1j * (spectral.lambdas[k1] - spectral.lambdas[k2]) * t)
-            out += phase * (left[k1] @ spectral.projectors[k2])
-    return out
+    lambdas = np.array([spectral.lambdas[key] for key in keys])
+    projectors = np.array([spectral.projectors[key] for key in keys])
+    phases = np.exp(-1j * np.multiply.outer(times, lambdas))
+    return np.einsum("bk,kij->bij", phases, projectors)
+
+
+def evolve_noiseless_stack(rho0, params: DiracParams, times) -> np.ndarray:
+    """Coherent evolution U(t) rho0 U(t)^dag at each of B times, (B, 4, 4).
+
+    rho0 is one 4x4 state or a (B, 4, 4) stack, one state per time. The
+    projector path and the degenerate-spectrum fallback agree to 1e-10
+    wherever both apply, and either preserves purity.
+    """
+    U = _evolution_stack(params, np.asarray(times, dtype=float))
+    return U @ np.asarray(rho0, dtype=complex) @ np.swapaxes(U.conj(), -1, -2)
+
+
+def evolve_noisy_stack(rho0, params: DiracParams, noise: NoiseParams,
+                       times) -> np.ndarray:
+    """Noisy states at each of B elapsed times: one-shot channel, then rotation.
+
+    rho(t) = U(t) [channel_t(rho0)] U(t)^dag with the channel applied as
+    the elementwise dephasing_mask. Returns a (B, 4, 4) stack.
+    """
+    times = np.asarray(times, dtype=float)
+    dephased = dephasing_mask(noise, times) * np.asarray(rho0, dtype=complex)
+    return evolve_noiseless_stack(dephased, params, times)
+
+
+def evolve_noiseless(rho0, params: DiracParams, t: float) -> np.ndarray:
+    """Coherent evolution of a state for time t (one-sample evolve_noiseless_stack)."""
+    return evolve_noiseless_stack(rho0, params, [t])[0]
 
 
 def evolve_noisy(rho0, params: DiracParams, noise: NoiseParams, t: float) -> np.ndarray:
-    """Noisy state at elapsed time t: one-shot channel, then rotation.
+    """Noisy state at elapsed time t (one-sample evolve_noisy_stack).
 
-    rho(t) = U(t) [channel_t(rho0)] U(t)^dag. Reduces to evolve_noiseless
-    when Gamma = 0 (the omega Kraus members vanish).
+    Reduces to evolve_noiseless when Gamma = 0 (the mask is all ones).
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    ks = build_kraus_set(noise, t)
-    dephased = apply_channel(rho0, ks)
-    return evolve_noiseless(dephased, params, t)
+    return evolve_noisy_stack(rho0, params, noise, [t])[0]

@@ -5,10 +5,14 @@ the momentum p, which is set to 1 internally), an initial state from the
 catalog, a sampling grid and output options. Configs are flat key=value
 text files. Multiple comma-separated m_over_p values turn a run into a
 sweep writing one subdirectory per grid point plus an index file.
+
+The trajectory runner walks its time axis in blocks of BLOCK_SAMPLES
+samples; each block is evolved and measured as one (B, 4, 4) stack.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import time
@@ -17,21 +21,28 @@ from pathlib import Path
 
 import numpy as np
 
-from .correlations import CorrelationSample, sample_correlations
+from .correlations import CorrelationSample, sample_correlations_stack
 from .dirac import DiracParams
 from .errors import InvariantViolation, UsageError
-from .noise import NoiseParams, evolve_noisy, validate_density_matrix
+from .noise import NoiseParams, evolve_noisy_stack, validate_density_matrix
 
 STATE_NAMES = ("a", "b", "c", "d", "cat", "werner", "custom")
 
 DEFAULT_EPS_DEAD = 1e-6
 DEFAULT_EPS_ALIVE = 1e-2
 
+#: largest number of samples one trajectory may ask for (t_max / dt + 1)
+MAX_SAMPLES = 1_000_000
+#: samples evolved and measured together as one (B, 4, 4) stack; bounds
+#: the working set of a long trajectory
+BLOCK_SAMPLES = 256
+
 _CONFIG_KEYS = (
     "m_over_p", "E_over_p", "kappa", "mu", "theta", "gamma_over_p",
     "initial_state", "custom_state", "t_max", "dt", "outputs",
     "emit_plots", "eps_dead", "eps_alive",
 )
+_NONNEGATIVE_KEYS = ("m_over_p", "E_over_p", "gamma_over_p", "eps_dead", "eps_alive")
 
 
 @dataclass(frozen=True)
@@ -54,8 +65,21 @@ class ScenarioConfig:
     eps_alive: float = DEFAULT_EPS_ALIVE
 
     def __post_init__(self):
+        for key in ("m_over_p", "E_over_p", "kappa", "mu", "theta", "gamma_over_p",
+                    "t_max", "dt", "eps_dead", "eps_alive"):
+            value = getattr(self, key)
+            if not math.isfinite(value):
+                raise UsageError(f"{key} must be finite, got {value!r}")
+            if value < 0 and key in _NONNEGATIVE_KEYS:
+                raise UsageError(f"{key} must be nonnegative, got {value!r}")
         if not (self.t_max > 0 and self.dt > 0 and self.dt <= self.t_max):
             raise UsageError("need t_max > 0, dt > 0 and dt <= t_max")
+        # compared as a float, so a huge ratio never builds an int or a grid
+        if not self.t_max / self.dt + 1e-9 < MAX_SAMPLES:
+            raise UsageError(
+                f"t_max / dt asks for more than {MAX_SAMPLES} samples; "
+                f"raise dt or lower t_max"
+            )
         if self.initial_state not in STATE_NAMES:
             raise UsageError(
                 f"unknown initial_state '{self.initial_state}'; "
@@ -65,6 +89,14 @@ class ScenarioConfig:
             raise UsageError("initial_state = custom requires a custom_state entry")
         if self.initial_state != "custom" and self.custom_state is not None:
             raise UsageError("custom_state is only meaningful with initial_state = custom")
+        if self.custom_state is not None and not all(
+                cmath.isfinite(z) for z in self.custom_state):
+            raise UsageError("custom_state entries must be finite")
+
+    @property
+    def n_samples(self) -> int:
+        """Samples on the grid {0, dt, ..., t_max}; at most MAX_SAMPLES."""
+        return int(math.floor(self.t_max / self.dt + 1e-9)) + 1
 
 
 @dataclass(frozen=True)
@@ -140,23 +172,28 @@ def scenario_params(config: ScenarioConfig) -> DiracParams:
 def run_trajectory(config: ScenarioConfig) -> TrajectoryRecord:
     """Sample the noisy evolution on {0, dt, ..., t_max}.
 
-    The t = 0 row is computed from the initial state itself. Every
-    sample is checked against its invariants; a violation aborts with a
-    diagnostic naming the check and the sample time. The pipeline has no
-    randomness, so identical configs give identical records.
+    Sample k sits at t = k * dt. The axis is evaluated in blocks of
+    BLOCK_SAMPLES; the t = 0 row is computed from the initial state
+    itself. Every sample is checked against its invariants in time order;
+    a violation aborts with a diagnostic naming the check and the time of
+    the earliest failing sample. The pipeline has no randomness and its
+    results do not depend on the block size, so identical configs give
+    identical records.
     """
     started = time.perf_counter()
     params = scenario_params(config)
     noise = NoiseParams(gamma_rate=config.gamma_over_p)
     rho0 = initial_state(config.initial_state, config.custom_state)
-    n_steps = int(math.floor(config.t_max / config.dt + 1e-9))
+    times = np.arange(config.n_samples) * config.dt
     samples = []
-    for k in range(n_steps + 1):
-        t = k * config.dt
-        rho = rho0 if k == 0 else evolve_noisy(rho0, params, noise, t)
-        s = sample_correlations(rho, t)
-        _check_sample(s)
-        samples.append(s)
+    for start in range(0, len(times), BLOCK_SAMPLES):
+        block = times[start:start + BLOCK_SAMPLES]
+        rhos = evolve_noisy_stack(rho0, params, noise, block)
+        if start == 0:
+            rhos[0] = rho0
+        for s in sample_correlations_stack(rhos, block):
+            _check_sample(s)
+            samples.append(s)
     return TrajectoryRecord(config=config, samples=tuple(samples),
                             wall_time=time.perf_counter() - started)
 
@@ -406,15 +443,29 @@ def load_config(path) -> list:
     return parse_config_text(p.read_text())
 
 
+def _point_dir_name(m: float) -> str:
+    """Sweep subdirectory of one mass: m_<%g form>, or m_<repr> when %g rounds.
+
+    Distinct masses always get distinct names, since each name parses
+    back to its own mass.
+    """
+    short = f"{m:g}"
+    return f"m_{short if float(short) == m else repr(m)}"
+
+
 def run_scenario(configs: list) -> list:
     """Run one config or a sweep; returns (config, report, out_dir) triples.
 
     A single point writes straight into its outputs directory. A sweep
     writes one m_<value> subdirectory per grid point plus index.json at
-    the root. Custom states are validated before any point runs.
+    the root; a sweep listing one mass twice is refused. Custom states
+    are validated before any point runs.
     """
     if not configs:
         raise UsageError("nothing to run")
+    masses = [cfg.m_over_p for cfg in configs]
+    if len(set(masses)) != len(masses):
+        raise UsageError(f"m_over_p lists a value twice: {masses}")
     for cfg in configs:
         if cfg.initial_state == "custom":
             initial_state("custom", cfg.custom_state)
@@ -432,7 +483,7 @@ def run_scenario(configs: list) -> list:
     root.mkdir(parents=True, exist_ok=True)
     index = []
     for cfg in configs:
-        sub = root / f"m_{cfg.m_over_p:g}"
+        sub = root / _point_dir_name(cfg.m_over_p)
         point_cfg = replace(cfg, outputs=str(sub))
         traj = run_trajectory(point_cfg)
         report = detect_features(traj, cfg.eps_dead, cfg.eps_alive)

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import bispinor
 from bispinor.cli import main
 
 BASE_CONFIG = """
@@ -82,6 +85,22 @@ def test_invalid_state_matrix_exits_two(tmp_path, capsys):
     assert "invariant violation" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", [
+    "m_over_p = -1",
+    "gamma_over_p = inf",
+    "E_over_p = nan",
+    "eps_dead = nan",
+    "t_max = inf",
+    "dt = 1e-9",
+    "m_over_p = 1.0, 1.0",
+])
+def test_malformed_config_values_exit_one(tmp_path, capsys, line):
+    cfg = write_config(tmp_path, BASE_CONFIG + f"{line}\noutputs = {tmp_path / 'out'}\n")
+    assert main(["simulate", "--config", str(cfg)]) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_unwritable_output_exits_three(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE_CONFIG + "outputs = /dev/null/out\n")
     assert main(["simulate", "--config", str(cfg)]) == 3
@@ -115,8 +134,12 @@ def test_help_exits_zero():
 def test_module_entry_point(tmp_path):
     """The installed interface works end to end in a fresh interpreter."""
     cfg = write_config(tmp_path, BASE_CONFIG + f"outputs = {tmp_path / 'out'}\n")
+    # the child imports the package this session imported, installed or not
+    package_root = str(Path(bispinor.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (package_root, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run([sys.executable, "-m", "bispinor.cli", "simulate",
                            "--config", str(cfg)],
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out" / "report.json").is_file()

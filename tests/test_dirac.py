@@ -115,7 +115,7 @@ def test_closed_form_anchor_unit_mass():
     np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
 
 
-def test_closed_form_matches_jacobi():
+def test_closed_form_matches_numeric():
     for _ in range(20):
         params = random_params()
         closed = sorted(eigenvalue_closed_form(params, n, s)

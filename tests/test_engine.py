@@ -1,0 +1,307 @@
+"""The batched (B, 4, 4) engine against a per-sample loop reference.
+
+The reference evolves one time at a time through the Kraus form of the
+channel and the numeric evolution operator, and measures one state at a
+time with numpy's eigvalsh and explicit Pauli traces. The engine
+reorders the arithmetic, so the two are compared at a tolerance fixed
+beforehand (1e-12 absolute on quantities of order one).
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from bispinor import scenario
+from bispinor.correlations import (fano_decompose, geometric_discord, negativity,
+                                   purity, sample_correlations,
+                                   sample_correlations_stack)
+from bispinor.dirac import DiracParams, build_dirac_hamiltonian
+from bispinor.errors import InvariantViolation
+from bispinor.linalg import (IDENTITY_2, PAULI, evolution_operator,
+                             partial_transpose)
+from bispinor.noise import (NoiseParams, apply_channel, build_kraus_set,
+                            coefficient_matrix, dephasing_mask, evolve_noiseless,
+                            evolve_noiseless_stack, evolve_noisy, evolve_noisy_stack)
+from bispinor.scenario import ScenarioConfig, initial_state, run_trajectory
+
+TOL = 1e-12
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+FIELDS = ("negativity", "discord_1", "discord_2", "purity", "min_eigenvalue",
+          "trace_deviation")
+
+
+# ------------------------------------------------------------- reference
+
+def reference_state(rho0, params, noise, t):
+    """Kraus channel, then U(t) rho U(t)^dag with U from the numeric eigensystem."""
+    U = evolution_operator(build_dirac_hamiltonian(params), t)
+    return U @ apply_channel(rho0, build_kraus_set(noise, t)) @ U.conj().T
+
+
+def _clamped(value):
+    return 0.0 if abs(value) < 1e-12 else value
+
+
+def reference_measures(rho):
+    """Measures of one state from per-matrix eigvalsh and explicit Pauli traces."""
+    def tr(op):
+        return complex(np.trace(rho @ op)).real
+
+    axes = ("x", "y", "z")
+    a1 = np.array([tr(np.kron(PAULI[a], IDENTITY_2)) for a in axes])
+    a2 = np.array([tr(np.kron(IDENTITY_2, PAULI[b])) for b in axes])
+    T = np.array([[tr(np.kron(PAULI[a], PAULI[b])) for b in axes] for a in axes])
+    discords = []
+    for a, gram in ((a1, T @ T.T), (a2, T.T @ T)):
+        k_max = np.linalg.eigvalsh(np.outer(a, a) + gram)[-1]
+        discords.append(_clamped(0.25 * (a @ a + np.sum(T * T) - k_max)))
+    pt_eigs = np.linalg.eigvalsh(partial_transpose(rho, 1))
+    return {
+        "negativity": _clamped(np.sum(np.abs(pt_eigs)) - 1.0),
+        "discord_1": discords[0],
+        "discord_2": discords[1],
+        "purity": np.trace(rho @ rho).real,
+        "min_eigenvalue": np.linalg.eigvalsh(rho)[0],
+        "trace_deviation": np.trace(rho).real - 1.0,
+    }
+
+
+def assert_matches_reference(sample, rho, t):
+    assert sample.t == t
+    want = reference_measures(rho)
+    for field in FIELDS:
+        assert abs(getattr(sample, field) - want[field]) <= TOL, field
+
+
+# ------------------------------------------------------------- strategies
+
+unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+times = st.floats(0.0, 20.0, allow_nan=False, allow_infinity=False)
+rates = st.floats(0.0, 2.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def density_matrices(draw):
+    entries = np.array(draw(st.lists(unit, min_size=32, max_size=32)))
+    G = entries[:16].reshape(4, 4) + 1j * entries[16:].reshape(4, 4)
+    rho = G @ G.conj().T
+    trace = np.trace(rho).real
+    assume(trace > 1e-3)
+    return rho / trace
+
+
+# bounded away from a degenerate spectrum, where the projector path is
+# ill-conditioned and routes to the numeric fallback anyway
+nondegenerate_params = st.builds(
+    lambda m, E, k, mu, theta: DiracParams(m=m, p=1.0, kappa=k, mu=mu,
+                                           E_field=E, theta=theta),
+    st.floats(0.0, 3.0), st.floats(0.25, 2.0),
+    st.floats(0.25, 1.5), st.floats(-1.5, -0.25) | st.floats(0.25, 1.5),
+    st.floats(0.3, 1.3),
+)
+# E = 0, or kappa = mu = 0: no analytic projectors, numeric fallback
+degenerate_params = st.one_of(
+    st.builds(lambda m, k, mu: DiracParams(m=m, p=1.0, kappa=k, mu=mu, E_field=0.0),
+              st.floats(0.0, 3.0), st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+    st.builds(lambda m, E: DiracParams(m=m, p=1.0, kappa=0.0, mu=0.0, E_field=E),
+              st.floats(0.0, 3.0), st.floats(0.0, 2.0)),
+)
+
+
+# ------------------------------------------------------------- evolution
+
+@PROPERTY
+@given(density_matrices(), nondegenerate_params | degenerate_params, rates,
+       st.lists(times, min_size=1, max_size=6))
+def test_evolve_noisy_stack_matches_kraus_reference(rho0, params, rate, ts):
+    noise = NoiseParams(rate)
+    got = evolve_noisy_stack(rho0, params, noise, ts)
+    assert got.shape == (len(ts), 4, 4)
+    for state, t in zip(got, ts):
+        np.testing.assert_allclose(state, reference_state(rho0, params, noise, t),
+                                   rtol=0, atol=TOL)
+
+
+@PROPERTY
+@given(density_matrices(), degenerate_params, st.lists(times, min_size=1, max_size=6))
+def test_degenerate_fallback_matches_reference(rho0, params, ts):
+    got = evolve_noiseless_stack(rho0, params, ts)
+    for state, t in zip(got, ts):
+        U = evolution_operator(build_dirac_hamiltonian(params), t)
+        np.testing.assert_allclose(state, U @ rho0 @ U.conj().T, rtol=0, atol=TOL)
+
+
+def test_scalar_evolution_is_one_row_of_the_stack():
+    params = DiracParams(m=1.0, p=1.0, kappa=1.0, mu=1.0, E_field=1.0)
+    noise = NoiseParams(0.5)
+    rho0 = initial_state("cat")
+    ts = [0.0, 0.37, 4.2]
+    noisy = evolve_noisy_stack(rho0, params, noise, ts)
+    clean = evolve_noiseless_stack(rho0, params, ts)
+    for k, t in enumerate(ts):
+        np.testing.assert_array_equal(evolve_noisy(rho0, params, noise, t), noisy[k])
+        np.testing.assert_array_equal(evolve_noiseless(rho0, params, t), clean[k])
+
+
+@PROPERTY
+@given(rates, st.lists(times, min_size=1, max_size=8))
+def test_dephasing_mask_equals_kraus_coefficients(rate, ts):
+    noise = NoiseParams(rate)
+    masks = dephasing_mask(noise, ts)
+    for mask, t in zip(masks, ts):
+        # gamma is computed the same way, so the two forms agree bit for bit
+        np.testing.assert_array_equal(mask, coefficient_matrix(build_kraus_set(noise, t)))
+        np.testing.assert_array_equal(np.diag(mask), np.ones(4))
+
+
+def test_dephasing_mask_rejects_negative_time():
+    with pytest.raises(ValueError, match="forward in time"):
+        dephasing_mask(NoiseParams(0.5), [0.0, 1.0, -0.01])
+
+
+# ------------------------------------------------------------- measures
+
+@PROPERTY
+@given(st.lists(density_matrices(), min_size=1, max_size=5))
+def test_correlation_stack_matches_loop_reference(states):
+    ts = [0.1 * k for k in range(len(states))]
+    samples = sample_correlations_stack(np.array(states), ts)
+    assert len(samples) == len(states)
+    for sample, rho, t in zip(samples, states, ts):
+        assert_matches_reference(sample, rho, t)
+
+
+@PROPERTY
+@given(density_matrices())
+def test_scalar_measures_are_one_row_of_the_stack(rho):
+    row = sample_correlations_stack(rho[None], [1.5])[0]
+    assert sample_correlations(rho, 1.5) == row
+    assert negativity(rho) == row.negativity
+    assert geometric_discord(rho, 1) == row.discord_1
+    assert geometric_discord(rho, 2) == row.discord_2
+    assert purity(rho) == row.purity
+    fd = fano_decompose(rho)
+    assert fd.a1.shape == fd.a2.shape == (3,) and fd.T.shape == (3, 3)
+
+
+def test_stack_checks_every_state():
+    good = initial_state("cat")
+    bad = np.eye(4, dtype=complex) / 4.0
+    bad[0, 1] = 0.2  # not Hermitian
+    with pytest.raises(ValueError, match="Hermitian"):
+        sample_correlations_stack(np.array([good, good, bad, good]), [0.0, 0.1, 0.2, 0.3])
+    nonfinite = good.copy()
+    nonfinite[3, 3] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        sample_correlations_stack(np.array([good, nonfinite]), [0.0, 0.1])
+    with pytest.raises(ValueError, match="times"):
+        sample_correlations_stack(np.array([good, good]), [0.0])
+
+
+# ------------------------------------------------------------- trajectory
+
+FIG = dict(m_over_p=1.0, E_over_p=1.0, kappa=1.0, mu=1.0, gamma_over_p=0.5,
+           initial_state="cat")
+
+
+def _trajectory_config(n_samples, dt=0.01, **overrides):
+    return ScenarioConfig(t_max=(n_samples - 1) * dt, dt=dt, **dict(FIG, **overrides))
+
+
+def _check_against_reference(traj):
+    cfg = traj.config
+    params = scenario.scenario_params(cfg)
+    noise = NoiseParams(cfg.gamma_over_p)
+    rho0 = initial_state(cfg.initial_state)
+    for k, s in enumerate(traj.samples):
+        t = k * cfg.dt
+        rho = rho0 if k == 0 else reference_state(rho0, params, noise, t)
+        assert_matches_reference(s, rho, t)
+
+
+@pytest.mark.parametrize("block, n_samples", [
+    (1, 3),                                           # every block has length 1
+    (4, 4),                                           # exactly one full block
+    (4, 5),                                           # one full block plus one
+    (scenario.BLOCK_SAMPLES, scenario.BLOCK_SAMPLES),
+    (scenario.BLOCK_SAMPLES, scenario.BLOCK_SAMPLES + 1),
+])
+def test_trajectory_blocks_match_loop_reference(monkeypatch, block, n_samples):
+    monkeypatch.setattr(scenario, "BLOCK_SAMPLES", block)
+    cfg = _trajectory_config(n_samples)
+    assert cfg.n_samples == n_samples
+    traj = run_trajectory(cfg)
+    assert len(traj.samples) == n_samples
+    _check_against_reference(traj)
+
+
+def test_trajectory_degenerate_fallback_matches_loop_reference():
+    traj = run_trajectory(_trajectory_config(40, dt=0.05, E_over_p=0.0))
+    _check_against_reference(traj)
+
+
+def test_trajectory_does_not_depend_on_block_size(monkeypatch):
+    cfg = _trajectory_config(300)
+    reference = run_trajectory(cfg).samples
+    for block in (1, 7, 299, 300):
+        monkeypatch.setattr(scenario, "BLOCK_SAMPLES", block)
+        assert run_trajectory(cfg).samples == reference
+
+
+def test_initial_row_is_the_initial_state_itself():
+    # U(0) built from the projectors is the identity only up to roundoff,
+    # which shows in the last bits of a pure state's smallest eigenvalue
+    rng = np.random.default_rng(11)
+    psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+    psi /= np.linalg.norm(psi)
+    rho0 = np.outer(psi, psi.conj())
+    cfg = _trajectory_config(3, initial_state="custom", custom_state=tuple(rho0.ravel()))
+    first = run_trajectory(cfg).samples[0]
+    assert first == sample_correlations(rho0, 0.0)
+
+
+@PROPERTY
+@given(st.lists(unit, min_size=16, max_size=16))
+def test_clamp_gives_exact_zeros_on_product_states(entries):
+    factors = []
+    for chunk in (entries[:8], entries[8:]):
+        G = np.array(chunk[:4]).reshape(2, 2) + 1j * np.array(chunk[4:]).reshape(2, 2)
+        sigma = G @ G.conj().T
+        assume(np.trace(sigma).real > 1e-3)
+        factors.append(sigma / np.trace(sigma).real)
+    rho = np.kron(*factors)
+    (s,) = sample_correlations_stack(rho[None], [0.0])
+    for value in (s.negativity, s.discord_1, s.discord_2):
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
+@pytest.mark.parametrize("bad_indices, earliest", [
+    ((6, 9), 6),     # mid-block in the second block, a later one in the third
+    ((5, 6), 5),     # two violations inside one block
+    ((3, 4), 3),     # last sample of one block, first of the next
+])
+def test_violation_mid_block_raises_for_earliest_time(monkeypatch, bad_indices, earliest):
+    cfg = _trajectory_config(12)
+    bad_times = {k * cfg.dt for k in bad_indices}
+    real_stack = scenario.sample_correlations_stack
+
+    def corrupting_stack(rhos, block):
+        return [dataclasses.replace(s, trace_deviation=1e-3) if s.t in bad_times else s
+                for s in real_stack(rhos, block)]
+
+    monkeypatch.setattr(scenario, "BLOCK_SAMPLES", 4)
+    monkeypatch.setattr(scenario, "sample_correlations_stack", corrupting_stack)
+    with pytest.raises(InvariantViolation,
+                       match=rf"trace deviation violated at t = {earliest * cfg.dt:g} "):
+        run_trajectory(cfg)
+
+
+def test_sample_times_are_k_dt_bit_for_bit():
+    cfg = _trajectory_config(1001, dt=0.013)
+    got = [s.t for s in run_trajectory(cfg).samples]
+    assert got == [k * cfg.dt for k in range(cfg.n_samples)]
+    assert all(math.isfinite(t) for t in got)

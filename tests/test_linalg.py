@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from bispinor.errors import ConvergenceError
 from bispinor.linalg import (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z,
                              evolution_operator, hermitian_eigensystem,
                              partial_transpose, tensor_product,
@@ -86,9 +85,16 @@ def test_eigensystem_deterministic():
 
 
 def test_eigensystem_diagonal_input():
-    # already diagonal: zero sweeps needed, order still ascending
-    es = hermitian_eigensystem(np.diag([3.0, -1.0, 2.0, -1.0]).astype(complex))
-    np.testing.assert_allclose(es.eigenvalues, [-1.0, -1.0, 2.0, 3.0])
+    # already diagonal: the spectrum comes back sorted ascending and the
+    # eigenvectors are exactly the matching unit vectors, phase-fixed to +1
+    H = np.diag([3.0, -1.0, 2.0, -1.0]).astype(complex)
+    es = hermitian_eigensystem(H)
+    np.testing.assert_array_equal(es.eigenvalues, [-1.0, -1.0, 2.0, 3.0])
+    V = es.eigenvectors
+    assert set(np.unique(V)) == {0.0, 1.0}
+    np.testing.assert_array_equal(V.sum(axis=0), np.ones(4))
+    np.testing.assert_array_equal(V.sum(axis=1), np.ones(4))
+    np.testing.assert_array_equal(V @ np.diag(es.eigenvalues) @ V.conj().T, H)
 
 
 def test_eigensystem_degenerate_spectrum():
@@ -107,7 +113,12 @@ def test_eigensystem_input_validation():
         hermitian_eigensystem(np.eye(5))
     with pytest.raises(ValueError):
         hermitian_eigensystem(np.ones((2, 3)))
-    assert issubclass(ConvergenceError, RuntimeError)
+    # LAPACK cannot converge on non-finite entries; they are refused up front
+    for bad in (np.nan, np.inf):
+        H = np.eye(4, dtype=complex)
+        H[1, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            hermitian_eigensystem(H)
 
 
 def test_partial_transpose_is_an_involution():

@@ -6,10 +6,10 @@ import pytest
 
 from bispinor.correlations import CorrelationSample
 from bispinor.errors import InvariantViolation, UsageError
-from bispinor.scenario import (CSV_HEADER, ScenarioConfig, TrajectoryRecord,
-                               _check_sample, detect_features, emit_outputs,
-                               initial_state, load_config, parse_config_text,
-                               run_scenario, run_trajectory)
+from bispinor.scenario import (CSV_HEADER, MAX_SAMPLES, ScenarioConfig,
+                               TrajectoryRecord, _check_sample, detect_features,
+                               emit_outputs, initial_state, load_config,
+                               parse_config_text, run_scenario, run_trajectory)
 
 CAT_ENTRIES = "0.5,0,0,0.5," "0,0,0,0," "0,0,0,0," "0.5,0,0,0.5"
 
@@ -67,6 +67,37 @@ def test_config_validation():
         ScenarioConfig(initial_state="custom")  # no matrix given
     with pytest.raises(UsageError):
         ScenarioConfig(initial_state="a", custom_state=(1.0,) * 16)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("t_max", math.inf), ("t_max", math.nan), ("dt", math.nan),
+    ("m_over_p", math.nan), ("E_over_p", math.inf), ("kappa", -math.inf),
+    ("mu", math.nan), ("theta", math.inf), ("gamma_over_p", math.inf),
+    ("eps_dead", math.nan), ("eps_alive", math.inf),
+    ("m_over_p", -1.0), ("E_over_p", -0.5), ("gamma_over_p", -0.1),
+    ("eps_dead", -1e-6), ("eps_alive", -0.01),
+])
+def test_config_rejects_nonfinite_and_negative_values(key, value):
+    with pytest.raises(UsageError, match=key):
+        ScenarioConfig(**{key: value})
+
+
+def test_config_rejects_nonfinite_custom_state():
+    entries = (complex("nan"),) + (0.0,) * 14 + (1.0,)
+    with pytest.raises(UsageError, match="custom_state"):
+        ScenarioConfig(initial_state="custom", custom_state=entries)
+
+
+def test_config_sample_cap():
+    # checked from t_max / dt alone: no grid is allocated for these
+    with pytest.raises(UsageError, match="samples"):
+        ScenarioConfig(t_max=20.0, dt=1e-9)
+    with pytest.raises(UsageError, match="samples"):
+        ScenarioConfig(t_max=1e300, dt=1e-300)  # the ratio overflows to inf
+    assert ScenarioConfig(t_max=MAX_SAMPLES - 1.0, dt=1.0).n_samples == MAX_SAMPLES
+    with pytest.raises(UsageError, match="samples"):
+        ScenarioConfig(t_max=float(MAX_SAMPLES), dt=1.0)
+    assert ScenarioConfig(t_max=20.0, dt=0.01).n_samples == 2001
 
 
 def test_check_sample_diagnostics():
@@ -299,6 +330,28 @@ def test_run_scenario_sweep(tmp_path):
         assert (root / pt["report"]).is_file()
     assert (root / "m_0.5" / "trajectory.csv").is_file()
     assert (root / "m_1" / "report.json").is_file()
+
+
+def test_run_scenario_sweep_names_close_masses_apart(tmp_path):
+    text = (f"m_over_p = 1.0, 1.0000001, 0.5\ninitial_state = cat\nt_max = 0.2\n"
+            f"dt = 0.1\noutputs = {tmp_path / 'sweep'}")
+    run_scenario(parse_config_text(text))
+    root = tmp_path / "sweep"
+    index = json.loads((root / "index.json").read_text())
+    paths = [pt["trajectory"] for pt in index["points"]]
+    assert paths == ["m_1/trajectory.csv", "m_1.0000001/trajectory.csv",
+                     "m_0.5/trajectory.csv"]
+    for pt in index["points"]:
+        report = json.loads((root / pt["report"]).read_text())
+        assert report["config"]["m_over_p"] == pt["m_over_p"]
+
+
+def test_run_scenario_rejects_duplicate_masses(tmp_path):
+    text = (f"m_over_p = 0.5, 1.0, 0.5\ninitial_state = cat\nt_max = 0.2\n"
+            f"dt = 0.1\noutputs = {tmp_path / 'sweep'}")
+    with pytest.raises(UsageError, match="twice"):
+        run_scenario(parse_config_text(text))
+    assert not (tmp_path / "sweep").exists()
 
 
 def test_run_scenario_rejects_bad_custom_before_running(tmp_path):
