@@ -20,9 +20,8 @@ from .ionmap import IonParams, assemble_ion_hamiltonian, dirac_to_ion, ion_to_di
 from .linalg import (EigenSystem, evolution_operator, hermitian_eigensystem,
                      partial_transpose, tensor_product, trace_norm_hermitian)
 from .noise import (KrausSet, NoiseParams, apply_channel, build_kraus_set,
-                    coefficient_matrix, dephasing_mask, evolve_noiseless,
-                    evolve_noiseless_stack, evolve_noisy, evolve_noisy_stack,
-                    validate_density_matrix)
+                    dephasing_mask, evolve_noiseless, evolve_noiseless_stack,
+                    evolve_noisy, evolve_noisy_stack, validate_density_matrix)
 from .scenario import (FeatureReport, ScenarioConfig, TrajectoryRecord,
                        detect_features, emit_outputs, initial_state, load_config,
                        parse_config_text, run_scenario, run_trajectory)
@@ -49,7 +48,6 @@ __all__ = [
     "build_dirac_hamiltonian",
     "build_invariant_operator",
     "build_kraus_set",
-    "coefficient_matrix",
     "dephasing_mask",
     "compute_g2",
     "detect_features",

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (IDENTITY_2, PAULI, partial_transpose, tensor_product,
-                     trace_norm_hermitian)
+from .linalg import (IDENTITY_2, PAULI, _require_hermitian, partial_transpose,
+                     tensor_product, trace_norm_hermitian)
 
 CLAMP_TOL = 1e-12
 
@@ -59,7 +59,7 @@ class CorrelationSample:
 
 
 def _state_stack(rho, stacked: bool) -> np.ndarray:
-    """Validated (B, 4, 4) stack: finite and Hermitian to 1e-10 state by state.
+    """Validated (B, 4, 4) stack: finite and Hermitian (linalg's check) state by state.
 
     A single 4x4 state (stacked=False) becomes a one-state stack.
     """
@@ -68,12 +68,7 @@ def _state_stack(rho, stacked: bool) -> np.ndarray:
         want = "a (B, 4, 4) stack" if stacked else "a 4x4 state"
         raise ValueError(f"expected {want}, got shape {rho.shape}")
     stack = rho if stacked else rho[None]
-    if not np.all(np.isfinite(stack)):
-        raise ValueError("state entries must be finite")
-    residual = np.max(np.abs(stack - np.swapaxes(stack.conj(), 1, 2)),
-                      axis=(1, 2), initial=0.0)
-    if np.any(residual > 1e-10):
-        raise ValueError("state must be Hermitian")
+    _require_hermitian(stack, "state")
     return stack
 
 

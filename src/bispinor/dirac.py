@@ -150,7 +150,8 @@ def eigenprojectors(params: DiracParams) -> SpectralData:
     lambda^2 = Tr[H^2]/4 + 2 (-1)^s sqrt(g2) since O^2 = g2 * I.
 
     Raises DegenerateSpectrumError when g2 or any |lambda| falls below
-    1e-12; callers should then evolve through the numeric path instead.
+    1e-12. The projectors are the closed-form check on the numeric
+    evolution (linalg.evolution_operator), which needs none.
     """
     H = build_dirac_hamiltonian(params)
     O = build_invariant_operator(params)

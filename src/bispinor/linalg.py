@@ -5,8 +5,9 @@ qubit factors, the LAPACK Hermitian eigensolver with a fixed eigenvector
 phase convention, partial transposition, the Hermitian trace norm and
 spectral evolution operators. Matrices are plain complex numpy arrays;
 partial transposition and the trace norm also take (B, 4, 4) stacks, one
-matrix per trajectory sample. All operations are pure functions and never
-mutate their inputs.
+matrix per trajectory sample, and the evolution operator takes a 1-D
+array of times. All operations are pure functions and never mutate
+their inputs.
 """
 
 from __future__ import annotations
@@ -43,11 +44,16 @@ def _as_square(M, dims=(2, 3, 4), stacked: bool = False) -> np.ndarray:
 
 
 def _require_hermitian(A, what: str) -> None:
+    """The package's one Hermiticity check, on a matrix or every matrix of a stack.
+
+    Entries must be finite and |A - A^dag| at most 1e-12 * max(1, max|A_ij|)
+    entrywise, so a unit-trace state (entries of magnitude <= 1) is held to
+    an absolute 1e-12. Raises ValueError naming `what`.
+    """
     # LAPACK cannot converge on non-finite entries, and NaN passes the
     # residual test below, so they are refused first
     if not np.all(np.isfinite(A)):
         raise ValueError(f"{what} entries must be finite")
-    # relative max-norm test on every matrix of a stack
     scale = np.maximum(1.0, np.max(np.abs(A), axis=(-2, -1)))
     residual = np.max(np.abs(A - np.swapaxes(A.conj(), -1, -2)), axis=(-2, -1))
     if np.any(residual > 1e-12 * scale):
@@ -144,18 +150,26 @@ def trace_norm_hermitian(M):
     return norms if A.ndim == 3 else float(norms)
 
 
-def evolution_operator(H, t: float) -> np.ndarray:
+def evolution_operator(H, times) -> np.ndarray:
     """U(t) = exp(-i H t) assembled spectrally from the Hermitian eigensystem.
 
     Parameters
     ----------
     H : array_like
         Hermitian generator.
-    t : float
-        Elapsed time; U(0) is the identity and U(t) U(-t) = I.
+    times : float or 1-D array_like
+        Elapsed time(s); U(0) is the identity and U(t) U(-t) = I.
+
+    Returns
+    -------
+    numpy.ndarray
+        One n x n operator for a scalar time, a (B, n, n) stack for B times.
     """
-    if not np.isfinite(t):
+    times = np.asarray(times, dtype=float)
+    if times.ndim > 1:
+        raise ValueError(f"times must be a scalar or a 1-D array, got shape {times.shape}")
+    if not np.all(np.isfinite(times)):
         raise ValueError("time must be finite")
     es = hermitian_eigensystem(H)
-    phases = np.exp(-1j * es.eigenvalues * t)
-    return (es.eigenvectors * phases) @ es.eigenvectors.conj().T
+    phases = np.exp(-1j * np.multiply.outer(times, es.eigenvalues))
+    return (es.eigenvectors * phases[..., None, :]) @ es.eigenvectors.conj().T

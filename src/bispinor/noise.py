@@ -10,24 +10,23 @@ output rotated by the coherent evolution operator.
 
 Trajectories are evaluated on a whole stack of times at once: the
 channel as a (B, 4, 4) coefficient mask and the rotation as a (B, 4, 4)
-stack of evolution operators. The Kraus form (build_kraus_set,
-apply_channel) is the reference the elementwise form is checked against.
+stack of evolution operators from linalg.evolution_operator. The Kraus
+form (build_kraus_set, apply_channel) is the reference the elementwise
+form is checked against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .dirac import DiracParams, eigenprojectors
-from .errors import DegenerateSpectrumError, InvariantViolation
-from .linalg import hermitian_eigensystem, tensor_product
+from .dirac import DiracParams, build_dirac_hamiltonian
+from .errors import InvariantViolation
+from .linalg import _require_hermitian, evolution_operator, tensor_product
 
-#: DensityMatrix invariant tolerances
-HERMITICITY_TOL = 1e-10
+#: DensityMatrix invariant tolerances (Hermiticity is linalg's one check)
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-9
 
@@ -83,20 +82,11 @@ def build_kraus_set(noise: NoiseParams, t: float) -> KrausSet:
     return KrausSet(operators=ops, gamma_factor=gamma, omega_factor=omega)
 
 
-def _mask_from_gamma(gamma: np.ndarray) -> np.ndarray:
-    # (B,) gamma factors -> (B, 4, 4) masks of 1, gamma and gamma * gamma
-    powers = np.stack((np.ones_like(gamma), gamma, gamma * gamma), axis=-1)
-    return powers[..., _FLIPS]
-
-
-def coefficient_matrix(ks: KrausSet) -> np.ndarray:
-    """Elementwise form of the channel: rho_kl -> c_kl * rho_kl."""
-    return _mask_from_gamma(np.array(ks.gamma_factor))
-
-
 def dephasing_mask(noise: NoiseParams, times) -> np.ndarray:
     """Elementwise channel coefficients at B elapsed times, shape (B, 4, 4).
 
+    The channel maps rho_kl -> c_kl * rho_kl with c_kl = gamma ** n, where
+    n counts the qubits whose level differs between row k and column l.
     times is a 1-D array. gamma(t) = sqrt(exp(-Gamma t)) is computed
     exactly as build_kraus_set computes it. Every mask is checked to leave
     the populations untouched (unit diagonal to 1e-12), the elementwise
@@ -108,7 +98,8 @@ def dephasing_mask(noise: NoiseParams, times) -> np.ndarray:
     # math.exp, not np.exp: the vectorised exp differs from libm in the last
     # bit on a few percent of arguments, and gamma must match the Kraus set's
     rate = noise.gamma_rate
-    mask = _mask_from_gamma(np.sqrt([math.exp(-rate * t) for t in times.tolist()]))
+    gamma = np.sqrt([math.exp(-rate * t) for t in times.tolist()])
+    mask = np.stack((np.ones_like(gamma), gamma, gamma * gamma), axis=-1)[..., _FLIPS]
     if np.max(np.abs(np.diagonal(mask, axis1=-2, axis2=-1) - 1.0), initial=0.0) > 1e-12:
         raise ValueError("dephasing mask failed the completeness check")
     return mask
@@ -134,19 +125,23 @@ def apply_channel(rho, ks: KrausSet) -> np.ndarray:
 def validate_density_matrix(rho, where: str = "density matrix") -> np.ndarray:
     """Check the DensityMatrix invariants, returning the validated array.
 
-    Hermitian to 1e-10, unit trace to 1e-10, smallest eigenvalue above
-    -1e-9 and purity inside [1/4 - 1e-9, 1 + 1e-9]. Violations raise
-    InvariantViolation naming the failed check.
+    Finite and Hermitian to 1e-12 relative to max(1, max|rho_kl|), which
+    is an absolute 1e-12 for any unit-trace positive state; unit trace to
+    1e-10, smallest eigenvalue above -1e-9 and purity inside
+    [1/4 - 1e-9, 1 + 1e-9]. Violations raise InvariantViolation naming
+    `where` and the failed check.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise InvariantViolation(f"{where}: expected shape (4, 4), got {rho.shape}")
-    if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
-        raise InvariantViolation(f"{where}: not Hermitian to {HERMITICITY_TOL:g}")
+    try:
+        _require_hermitian(rho, where)
+    except ValueError as exc:
+        raise InvariantViolation(str(exc)) from None
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > TRACE_TOL:
         raise InvariantViolation(f"{where}: trace {tr} deviates from 1")
-    min_eig = float(hermitian_eigensystem(rho).eigenvalues[0])
+    min_eig = float(np.linalg.eigvalsh(rho)[0])
     if min_eig < -PSD_TOL:
         raise InvariantViolation(f"{where}: negative eigenvalue {min_eig:g}")
     pur = float(np.trace(rho @ rho).real)
@@ -155,49 +150,14 @@ def validate_density_matrix(rho, where: str = "density matrix") -> np.ndarray:
     return rho
 
 
-@lru_cache(maxsize=64)
-def _spectral_or_none(params: DiracParams):
-    """Analytic spectral data, or None when the spectrum is degenerate."""
-    try:
-        return eigenprojectors(params)
-    except DegenerateSpectrumError:
-        return None
-
-
-@lru_cache(maxsize=64)
-def _hamiltonian_eigensystem(params: DiracParams):
-    from .dirac import build_dirac_hamiltonian
-
-    return hermitian_eigensystem(build_dirac_hamiltonian(params))
-
-
-def _evolution_stack(params: DiracParams, times: np.ndarray) -> np.ndarray:
-    """U(t) = exp(-i H t) for each of B times, shape (B, 4, 4).
-
-    Nondegenerate spectra use the analytic projectors,
-    U(t) = sum_k exp(-i lambda_k t) P_k; degenerate ones route to
-    V diag(exp(-i lambda t)) V^dag from the numeric eigensystem.
-    """
-    spectral = _spectral_or_none(params)
-    if spectral is None:
-        es = _hamiltonian_eigensystem(params)
-        phases = np.exp(-1j * np.multiply.outer(times, es.eigenvalues))
-        return (es.eigenvectors * phases[:, None, :]) @ es.eigenvectors.conj().T
-    keys = list(spectral.projectors)
-    lambdas = np.array([spectral.lambdas[key] for key in keys])
-    projectors = np.array([spectral.projectors[key] for key in keys])
-    phases = np.exp(-1j * np.multiply.outer(times, lambdas))
-    return np.einsum("bk,kij->bij", phases, projectors)
-
-
 def evolve_noiseless_stack(rho0, params: DiracParams, times) -> np.ndarray:
     """Coherent evolution U(t) rho0 U(t)^dag at each of B times, (B, 4, 4).
 
-    rho0 is one 4x4 state or a (B, 4, 4) stack, one state per time. The
-    projector path and the degenerate-spectrum fallback agree to 1e-10
-    wherever both apply, and either preserves purity.
+    rho0 is one 4x4 state or a (B, 4, 4) stack, one state per time, and
+    times is a 1-D array. U(t) is linalg.evolution_operator of the
+    Hamiltonian built from params.
     """
-    U = _evolution_stack(params, np.asarray(times, dtype=float))
+    U = evolution_operator(build_dirac_hamiltonian(params), times)
     return U @ np.asarray(rho0, dtype=complex) @ np.swapaxes(U.conj(), -1, -2)
 
 

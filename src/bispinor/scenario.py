@@ -13,10 +13,11 @@ samples; each block is evolved and measured as one (B, 4, 4) stack.
 from __future__ import annotations
 
 import cmath
+import itertools
 import json
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,11 +38,6 @@ MAX_SAMPLES = 1_000_000
 #: the working set of a long trajectory
 BLOCK_SAMPLES = 256
 
-_CONFIG_KEYS = (
-    "m_over_p", "E_over_p", "kappa", "mu", "theta", "gamma_over_p",
-    "initial_state", "custom_state", "t_max", "dt", "outputs",
-    "emit_plots", "eps_dead", "eps_alive",
-)
 _NONNEGATIVE_KEYS = ("m_over_p", "E_over_p", "gamma_over_p", "eps_dead", "eps_alive")
 
 
@@ -65,8 +61,7 @@ class ScenarioConfig:
     eps_alive: float = DEFAULT_EPS_ALIVE
 
     def __post_init__(self):
-        for key in ("m_over_p", "E_over_p", "kappa", "mu", "theta", "gamma_over_p",
-                    "t_max", "dt", "eps_dead", "eps_alive"):
+        for key in _FLOAT_KEYS:
             value = getattr(self, key)
             if not math.isfinite(value):
                 raise UsageError(f"{key} must be finite, got {value!r}")
@@ -97,6 +92,12 @@ class ScenarioConfig:
     def n_samples(self) -> int:
         """Samples on the grid {0, dt, ..., t_max}; at most MAX_SAMPLES."""
         return int(math.floor(self.t_max / self.dt + 1e-9)) + 1
+
+
+#: the config schema: every ScenarioConfig field is a config key, parsed
+#: by its declared type (a string, as annotations are not evaluated here)
+_CONFIG_KEYS = tuple(f.name for f in fields(ScenarioConfig))
+_FLOAT_KEYS = tuple(f.name for f in fields(ScenarioConfig) if f.type == "float")
 
 
 @dataclass(frozen=True)
@@ -198,6 +199,22 @@ def run_trajectory(config: ScenarioConfig) -> TrajectoryRecord:
                             wall_time=time.perf_counter() - started)
 
 
+def death_runs(negativities, eps_dead: float) -> list:
+    """Maximal runs of consecutive samples with negativity below eps_dead.
+
+    Returns (first index, last index) pairs, inclusive, in time order; a
+    lone dead sample is a run of length one.
+    """
+    runs = []
+    k = 0
+    for dead, group in itertools.groupby(negativities, key=lambda v: v < eps_dead):
+        length = len(list(group))
+        if dead:
+            runs.append((k, k + length - 1))
+        k += length
+    return runs
+
+
 def detect_features(traj: TrajectoryRecord,
                     eps_dead: float = DEFAULT_EPS_DEAD,
                     eps_alive: float = DEFAULT_EPS_ALIVE) -> FeatureReport:
@@ -213,18 +230,7 @@ def detect_features(traj: TrajectoryRecord,
     neg = [s.negativity for s in traj.samples]
     times = [s.t for s in traj.samples]
     n = len(neg)
-    intervals = []  # (start index, end index) inclusive
-    k = 0
-    while k < n:
-        if neg[k] < eps_dead:
-            j = k
-            while j + 1 < n and neg[j + 1] < eps_dead:
-                j += 1
-            if j > k:  # at least two samples
-                intervals.append((k, j))
-            k = j + 1
-        else:
-            k += 1
+    intervals = [(k0, k1) for k0, k1 in death_runs(neg, eps_dead) if k1 > k0]
     revivals = 0
     for _, j in intervals:
         if any(neg[i] > eps_alive for i in range(j + 1, n)):
@@ -244,25 +250,12 @@ def detect_features(traj: TrajectoryRecord,
 
 
 def config_echo(config: ScenarioConfig) -> dict:
-    custom = None
+    """Every config field in declaration order; custom entries as [re, im] pairs."""
+    echo = asdict(config)
     if config.custom_state is not None:
-        custom = [[complex(z).real, complex(z).imag] for z in config.custom_state]
-    return {
-        "m_over_p": config.m_over_p,
-        "E_over_p": config.E_over_p,
-        "kappa": config.kappa,
-        "mu": config.mu,
-        "theta": config.theta,
-        "gamma_over_p": config.gamma_over_p,
-        "initial_state": config.initial_state,
-        "custom_state": custom,
-        "t_max": config.t_max,
-        "dt": config.dt,
-        "outputs": config.outputs,
-        "emit_plots": config.emit_plots,
-        "eps_dead": config.eps_dead,
-        "eps_alive": config.eps_alive,
-    }
+        echo["custom_state"] = [[complex(z).real, complex(z).imag]
+                                for z in config.custom_state]
+    return echo
 
 
 CSV_HEADER = "t,negativity,discord_1,discord_2,purity,min_eigenvalue,trace_deviation"
@@ -414,12 +407,15 @@ def parse_config_text(text: str) -> list:
             ) from None
         if not m_values:
             raise UsageError("m_over_p must carry at least one value")
-    for key in ("E_over_p", "kappa", "mu", "theta", "gamma_over_p",
-                "t_max", "dt", "eps_dead", "eps_alive"):
-        if key in raw:
-            kwargs[key] = _parse_float(raw[key], key)
-    if "initial_state" in raw:
-        kwargs["initial_state"] = raw["initial_state"]
+    for f in fields(ScenarioConfig):
+        if f.name not in raw or f.name in ("m_over_p", "custom_state"):
+            continue
+        if f.type == "float":
+            kwargs[f.name] = _parse_float(raw[f.name], f.name)
+        elif f.type == "bool":
+            kwargs[f.name] = _parse_bool(raw[f.name], f.name)
+        else:
+            kwargs[f.name] = raw[f.name]
     if "custom_state" in raw:
         tokens = [tok.strip() for tok in raw["custom_state"].split(",")]
         if len(tokens) != 16:
@@ -428,10 +424,6 @@ def parse_config_text(text: str) -> list:
             kwargs["custom_state"] = tuple(complex(tok) for tok in tokens)
         except ValueError:
             raise UsageError("custom_state entries must parse as complex numbers") from None
-    if "outputs" in raw:
-        kwargs["outputs"] = raw["outputs"]
-    if "emit_plots" in raw:
-        kwargs["emit_plots"] = _parse_bool(raw["emit_plots"], "emit_plots")
 
     return [ScenarioConfig(m_over_p=m, **kwargs) for m in m_values]
 

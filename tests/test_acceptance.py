@@ -12,9 +12,10 @@ and are expected to fail; the printed detail carries the measured
 numbers.
 """
 
+import numpy as np
 import pytest
 
-from bispinor import acceptance
+from bispinor import acceptance, noise
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +53,19 @@ def test_criterion_04_channel_physicality(cache):
 def test_criterion_05_zero_rate_limit(cache):
     ok, detail = run_criterion(5, cache)
     assert ok, detail
+
+
+def test_criterion_05_catches_a_wrong_rotation(monkeypatch):
+    # the reference must not share the engine's rotation: running it
+    # backwards in time has to fail the check
+    forward = noise.evolve_noiseless_stack
+
+    def backward(rho0, params, times):
+        return forward(rho0, params, -np.asarray(times, dtype=float))
+
+    monkeypatch.setattr(noise, "evolve_noiseless_stack", backward)
+    ok, detail = acceptance.criterion_05(acceptance.AcceptanceCache())
+    assert not ok, detail
 
 
 def test_criterion_06_measure_anchors(cache):

@@ -85,6 +85,21 @@ def test_invalid_state_matrix_exits_two(tmp_path, capsys):
     assert "invariant violation" in capsys.readouterr().err
 
 
+def test_non_hermitian_custom_state_exits_two(tmp_path, capsys):
+    # the cat state with 5e-11 added to one off-diagonal imaginary part
+    entries = ["0"] * 16
+    entries[0] = entries[15] = entries[12] = "0.5"
+    entries[3] = "0.5+5e-11j"
+    cfg = write_config(tmp_path, (f"initial_state = custom\n"
+                                  f"custom_state = {','.join(entries)}\n"
+                                  f"t_max = 1.0\ndt = 0.5\n"
+                                  f"outputs = {tmp_path / 'x'}\n"))
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert ("invariant violation: custom state must be Hermitian"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("line", [
     "m_over_p = -1",
     "gamma_over_p = inf",

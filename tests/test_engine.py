@@ -1,10 +1,12 @@
 """The batched (B, 4, 4) engine against a per-sample loop reference.
 
 The reference evolves one time at a time through the Kraus form of the
-channel and the numeric evolution operator, and measures one state at a
-time with numpy's eigvalsh and explicit Pauli traces. The engine
-reorders the arithmetic, so the two are compared at a tolerance fixed
-beforehand (1e-12 absolute on quantities of order one).
+channel and a closed-form rotation (the analytic projector sum, or
+cos/sin of H where H^2 is a multiple of the identity), so the engine's
+numeric eigensystem is never checked against itself. It measures one
+state at a time with numpy's eigvalsh and explicit Pauli traces. The
+engine reorders the arithmetic, so the two are compared at a tolerance
+fixed beforehand (1e-12 absolute on quantities of order one).
 """
 
 import dataclasses
@@ -19,13 +21,12 @@ from bispinor import scenario
 from bispinor.correlations import (fano_decompose, geometric_discord, negativity,
                                    purity, sample_correlations,
                                    sample_correlations_stack)
-from bispinor.dirac import DiracParams, build_dirac_hamiltonian
+from bispinor.dirac import DiracParams, build_dirac_hamiltonian, eigenprojectors
 from bispinor.errors import InvariantViolation
-from bispinor.linalg import (IDENTITY_2, PAULI, evolution_operator,
-                             partial_transpose)
+from bispinor.linalg import IDENTITY_2, PAULI, partial_transpose
 from bispinor.noise import (NoiseParams, apply_channel, build_kraus_set,
-                            coefficient_matrix, dephasing_mask, evolve_noiseless,
-                            evolve_noiseless_stack, evolve_noisy, evolve_noisy_stack)
+                            dephasing_mask, evolve_noiseless, evolve_noiseless_stack,
+                            evolve_noisy, evolve_noisy_stack)
 from bispinor.scenario import ScenarioConfig, initial_state, run_trajectory
 
 TOL = 1e-12
@@ -36,9 +37,24 @@ FIELDS = ("negativity", "discord_1", "discord_2", "purity", "min_eigenvalue",
 
 # ------------------------------------------------------------- reference
 
+def reference_evolution(params, t):
+    """U(t) = exp(-i H t) from closed forms, without a numeric eigensolver.
+
+    With E = 0 or kappa = mu = 0 the field terms vanish, H = m beta + p alpha_x
+    squares to (m^2 + p^2) I and U = cos(w t) I - i sin(w t) H / w. Otherwise
+    U = sum_k exp(-i lambda_k t) P_k over the analytic projectors.
+    """
+    if params.E_field == 0.0 or params.kappa == params.mu == 0.0:
+        w = math.hypot(params.m, params.p)
+        H = build_dirac_hamiltonian(params)
+        return math.cos(w * t) * np.eye(4) - 1j * (math.sin(w * t) / w) * H
+    sd = eigenprojectors(params)
+    return sum(np.exp(-1j * sd.lambdas[key] * t) * P for key, P in sd.projectors.items())
+
+
 def reference_state(rho0, params, noise, t):
-    """Kraus channel, then U(t) rho U(t)^dag with U from the numeric eigensystem."""
-    U = evolution_operator(build_dirac_hamiltonian(params), t)
+    """Kraus channel, then U(t) rho U(t)^dag with the closed-form U."""
+    U = reference_evolution(params, t)
     return U @ apply_channel(rho0, build_kraus_set(noise, t)) @ U.conj().T
 
 
@@ -94,8 +110,8 @@ def density_matrices(draw):
     return rho / trace
 
 
-# bounded away from a degenerate spectrum, where the projector path is
-# ill-conditioned and routes to the numeric fallback anyway
+# bounded away from a degenerate spectrum, where the analytic projectors
+# are ill-conditioned or undefined
 nondegenerate_params = st.builds(
     lambda m, E, k, mu, theta: DiracParams(m=m, p=1.0, kappa=k, mu=mu,
                                            E_field=E, theta=theta),
@@ -103,7 +119,7 @@ nondegenerate_params = st.builds(
     st.floats(0.25, 1.5), st.floats(-1.5, -0.25) | st.floats(0.25, 1.5),
     st.floats(0.3, 1.3),
 )
-# E = 0, or kappa = mu = 0: no analytic projectors, numeric fallback
+# E = 0, or kappa = mu = 0: degenerate spectrum, no analytic projectors
 degenerate_params = st.one_of(
     st.builds(lambda m, k, mu: DiracParams(m=m, p=1.0, kappa=k, mu=mu, E_field=0.0),
               st.floats(0.0, 3.0), st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
@@ -131,7 +147,7 @@ def test_evolve_noisy_stack_matches_kraus_reference(rho0, params, rate, ts):
 def test_degenerate_fallback_matches_reference(rho0, params, ts):
     got = evolve_noiseless_stack(rho0, params, ts)
     for state, t in zip(got, ts):
-        U = evolution_operator(build_dirac_hamiltonian(params), t)
+        U = reference_evolution(params, t)
         np.testing.assert_allclose(state, U @ rho0 @ U.conj().T, rtol=0, atol=TOL)
 
 
@@ -154,7 +170,10 @@ def test_dephasing_mask_equals_kraus_coefficients(rate, ts):
     masks = dephasing_mask(noise, ts)
     for mask, t in zip(masks, ts):
         # gamma is computed the same way, so the two forms agree bit for bit
-        np.testing.assert_array_equal(mask, coefficient_matrix(build_kraus_set(noise, t)))
+        g = build_kraus_set(noise, t).gamma_factor
+        g2 = g * g
+        np.testing.assert_array_equal(mask, [[1.0, g, g, g2], [g, 1.0, g2, g],
+                                             [g, g2, 1.0, g], [g2, g, g, 1.0]])
         np.testing.assert_array_equal(np.diag(mask), np.ones(4))
 
 
@@ -253,7 +272,7 @@ def test_trajectory_does_not_depend_on_block_size(monkeypatch):
 
 
 def test_initial_row_is_the_initial_state_itself():
-    # U(0) built from the projectors is the identity only up to roundoff,
+    # U(0) = V V^dag is the identity only up to roundoff,
     # which shows in the last bits of a pure state's smallest eigenvalue
     rng = np.random.default_rng(11)
     psi = rng.normal(size=4) + 1j * rng.normal(size=4)

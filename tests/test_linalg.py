@@ -189,6 +189,20 @@ def test_evolution_operator_generator():
     np.testing.assert_allclose(approx, -1j * H, rtol=0, atol=1e-5 * np.max(np.abs(H)) * 10)
 
 
+def test_evolution_operator_takes_a_time_stack():
+    H = random_hermitian(4)
+    ts = np.array([0.0, 0.4, -1.1, 13.0])
+    stack = evolution_operator(H, ts)
+    assert stack.shape == (4, 4, 4)
+    for U, t in zip(stack, ts):
+        np.testing.assert_allclose(U, evolution_operator(H, t), rtol=0, atol=1e-14)
+    assert evolution_operator(H, []).shape == (0, 4, 4)
+
+
 def test_evolution_operator_rejects_nonfinite_time():
     with pytest.raises(ValueError):
         evolution_operator(np.eye(4), float("nan"))
+    with pytest.raises(ValueError, match="finite"):
+        evolution_operator(np.eye(4), [0.0, float("inf")])
+    with pytest.raises(ValueError, match="1-D"):
+        evolution_operator(np.eye(4), np.zeros((2, 2)))

@@ -7,7 +7,7 @@ from bispinor.dirac import DiracParams
 from bispinor.errors import InvariantViolation
 from bispinor.linalg import evolution_operator
 from bispinor.noise import (KrausSet, NoiseParams, apply_channel, build_kraus_set,
-                            coefficient_matrix, evolve_noiseless, evolve_noisy,
+                            dephasing_mask, evolve_noiseless, evolve_noisy,
                             validate_density_matrix)
 
 RNG = np.random.default_rng(3)
@@ -67,20 +67,19 @@ def test_kraus_rejects_negative_time():
 
 
 def test_channel_matches_elementwise_form():
-    """Operator-sum route equals the coefficient-matrix route."""
+    """Operator-sum route equals the elementwise dephasing-mask route."""
     for _ in range(10):
         rho = random_density()
         for gamma, t in ((0.5, 1.0), (2.0, 0.3), (0.1, 10.0)):
-            ks = build_kraus_set(NoiseParams(gamma), t)
-            out = apply_channel(rho, ks)
-            np.testing.assert_allclose(out, coefficient_matrix(ks) * rho,
+            noise = NoiseParams(gamma)
+            out = apply_channel(rho, build_kraus_set(noise, t))
+            np.testing.assert_allclose(out, dephasing_mask(noise, [t])[0] * rho,
                                        rtol=0, atol=1e-14)
 
 
-def test_coefficient_matrix_shape():
-    ks = build_kraus_set(NoiseParams(1.0), 1.0)
-    g = ks.gamma_factor
-    c = coefficient_matrix(ks)
+def test_dephasing_mask_shape():
+    g = build_kraus_set(NoiseParams(1.0), 1.0).gamma_factor
+    c = dephasing_mask(NoiseParams(1.0), [1.0])[0]
     assert np.array_equal(np.diag(c), np.ones(4))
     assert c[0, 3] == pytest.approx(g * g)
     assert c[0, 1] == c[1, 0] == pytest.approx(g)
@@ -135,6 +134,14 @@ def test_validate_density_matrix_diagnostics():
     bad[0, 1] = 0.2  # not Hermitian
     with pytest.raises(InvariantViolation, match="Hermitian"):
         validate_density_matrix(bad)
+    slightly = bell_state()
+    slightly[0, 3] += 5e-11j  # Hermitian to 1e-10, not to 1e-12
+    with pytest.raises(InvariantViolation, match="^custom state must be Hermitian$"):
+        validate_density_matrix(slightly, where="custom state")
+    nonfinite = bell_state()
+    nonfinite[1, 1] = np.nan
+    with pytest.raises(InvariantViolation, match="finite"):
+        validate_density_matrix(nonfinite)
     with pytest.raises(InvariantViolation, match="trace"):
         validate_density_matrix(np.eye(4, dtype=complex) / 2.0)
     with pytest.raises(InvariantViolation, match="eigenvalue"):
@@ -154,7 +161,7 @@ def test_noiseless_evolution_matches_unitary_conjugation():
 
 
 def test_noiseless_evolution_degenerate_fallback():
-    # E = 0 has no analytic projectors; the numeric route must take over
+    # E = 0: degenerate spectrum, no analytic projectors; still unitary
     free = DiracParams(m=1.0, p=1.0, kappa=1.0, mu=1.0, E_field=0.0)
     rho = bell_state()
     out = evolve_noiseless(rho, free, 1.3)

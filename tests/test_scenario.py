@@ -7,9 +7,10 @@ import pytest
 from bispinor.correlations import CorrelationSample
 from bispinor.errors import InvariantViolation, UsageError
 from bispinor.scenario import (CSV_HEADER, MAX_SAMPLES, ScenarioConfig,
-                               TrajectoryRecord, _check_sample, detect_features,
-                               emit_outputs, initial_state, load_config,
-                               parse_config_text, run_scenario, run_trajectory)
+                               TrajectoryRecord, _check_sample, death_runs,
+                               detect_features, emit_outputs, initial_state,
+                               load_config, parse_config_text, run_scenario,
+                               run_trajectory)
 
 CAT_ENTRIES = "0.5,0,0,0.5," "0,0,0,0," "0,0,0,0," "0.5,0,0,0.5"
 
@@ -177,6 +178,13 @@ def test_detect_features_terminal_death_does_not_revive():
     report = detect_features(traj)
     assert len(report.death_intervals) == 1
     assert report.revival_count == 0
+
+
+def test_death_runs_are_maximal():
+    neg = [1e-8, 0.5, 1e-8, 0.5, 1e-8, 1e-8, 1e-8, 0.5, 1e-8, 1e-8]
+    assert death_runs(neg, 1e-6) == [(0, 0), (2, 2), (4, 6), (8, 9)]
+    assert death_runs([0.5, 0.5], 1e-6) == []
+    assert death_runs([], 1e-6) == []
 
 
 def test_emit_outputs_files(tmp_path):
