@@ -8,8 +8,7 @@ and geometric discord along the evolution, one block of time samples at
 a time.
 """
 
-from .correlations import (CorrelationSample, fano_decompose, geometric_discord,
-                           negativity, purity, sample_correlations,
+from .correlations import (COLUMNS, geometric_discord, negativity, purity,
                            sample_correlations_stack)
 from .dirac import (DiracParams, SpectralData, build_dirac_hamiltonian,
                     build_invariant_operator, compute_g2, eigenprojectors,
@@ -29,7 +28,7 @@ from .scenario import (FeatureReport, ScenarioConfig, TrajectoryRecord,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CorrelationSample",
+    "COLUMNS",
     "DegenerateSpectrumError",
     "DiracParams",
     "EigenSystem",
@@ -60,7 +59,6 @@ __all__ = [
     "evolve_noiseless_stack",
     "evolve_noisy",
     "evolve_noisy_stack",
-    "fano_decompose",
     "geometric_discord",
     "hermitian_eigensystem",
     "initial_state",
@@ -72,7 +70,6 @@ __all__ = [
     "purity",
     "run_scenario",
     "run_trajectory",
-    "sample_correlations",
     "sample_correlations_stack",
     "tensor_product",
     "trace_norm_hermitian",

@@ -31,9 +31,10 @@ from .dirac import (DiracParams, build_dirac_hamiltonian, eigenprojectors,
                     eigenvalue_closed_form)
 from .ionmap import assemble_ion_hamiltonian, dirac_to_ion
 from .linalg import hermitian_eigensystem
-from .noise import NoiseParams, build_kraus_set, evolve_noisy
-from .scenario import (ScenarioConfig, death_runs, initial_state, run_scenario,
-                       run_trajectory)
+from .noise import (NoiseParams, apply_channel, build_kraus_set, dephasing_mask,
+                    evolve_noisy)
+from .scenario import (STATE_NAMES, ScenarioConfig, death_runs, initial_state,
+                       run_scenario, run_trajectory)
 
 GRID_M = (0.0, 0.5, 1.0, 10.0)
 GRID_E = (0.5, 1.0, 2.0)
@@ -67,6 +68,10 @@ class AcceptanceCache:
         for state, m in (("a", 1.0), ("cat", 0.0), ("cat", 1.0),
                          ("werner", 0.0), ("werner", 1.0)):
             yield self.traj(state, m)
+
+    def column(self, name: str) -> np.ndarray:
+        """One column of every acceptance trajectory, end to end."""
+        return np.concatenate([traj.columns[name] for traj in self.all_trajectories()])
 
 
 def criterion_01(cache) -> tuple:
@@ -124,26 +129,36 @@ def criterion_03(cache) -> tuple:
 
 
 def criterion_04(cache) -> tuple:
-    """Kraus completeness plus physical-state diagnostics on every sample."""
+    """Kraus completeness, mask equals Kraus sum, physical diagnostics.
+
+    The elementwise dephasing_mask the engine runs must reproduce the
+    operator sum on every catalog state to 1e-12 on the (Gamma, t) grid;
+    the trajectory diagnostics are read from every acceptance run.
+    """
     worst_kraus = 0.0
+    worst_mask = 0.0
     eye = np.eye(4)
+    times = (0.0, 0.7, 5.0, 50.0)
+    states = [initial_state(name) for name in STATE_NAMES if name != "custom"]
     for gamma in (0.0, 0.5, 2.0):
-        for t in (0.0, 0.7, 5.0, 50.0):
-            ks = build_kraus_set(NoiseParams(gamma), t)
+        noise = NoiseParams(gamma)
+        masks = dephasing_mask(noise, times)
+        for t, mask in zip(times, masks):
+            ks = build_kraus_set(noise, t)
             total = sum(K.conj().T @ K for K in ks.operators)
             worst_kraus = max(worst_kraus, float(np.max(np.abs(total - eye))))
-    worst_trace = 0.0
-    worst_eig = 0.0
-    pur_lo, pur_hi = 1.0, 0.0
-    for traj in cache.all_trajectories():
-        for s in traj.samples:
-            worst_trace = max(worst_trace, abs(s.trace_deviation))
-            worst_eig = min(worst_eig, s.min_eigenvalue)
-            pur_lo = min(pur_lo, s.purity)
-            pur_hi = max(pur_hi, s.purity)
-    ok = (worst_kraus <= 1e-12 and worst_trace <= 1e-10
+            for rho0 in states:
+                dev = np.max(np.abs(mask * rho0 - apply_channel(rho0, ks)))
+                worst_mask = max(worst_mask, float(dev))
+    worst_trace = float(np.max(np.abs(cache.column("trace_deviation")), initial=0.0))
+    worst_eig = float(np.min(cache.column("min_eigenvalue"), initial=0.0))
+    purity = cache.column("purity")
+    pur_lo = float(np.min(purity, initial=1.0))
+    pur_hi = float(np.max(purity, initial=0.0))
+    ok = (worst_kraus <= 1e-12 and worst_mask <= 1e-12 and worst_trace <= 1e-10
           and worst_eig >= -1e-9 and 0.25 - 1e-9 <= pur_lo and pur_hi <= 1.0 + 1e-9)
-    return ok, (f"kraus dev {worst_kraus:.3g}, trace dev {worst_trace:.3g}, "
+    return ok, (f"kraus dev {worst_kraus:.3g}, mask vs kraus dev {worst_mask:.3g}, "
+                f"trace dev {worst_trace:.3g}, "
                 f"min eig {worst_eig:.3g}, purity in [{pur_lo:.6g}, {pur_hi:.6g}]")
 
 
@@ -187,23 +202,17 @@ def criterion_06(cache) -> tuple:
 
 def criterion_07(cache) -> tuple:
     """Death interval, revival, and residual discord for the diagonal start."""
-    traj = cache.traj("a", 1.0)
-    neg = [s.negativity for s in traj.samples]
-    times = [s.t for s in traj.samples]
+    c = cache.traj("a", 1.0).columns
+    neg, times, d1 = c["negativity"], c["t"], c["discord_1"]
     runs = [(k0, k1) for k0, k1 in death_runs(neg, 1e-6)
             if times[k1] - times[k0] >= 0.1 - 1e-12]
     has_death = len(runs) >= 1
-    has_revival = False
-    if has_death:
-        end = runs[0][1]
-        has_revival = any(v > 1e-2 for v in neg[end + 1:])
-    discord_ok = has_death and all(
-        min(traj.samples[i].discord_1 for i in range(k0, k1 + 1)) > 1e-4
-        for k0, k1 in runs)
+    has_revival = has_death and bool(np.any(neg[runs[0][1] + 1:] > 1e-2))
+    discord_ok = has_death and all(d1[k0:k1 + 1].min() > 1e-4 for k0, k1 in runs)
     ok = has_death and has_revival and discord_ok
     return ok, (f"death intervals (span >= 0.1): {len(runs)}, revival: {has_revival}, "
                 f"residual discord ok: {discord_ok}; "
-                f"min N after t=0 is {min(neg[1:]):.3g}")
+                f"min N after t=0 is {float(neg[1:].min()):.3g}")
 
 
 def criterion_08(cache) -> tuple:
@@ -212,13 +221,12 @@ def criterion_08(cache) -> tuple:
     ok = True
     for state in ("cat", "werner"):
         for m in (0.0, 1.0):
-            neg = [s.negativity for s in cache.traj(state, m).samples]
-            times = [s.t for s in cache.traj(state, m).samples]
-            n_min, n_max = min(neg), max(neg)
+            c = cache.traj(state, m).columns
+            neg, times = c["negativity"], c["t"]
+            n_min, n_max = float(neg.min()), float(neg.max())
             floor_ok = n_min > 1e-3
             osc_ok = (n_max - n_min) > 0.05
-            late = max(v for v, t in zip(neg, times) if t >= 0.75 * times[-1])
-            late_ok = late < 1.0
+            late_ok = bool(neg[times >= 0.75 * times[-1]].max() < 1.0)
             ok = ok and floor_ok and osc_ok and late_ok
             details.append(f"{state} m={m:g}: min N {n_min:.3g}"
                            + ("" if floor_ok else " (< 1e-3)"))
@@ -227,10 +235,8 @@ def criterion_08(cache) -> tuple:
 
 def criterion_09(cache) -> tuple:
     """(N/2)^2 <= D1 + 1e-9 on every sample of every acceptance run."""
-    worst = -1.0
-    for traj in cache.all_trajectories():
-        for s in traj.samples:
-            worst = max(worst, (s.negativity / 2.0) ** 2 - s.discord_1)
+    gap = (cache.column("negativity") / 2.0) ** 2 - cache.column("discord_1")
+    worst = float(np.max(gap, initial=-1.0))
     return worst <= 1e-9, f"worst (N/2)^2 - D1 = {worst:.3g}"
 
 

@@ -13,8 +13,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .errors import (DegenerateSpectrumError, InvariantViolation,
-                     UnsupportedConfigurationError, UsageError)
+from .errors import UsageError
 from .ionmap import dirac_to_ion
 from .scenario import load_config, run_scenario, scenario_params
 
@@ -88,8 +87,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (InvariantViolation, DegenerateSpectrumError,
-            UnsupportedConfigurationError, ValueError) as exc:
+    except ValueError as exc:  # every package error but UsageError
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -8,13 +8,12 @@ negative zeros.
 Every measure is evaluated on a (B, 4, 4) stack of states at once:
 batched LAPACK eigenvalues of the states and their partial transposes,
 one contraction against the 15 Pauli products for the Fano data, and a
-batched 3x3 eigenvalue solve per discord side. The single-state functions
-evaluate a one-state stack.
+batched 3x3 eigenvalue solve per discord side. A trajectory stack is
+measured into the seven float64 columns named by COLUMNS; the
+single-state functions evaluate a one-state stack.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +21,11 @@ from .linalg import (IDENTITY_2, PAULI, _require_hermitian, partial_transpose,
                      tensor_product, trace_norm_hermitian)
 
 CLAMP_TOL = 1e-12
+
+#: the trajectory columns, in CSV order: the time, the four measures and
+#: two numerical diagnostics of each state
+COLUMNS = ("t", "negativity", "discord_1", "discord_2", "purity",
+           "min_eigenvalue", "trace_deviation")
 
 _AXES = ("x", "y", "z")
 #: the 15 Fano basis operators: s_i (x) I, then I (x) s_j, then s_i (x) s_j
@@ -31,31 +35,6 @@ _FANO_BASIS = np.array(
     + [tensor_product(IDENTITY_2, PAULI[b]) for b in _AXES]
     + [tensor_product(PAULI[a], PAULI[b]) for a in _AXES for b in _AXES]
 )
-
-
-@dataclass(frozen=True)
-class FanoData:
-    """Bloch vectors of each qubit and the 3x3 correlation matrix.
-
-    Stacked data carry a leading axis of length B on each field.
-    """
-
-    a1: np.ndarray
-    a2: np.ndarray
-    T: np.ndarray
-
-
-@dataclass(frozen=True)
-class CorrelationSample:
-    """One trajectory point: measures plus numerical diagnostics."""
-
-    t: float
-    negativity: float
-    discord_1: float
-    discord_2: float
-    purity: float
-    min_eigenvalue: float
-    trace_deviation: float
 
 
 def _state_stack(rho, stacked: bool) -> np.ndarray:
@@ -76,23 +55,30 @@ def _clamp(values: np.ndarray) -> np.ndarray:
     return np.where(np.abs(values) < CLAMP_TOL, 0.0, values)
 
 
-def _fano_stack(stack: np.ndarray) -> FanoData:
+def _fano_stack(stack: np.ndarray) -> tuple:
+    """Bloch vectors a1, a2 (B, 3) and correlation matrices T (B, 3, 3).
+
+    a1_i = Tr[rho (s_i (x) I)], a2_j = Tr[rho (I (x) s_j)],
+    T_ij = Tr[rho (s_i (x) s_j)]. Imaginary parts of the traces are
+    checked small (< 1e-10) and discarded.
+    """
     # Tr[rho P] for every state and every basis operator P in one contraction
     traces = np.einsum("bij,pji->bp", stack, _FANO_BASIS)
     worst_imag = float(np.max(np.abs(traces.imag), initial=0.0))
     if worst_imag > 1e-10:
         raise ValueError(f"Pauli trace has imaginary part {worst_imag:g}")
     real = traces.real
-    return FanoData(a1=real[:, 0:3], a2=real[:, 3:6], T=real[:, 6:].reshape(-1, 3, 3))
+    return real[:, 0:3], real[:, 3:6], real[:, 6:].reshape(-1, 3, 3)
 
 
 def _negativity_stack(stack: np.ndarray) -> np.ndarray:
     return _clamp(trace_norm_hermitian(partial_transpose(stack, 1)) - 1.0)
 
 
-def _discord_stack(f: FanoData, side: int) -> np.ndarray:
-    a = f.a1 if side == 1 else f.a2
-    T, Tt = f.T, np.swapaxes(f.T, 1, 2)
+def _discord_stack(fano: tuple, side: int) -> np.ndarray:
+    a1, a2, T = fano
+    a = a1 if side == 1 else a2
+    Tt = np.swapaxes(T, 1, 2)
     gram = T @ Tt if side == 1 else Tt @ T
     K = a[:, :, None] * a[:, None, :] + gram
     k_max = np.linalg.eigvalsh(K)[:, -1]
@@ -101,17 +87,6 @@ def _discord_stack(f: FanoData, side: int) -> np.ndarray:
 
 def _purity_stack(stack: np.ndarray) -> np.ndarray:
     return np.trace(stack @ stack, axis1=1, axis2=2).real
-
-
-def fano_decompose(rho) -> FanoData:
-    """Expansion coefficients over the local Pauli basis.
-
-    a1_i = Tr[rho (s_i (x) I)], a2_j = Tr[rho (I (x) s_j)],
-    T_ij = Tr[rho (s_i (x) s_j)]. Imaginary parts of the traces are
-    checked small (< 1e-10) and discarded.
-    """
-    f = _fano_stack(_state_stack(rho, stacked=False))
-    return FanoData(a1=f.a1[0], a2=f.a2[0], T=f.T[0])
 
 
 def negativity(rho) -> float:
@@ -139,32 +114,26 @@ def geometric_discord(rho, side: int) -> float:
 
 def purity(rho) -> float:
     """Tr[rho^2], between 1/4 (maximally mixed) and 1 (pure)."""
-    return float(_purity_stack(np.asarray(rho, dtype=complex)[None])[0])
+    return float(_purity_stack(_state_stack(rho, stacked=False))[0])
 
 
-def sample_correlations_stack(rhos, times) -> list:
+def sample_correlations_stack(rhos, times) -> dict:
     """All measures and diagnostics of a (B, 4, 4) stack of trajectory states.
 
-    Returns one CorrelationSample per state, in stack order, with t taken
-    from the matching entry of the length-B array times.
+    Returns the seven COLUMNS as length-B float64 arrays, in COLUMNS
+    order and in stack order; the t column is the length-B array times.
     """
     stack = _state_stack(rhos, stacked=True)
     times = np.asarray(times, dtype=float)
     if times.shape != stack.shape[:1]:
         raise ValueError(f"{stack.shape[0]} states but times of shape {times.shape}")
-    f = _fano_stack(stack)
-    columns = (
+    fano = _fano_stack(stack)
+    return dict(zip(COLUMNS, (
         times,
         _negativity_stack(stack),
-        _discord_stack(f, 1),
-        _discord_stack(f, 2),
+        _discord_stack(fano, 1),
+        _discord_stack(fano, 2),
         _purity_stack(stack),
         np.linalg.eigvalsh(stack)[:, 0],
         np.trace(stack, axis1=1, axis2=2).real - 1.0,
-    )
-    return [CorrelationSample(*row) for row in zip(*(c.tolist() for c in columns))]
-
-
-def sample_correlations(rho, t: float) -> CorrelationSample:
-    """All measures and diagnostics of one trajectory state."""
-    return sample_correlations_stack(_state_stack(rho, stacked=False), [t])[0]
+    )))

@@ -7,13 +7,14 @@ text files. Multiple comma-separated m_over_p values turn a run into a
 sweep writing one subdirectory per grid point plus an index file.
 
 The trajectory runner walks its time axis in blocks of BLOCK_SAMPLES
-samples; each block is evolved and measured as one (B, 4, 4) stack.
+samples; each block is evolved and measured as one (B, 4, 4) stack into
+the seven correlations.COLUMNS, checked as arrays and copied into one
+columnar record. Feature detection and the CSV writer read the columns.
 """
 
 from __future__ import annotations
 
 import cmath
-import itertools
 import json
 import math
 import time
@@ -22,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .correlations import CorrelationSample, sample_correlations_stack
+from .correlations import COLUMNS, sample_correlations_stack
 from .dirac import DiracParams
 from .errors import InvariantViolation, UsageError
 from .noise import NoiseParams, evolve_noisy_stack, validate_density_matrix
@@ -100,10 +101,17 @@ _CONFIG_KEYS = tuple(f.name for f in fields(ScenarioConfig))
 _FLOAT_KEYS = tuple(f.name for f in fields(ScenarioConfig) if f.type == "float")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrajectoryRecord:
+    """One sampled trajectory as a table.
+
+    columns maps each name of correlations.COLUMNS, in CSV order, to a
+    float64 array with one entry per sample in time order; run_trajectory
+    makes the arrays read-only. Records compare by identity.
+    """
+
     config: ScenarioConfig
-    samples: tuple
+    columns: dict
     wall_time: float
 
 
@@ -146,22 +154,31 @@ def initial_state(name: str, custom=None) -> np.ndarray:
     return np.outer(vec, vec.conj())
 
 
-def _check_sample(s: CorrelationSample) -> None:
+def _check_block(c: dict) -> None:
+    """Check every sample of a block of columns against its invariants.
+
+    Each check is the condition that must hold, so a NaN fails it. The
+    error names the earliest failing sample and, at that sample, the
+    first failing check in the order below.
+    """
+    neg, d1, d2, pur = c["negativity"], c["discord_1"], c["discord_2"], c["purity"]
     checks = (
-        ("trace deviation", abs(s.trace_deviation) <= 1e-10, s.trace_deviation),
-        ("positivity", s.min_eigenvalue >= -1e-9, s.min_eigenvalue),
-        ("purity range", 0.25 - 1e-9 <= s.purity <= 1.0 + 1e-9, s.purity),
-        ("negativity range", 0.0 <= s.negativity <= 1.0 + 1e-9, s.negativity),
-        ("discord_1 range", 0.0 <= s.discord_1 <= 0.5 + 1e-9, s.discord_1),
-        ("discord_2 range", 0.0 <= s.discord_2 <= 0.5 + 1e-9, s.discord_2),
-        ("hierarchy (N/2)^2 <= D1",
-         (s.negativity / 2.0) ** 2 <= s.discord_1 + 1e-9, s.negativity),
+        ("trace deviation", np.abs(c["trace_deviation"]) <= 1e-10, c["trace_deviation"]),
+        ("positivity", c["min_eigenvalue"] >= -1e-9, c["min_eigenvalue"]),
+        ("purity range", (0.25 - 1e-9 <= pur) & (pur <= 1.0 + 1e-9), pur),
+        ("negativity range", (0.0 <= neg) & (neg <= 1.0 + 1e-9), neg),
+        ("discord_1 range", (0.0 <= d1) & (d1 <= 0.5 + 1e-9), d1),
+        ("discord_2 range", (0.0 <= d2) & (d2 <= 0.5 + 1e-9), d2),
+        ("hierarchy (N/2)^2 <= D1", (neg / 2.0) ** 2 <= d1 + 1e-9, neg),
     )
-    for name, ok, value in checks:
-        if not ok:
-            raise InvariantViolation(
-                f"{name} violated at t = {s.t:g} (value {value:g})"
-            )
+    failed = ~np.stack([ok for _, ok, _ in checks])
+    bad_samples = np.flatnonzero(failed.any(axis=0))
+    if bad_samples.size:
+        k = bad_samples[0]
+        name, _, values = checks[int(np.argmax(failed[:, k]))]
+        raise InvariantViolation(
+            f"{name} violated at t = {float(c['t'][k]):g} (value {float(values[k]):g})"
+        )
 
 
 def scenario_params(config: ScenarioConfig) -> DiracParams:
@@ -175,27 +192,30 @@ def run_trajectory(config: ScenarioConfig) -> TrajectoryRecord:
 
     Sample k sits at t = k * dt. The axis is evaluated in blocks of
     BLOCK_SAMPLES; the t = 0 row is computed from the initial state
-    itself. Every sample is checked against its invariants in time order;
-    a violation aborts with a diagnostic naming the check and the time of
-    the earliest failing sample. The pipeline has no randomness and its
-    results do not depend on the block size, so identical configs give
-    identical records.
+    itself. Every block is checked against the invariants before the
+    next one runs; a violation aborts with a diagnostic naming the check
+    and the time of the earliest failing sample. The pipeline has no
+    randomness and its results do not depend on the block size, so
+    identical configs give identical records.
     """
     started = time.perf_counter()
     params = scenario_params(config)
     noise = NoiseParams(gamma_rate=config.gamma_over_p)
     rho0 = initial_state(config.initial_state, config.custom_state)
     times = np.arange(config.n_samples) * config.dt
-    samples = []
+    columns = {name: np.empty(len(times)) for name in COLUMNS}
     for start in range(0, len(times), BLOCK_SAMPLES):
         block = times[start:start + BLOCK_SAMPLES]
         rhos = evolve_noisy_stack(rho0, params, noise, block)
         if start == 0:
             rhos[0] = rho0
-        for s in sample_correlations_stack(rhos, block):
-            _check_sample(s)
-            samples.append(s)
-    return TrajectoryRecord(config=config, samples=tuple(samples),
+        measured = sample_correlations_stack(rhos, block)
+        _check_block(measured)
+        for name in COLUMNS:
+            columns[name][start:start + len(block)] = measured[name]
+    for values in columns.values():
+        values.flags.writeable = False
+    return TrajectoryRecord(config=config, columns=columns,
                             wall_time=time.perf_counter() - started)
 
 
@@ -205,14 +225,10 @@ def death_runs(negativities, eps_dead: float) -> list:
     Returns (first index, last index) pairs, inclusive, in time order; a
     lone dead sample is a run of length one.
     """
-    runs = []
-    k = 0
-    for dead, group in itertools.groupby(negativities, key=lambda v: v < eps_dead):
-        length = len(list(group))
-        if dead:
-            runs.append((k, k + length - 1))
-        k += length
-    return runs
+    dead = np.asarray(negativities, dtype=float) < eps_dead
+    # +1 where a run starts, -1 one past where it ends
+    edges = np.flatnonzero(np.diff(dead.astype(np.int8), prepend=0, append=0))
+    return list(zip(edges[0::2].tolist(), (edges[1::2] - 1).tolist()))
 
 
 def detect_features(traj: TrajectoryRecord,
@@ -225,27 +241,23 @@ def detect_features(traj: TrajectoryRecord,
     sample exceeds eps_alive. residual_discord_in_death is the smallest
     discord_1 seen inside death intervals (None when there are none).
     """
-    if not traj.samples:
+    c = traj.columns
+    neg, times, d1 = c["negativity"], c["t"], c["discord_1"]
+    if not neg.size:
         raise ValueError("empty trajectory")
-    neg = [s.negativity for s in traj.samples]
-    times = [s.t for s in traj.samples]
-    n = len(neg)
     intervals = [(k0, k1) for k0, k1 in death_runs(neg, eps_dead) if k1 > k0]
-    revivals = 0
-    for _, j in intervals:
-        if any(neg[i] > eps_alive for i in range(j + 1, n)):
-            revivals += 1
+    alive = np.flatnonzero(neg > eps_alive)
+    last_alive = int(alive[-1]) if alive.size else -1
     residual = None
     if intervals:
-        residual = min(traj.samples[i].discord_1
-                       for (k0, k1) in intervals for i in range(k0, k1 + 1))
+        residual = min(float(d1[k0:k1 + 1].min()) for k0, k1 in intervals)
     return FeatureReport(
-        death_intervals=tuple((times[k0], times[k1]) for k0, k1 in intervals),
-        revival_count=revivals,
-        min_negativity=min(neg),
-        max_negativity=max(neg),
+        death_intervals=tuple((float(times[k0]), float(times[k1])) for k0, k1 in intervals),
+        revival_count=sum(k1 < last_alive for _, k1 in intervals),
+        min_negativity=float(neg.min()),
+        max_negativity=float(neg.max()),
         residual_discord_in_death=residual,
-        final_purity=traj.samples[-1].purity,
+        final_purity=float(c["purity"][-1]),
     )
 
 
@@ -258,11 +270,7 @@ def config_echo(config: ScenarioConfig) -> dict:
     return echo
 
 
-CSV_HEADER = "t,negativity,discord_1,discord_2,purity,min_eigenvalue,trace_deviation"
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
+CSV_HEADER = ",".join(COLUMNS)
 
 
 def emit_outputs(traj: TrajectoryRecord, report: FeatureReport,
@@ -277,13 +285,9 @@ def emit_outputs(traj: TrajectoryRecord, report: FeatureReport,
     written = []
 
     csv_path = out_dir / "trajectory.csv"
-    lines = [CSV_HEADER]
-    for s in traj.samples:
-        lines.append(",".join(_fmt(v) for v in (
-            s.t, s.negativity, s.discord_1, s.discord_2,
-            s.purity, s.min_eigenvalue, s.trace_deviation,
-        )))
-    csv_path.write_text("\n".join(lines) + "\n")
+    row = ",".join(["%.12g"] * len(COLUMNS))
+    rows = zip(*(traj.columns[name].tolist() for name in COLUMNS))
+    csv_path.write_text("\n".join([CSV_HEADER, *(row % r for r in rows)]) + "\n")
     written.append(csv_path)
 
     report_path = out_dir / "report.json"
@@ -300,15 +304,14 @@ def emit_outputs(traj: TrajectoryRecord, report: FeatureReport,
     written.append(report_path)
 
     if config.emit_plots:
-        ts = [s.t for s in traj.samples]
+        ts, neg, d1, d2 = (traj.columns[name].tolist()
+                           for name in ("t", "negativity", "discord_1", "discord_2"))
         neg_path = out_dir / "negativity.svg"
-        _write_svg_chart(neg_path, "negativity", ts,
-                         [("negativity", [s.negativity for s in traj.samples], "#1f4e9c")])
+        _write_svg_chart(neg_path, "negativity", ts, [("negativity", neg, "#1f4e9c")])
         written.append(neg_path)
         dis_path = out_dir / "discord.svg"
         _write_svg_chart(dis_path, "geometric discord", ts,
-                         [("discord_1", [s.discord_1 for s in traj.samples], "#1f4e9c"),
-                          ("discord_2", [s.discord_2 for s in traj.samples], "#b5541c")])
+                         [("discord_1", d1, "#1f4e9c"), ("discord_2", d2, "#b5541c")])
         written.append(dis_path)
     return written
 

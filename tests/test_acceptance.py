@@ -50,6 +50,16 @@ def test_criterion_04_channel_physicality(cache):
     assert ok, detail
 
 
+def test_criterion_04_catches_a_wrong_mask(cache, monkeypatch):
+    # the channel the engine runs is checked, not only the Kraus set:
+    # a mask with the wrong coherence powers has to fail
+    mask = noise.dephasing_mask
+    monkeypatch.setattr(acceptance, "dephasing_mask",
+                        lambda noise_params, times: np.sqrt(mask(noise_params, times)))
+    ok, detail = acceptance.criterion_04(cache)
+    assert not ok, detail
+
+
 def test_criterion_05_zero_rate_limit(cache):
     ok, detail = run_criterion(5, cache)
     assert ok, detail

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from bispinor.correlations import (fano_decompose, geometric_discord, negativity,
-                                   purity, sample_correlations)
+from bispinor.correlations import (COLUMNS, _fano_stack, _state_stack, geometric_discord,
+                                   negativity, purity, sample_correlations_stack)
 from bispinor.linalg import partial_transpose, trace_norm_hermitian
 
 RNG = np.random.default_rng(17)
@@ -36,19 +36,26 @@ def isotropic(q):
     return q * schmidt_state(math.pi / 4) + (1.0 - q) * np.eye(4) / 4.0
 
 
+def fano_data(rho):
+    """a1, a2 and T of one state, through the validated one-state stack."""
+    a1, a2, T = _fano_stack(_state_stack(rho, stacked=False))
+    assert a1.shape == a2.shape == (1, 3) and T.shape == (1, 3, 3)
+    return a1[0], a2[0], T[0]
+
+
 def test_fano_decompose_bell():
-    fd = fano_decompose(schmidt_state(math.pi / 4))
-    np.testing.assert_allclose(fd.a1, np.zeros(3), rtol=0, atol=1e-14)
-    np.testing.assert_allclose(fd.a2, np.zeros(3), rtol=0, atol=1e-14)
-    np.testing.assert_allclose(fd.T, np.diag([1.0, -1.0, 1.0]), rtol=0, atol=1e-14)
+    a1, a2, T = fano_data(schmidt_state(math.pi / 4))
+    np.testing.assert_allclose(a1, np.zeros(3), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(a2, np.zeros(3), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(T, np.diag([1.0, -1.0, 1.0]), rtol=0, atol=1e-14)
 
 
 def test_fano_decompose_product_state():
     a = np.array([[0.7, 0.1 + 0.2j], [0.1 - 0.2j, 0.3]])
     b = np.array([[0.6, -0.25j], [0.25j, 0.4]])
-    fd = fano_decompose(np.kron(a, b))
+    a1, a2, T = fano_data(np.kron(a, b))
     # T factorizes as the outer product of the two local vectors
-    np.testing.assert_allclose(fd.T, np.outer(fd.a1, fd.a2), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(T, np.outer(a1, a2), rtol=0, atol=1e-12)
 
 
 def test_fano_reconstruction():
@@ -56,14 +63,14 @@ def test_fano_reconstruction():
     from bispinor.linalg import PAULI, IDENTITY_2
 
     rho = random_density()
-    fd = fano_decompose(rho)
+    a1, a2, T = fano_data(rho)
     axes = ("x", "y", "z")
     rebuilt = np.eye(4, dtype=complex)
     for i, ax in enumerate(axes):
-        rebuilt = rebuilt + fd.a1[i] * np.kron(PAULI[ax], IDENTITY_2)
-        rebuilt = rebuilt + fd.a2[i] * np.kron(IDENTITY_2, PAULI[ax])
+        rebuilt = rebuilt + a1[i] * np.kron(PAULI[ax], IDENTITY_2)
+        rebuilt = rebuilt + a2[i] * np.kron(IDENTITY_2, PAULI[ax])
         for j, bx in enumerate(axes):
-            rebuilt = rebuilt + fd.T[i, j] * np.kron(PAULI[ax], PAULI[bx])
+            rebuilt = rebuilt + T[i, j] * np.kron(PAULI[ax], PAULI[bx])
     np.testing.assert_allclose(rho, rebuilt / 4.0, rtol=0, atol=1e-12)
 
 
@@ -71,7 +78,7 @@ def test_fano_rejects_non_hermitian():
     bad = np.eye(4, dtype=complex)
     bad[0, 1] = 1.0
     with pytest.raises(ValueError):
-        fano_decompose(bad)
+        fano_data(bad)
 
 
 def test_negativity_anchors():
@@ -155,20 +162,29 @@ def test_hierarchy_on_random_states():
 def test_purity_values():
     assert purity(schmidt_state(0.3)) == pytest.approx(1.0, abs=1e-12)
     assert purity(np.eye(4, dtype=complex) / 4.0) == pytest.approx(0.25, abs=1e-14)
+    # refused like negativity and geometric_discord refuse them
+    non_hermitian = np.eye(4, dtype=complex) / 4.0
+    non_hermitian[0, 1] = 0.3
+    for bad in (non_hermitian, np.full((4, 4), np.nan), np.eye(3)):
+        for measure in (purity, negativity, lambda rho: geometric_discord(rho, 1)):
+            with pytest.raises(ValueError):
+                measure(bad)
 
 
 def test_sample_correlations_fields():
     rho = schmidt_state(math.pi / 4)
-    s = sample_correlations(rho, 2.5)
-    assert s.t == 2.5
-    assert s.negativity == pytest.approx(1.0, abs=1e-12)
-    assert s.discord_1 == pytest.approx(0.5, abs=1e-12)
-    assert s.discord_2 == pytest.approx(0.5, abs=1e-12)
-    assert s.purity == pytest.approx(1.0, abs=1e-12)
-    assert s.min_eigenvalue == pytest.approx(0.0, abs=1e-12)
-    assert s.trace_deviation == pytest.approx(0.0, abs=1e-12)
+    s = {name: values.tolist() for name, values in
+         sample_correlations_stack(rho[None], [2.5]).items()}
+    assert tuple(s) == COLUMNS
+    assert s["t"] == [2.5]
+    assert s["negativity"] == [pytest.approx(1.0, abs=1e-12)]
+    assert s["discord_1"] == [pytest.approx(0.5, abs=1e-12)]
+    assert s["discord_2"] == [pytest.approx(0.5, abs=1e-12)]
+    assert s["purity"] == [pytest.approx(1.0, abs=1e-12)]
+    assert s["min_eigenvalue"] == [pytest.approx(0.0, abs=1e-12)]
+    assert s["trace_deviation"] == [pytest.approx(0.0, abs=1e-12)]
 
 
 def test_sample_correlations_flags_trace_drift():
-    s = sample_correlations(np.eye(4, dtype=complex) / 3.9, 0.0)
-    assert abs(s.trace_deviation) > 1e-3
+    s = sample_correlations_stack(np.eye(4, dtype=complex)[None] / 3.9, [0.0])
+    assert abs(s["trace_deviation"][0]) > 1e-3

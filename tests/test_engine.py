@@ -9,7 +9,6 @@ engine reorders the arithmetic, so the two are compared at a tolerance
 fixed beforehand (1e-12 absolute on quantities of order one).
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -18,8 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bispinor import scenario
-from bispinor.correlations import (fano_decompose, geometric_discord, negativity,
-                                   purity, sample_correlations,
+from bispinor.correlations import (COLUMNS, geometric_discord, negativity, purity,
                                    sample_correlations_stack)
 from bispinor.dirac import DiracParams, build_dirac_hamiltonian, eigenprojectors
 from bispinor.errors import InvariantViolation
@@ -86,11 +84,18 @@ def reference_measures(rho):
     }
 
 
-def assert_matches_reference(sample, rho, t):
-    assert sample.t == t
+def assert_matches_reference(columns, k, rho, t):
+    """Row k of a column table against the reference measures of rho."""
+    assert columns["t"][k] == t
     want = reference_measures(rho)
     for field in FIELDS:
-        assert abs(getattr(sample, field) - want[field]) <= TOL, field
+        assert abs(columns[field][k] - want[field]) <= TOL, field
+
+
+def assert_same_columns(got, want):
+    assert tuple(got) == tuple(want) == COLUMNS
+    for name in COLUMNS:
+        assert np.array_equal(got[name], want[name]), name
 
 
 # ------------------------------------------------------------- strategies
@@ -188,23 +193,23 @@ def test_dephasing_mask_rejects_negative_time():
 @given(st.lists(density_matrices(), min_size=1, max_size=5))
 def test_correlation_stack_matches_loop_reference(states):
     ts = [0.1 * k for k in range(len(states))]
-    samples = sample_correlations_stack(np.array(states), ts)
-    assert len(samples) == len(states)
-    for sample, rho, t in zip(samples, states, ts):
-        assert_matches_reference(sample, rho, t)
+    columns = sample_correlations_stack(np.array(states), ts)
+    assert tuple(columns) == COLUMNS
+    for values in columns.values():
+        assert values.shape == (len(states),) and values.dtype == np.float64
+    for k, (rho, t) in enumerate(zip(states, ts)):
+        assert_matches_reference(columns, k, rho, t)
 
 
 @PROPERTY
 @given(density_matrices())
 def test_scalar_measures_are_one_row_of_the_stack(rho):
-    row = sample_correlations_stack(rho[None], [1.5])[0]
-    assert sample_correlations(rho, 1.5) == row
-    assert negativity(rho) == row.negativity
-    assert geometric_discord(rho, 1) == row.discord_1
-    assert geometric_discord(rho, 2) == row.discord_2
-    assert purity(rho) == row.purity
-    fd = fano_decompose(rho)
-    assert fd.a1.shape == fd.a2.shape == (3,) and fd.T.shape == (3, 3)
+    row = sample_correlations_stack(rho[None], [1.5])
+    assert row["t"].tolist() == [1.5]
+    assert negativity(rho) == row["negativity"][0]
+    assert geometric_discord(rho, 1) == row["discord_1"][0]
+    assert geometric_discord(rho, 2) == row["discord_2"][0]
+    assert purity(rho) == row["purity"][0]
 
 
 def test_stack_checks_every_state():
@@ -236,10 +241,10 @@ def _check_against_reference(traj):
     params = scenario.scenario_params(cfg)
     noise = NoiseParams(cfg.gamma_over_p)
     rho0 = initial_state(cfg.initial_state)
-    for k, s in enumerate(traj.samples):
+    for k in range(cfg.n_samples):
         t = k * cfg.dt
         rho = rho0 if k == 0 else reference_state(rho0, params, noise, t)
-        assert_matches_reference(s, rho, t)
+        assert_matches_reference(traj.columns, k, rho, t)
 
 
 @pytest.mark.parametrize("block, n_samples", [
@@ -254,7 +259,9 @@ def test_trajectory_blocks_match_loop_reference(monkeypatch, block, n_samples):
     cfg = _trajectory_config(n_samples)
     assert cfg.n_samples == n_samples
     traj = run_trajectory(cfg)
-    assert len(traj.samples) == n_samples
+    assert tuple(traj.columns) == COLUMNS
+    for values in traj.columns.values():
+        assert values.shape == (n_samples,) and values.dtype == np.float64
     _check_against_reference(traj)
 
 
@@ -265,10 +272,10 @@ def test_trajectory_degenerate_fallback_matches_loop_reference():
 
 def test_trajectory_does_not_depend_on_block_size(monkeypatch):
     cfg = _trajectory_config(300)
-    reference = run_trajectory(cfg).samples
+    reference = run_trajectory(cfg).columns
     for block in (1, 7, 299, 300):
         monkeypatch.setattr(scenario, "BLOCK_SAMPLES", block)
-        assert run_trajectory(cfg).samples == reference
+        assert_same_columns(run_trajectory(cfg).columns, reference)
 
 
 def test_initial_row_is_the_initial_state_itself():
@@ -279,8 +286,8 @@ def test_initial_row_is_the_initial_state_itself():
     psi /= np.linalg.norm(psi)
     rho0 = np.outer(psi, psi.conj())
     cfg = _trajectory_config(3, initial_state="custom", custom_state=tuple(rho0.ravel()))
-    first = run_trajectory(cfg).samples[0]
-    assert first == sample_correlations(rho0, 0.0)
+    first = {name: values[:1] for name, values in run_trajectory(cfg).columns.items()}
+    assert_same_columns(first, sample_correlations_stack(rho0[None], [0.0]))
 
 
 @PROPERTY
@@ -293,8 +300,9 @@ def test_clamp_gives_exact_zeros_on_product_states(entries):
         assume(np.trace(sigma).real > 1e-3)
         factors.append(sigma / np.trace(sigma).real)
     rho = np.kron(*factors)
-    (s,) = sample_correlations_stack(rho[None], [0.0])
-    for value in (s.negativity, s.discord_1, s.discord_2):
+    columns = sample_correlations_stack(rho[None], [0.0])
+    for name in ("negativity", "discord_1", "discord_2"):
+        (value,) = columns[name].tolist()
         assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
@@ -305,12 +313,14 @@ def test_clamp_gives_exact_zeros_on_product_states(entries):
 ])
 def test_violation_mid_block_raises_for_earliest_time(monkeypatch, bad_indices, earliest):
     cfg = _trajectory_config(12)
-    bad_times = {k * cfg.dt for k in bad_indices}
+    bad_times = [k * cfg.dt for k in bad_indices]
     real_stack = scenario.sample_correlations_stack
 
     def corrupting_stack(rhos, block):
-        return [dataclasses.replace(s, trace_deviation=1e-3) if s.t in bad_times else s
-                for s in real_stack(rhos, block)]
+        columns = real_stack(rhos, block)
+        bad = np.isin(columns["t"], bad_times)
+        columns["trace_deviation"] = np.where(bad, 1e-3, columns["trace_deviation"])
+        return columns
 
     monkeypatch.setattr(scenario, "BLOCK_SAMPLES", 4)
     monkeypatch.setattr(scenario, "sample_correlations_stack", corrupting_stack)
@@ -321,6 +331,6 @@ def test_violation_mid_block_raises_for_earliest_time(monkeypatch, bad_indices, 
 
 def test_sample_times_are_k_dt_bit_for_bit():
     cfg = _trajectory_config(1001, dt=0.013)
-    got = [s.t for s in run_trajectory(cfg).samples]
+    got = run_trajectory(cfg).columns["t"].tolist()
     assert got == [k * cfg.dt for k in range(cfg.n_samples)]
     assert all(math.isfinite(t) for t in got)

@@ -1,13 +1,14 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from bispinor.correlations import CorrelationSample
+from bispinor.correlations import COLUMNS
 from bispinor.errors import InvariantViolation, UsageError
 from bispinor.scenario import (CSV_HEADER, MAX_SAMPLES, ScenarioConfig,
-                               TrajectoryRecord, _check_sample, death_runs,
+                               TrajectoryRecord, _check_block, death_runs,
                                detect_features, emit_outputs, initial_state,
                                load_config, parse_config_text, run_scenario,
                                run_trajectory)
@@ -15,18 +16,24 @@ from bispinor.scenario import (CSV_HEADER, MAX_SAMPLES, ScenarioConfig,
 CAT_ENTRIES = "0.5,0,0,0.5," "0,0,0,0," "0,0,0,0," "0.5,0,0,0.5"
 
 
-def synthetic_sample(t, neg, discord=0.2):
-    return CorrelationSample(t=t, negativity=neg, discord_1=discord + 0.01 * t,
-                             discord_2=discord, purity=1.0,
-                             min_eigenvalue=0.0, trace_deviation=0.0)
+def synthetic_record(negativities, dt=0.1, discord=0.2, config=None):
+    """Given negativities at t = k dt; the other columns are those of a valid sample."""
+    t = np.arange(len(negativities)) * dt
+    n = len(t)
+    columns = dict(t=t, negativity=np.array(negativities, dtype=float),
+                   discord_1=discord + 0.01 * t, discord_2=np.full(n, discord),
+                   purity=np.ones(n), min_eigenvalue=np.zeros(n),
+                   trace_deviation=np.zeros(n))
+    assert tuple(columns) == COLUMNS
+    return TrajectoryRecord(config=config or ScenarioConfig(), columns=columns,
+                            wall_time=0.0)
 
 
 def sine_trajectory(t_max=7.0, dt=0.01):
     cfg = ScenarioConfig(t_max=t_max, dt=dt)
     n = int(round(t_max / dt))
-    samples = tuple(synthetic_sample(k * dt, abs(math.sin(k * dt)))
-                    for k in range(n + 1))
-    return TrajectoryRecord(config=cfg, samples=samples, wall_time=0.0)
+    return synthetic_record([abs(math.sin(k * dt)) for k in range(n + 1)], dt=dt,
+                            config=cfg)
 
 
 def test_initial_state_catalog():
@@ -102,39 +109,69 @@ def test_config_sample_cap():
 
 
 def test_check_sample_diagnostics():
-    good = synthetic_sample(1.0, 0.5)
-    _check_sample(good)  # no raise
-    bad = CorrelationSample(t=2.5, negativity=0.5, discord_1=0.2, discord_2=0.2,
-                            purity=1.0, min_eigenvalue=0.0, trace_deviation=1e-3)
-    with pytest.raises(InvariantViolation, match=r"trace deviation .* t = 2.5"):
-        _check_sample(bad)
-    bad = CorrelationSample(t=1.0, negativity=0.9, discord_1=0.05, discord_2=0.2,
-                            purity=1.0, min_eigenvalue=0.0, trace_deviation=0.0)
-    with pytest.raises(InvariantViolation, match="hierarchy"):
-        _check_sample(bad)
+    good = synthetic_record([0.5] * 6, dt=0.5).columns  # t = 0, 0.5, ..., 2.5
+    _check_block(good)  # no raise
+
+    def block(k, **cells):
+        """The good block with the given cells of sample k replaced."""
+        columns = {name: values.copy() for name, values in good.items()}
+        for name, value in cells.items():
+            columns[name][k] = value
+        return columns
+
+    def raises(check, t, value):
+        message = f"{check} violated at t = {t} (value {value})"
+        return pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$")
+
+    with raises("trace deviation", 2.5, 0.001):
+        _check_block(block(5, trace_deviation=1e-3))
+    with raises("hierarchy (N/2)^2 <= D1", 1, 0.9):
+        _check_block(block(2, negativity=0.9, discord_1=0.05))
+    # a NaN fails the check that reads its column (t is read by none)
+    for name, check in (("trace_deviation", "trace deviation"),
+                        ("min_eigenvalue", "positivity"),
+                        ("purity", "purity range"),
+                        ("negativity", "negativity range"),
+                        ("discord_1", "discord_1 range"),
+                        ("discord_2", "discord_2 range")):
+        with raises(check, 1, "nan"):
+            _check_block(block(2, **{name: math.nan}))
+    # the earliest bad sample wins over a later one failing an earlier
+    # check; at that sample the first failing check in order is named
+    columns = block(1, negativity=1.5, discord_2=0.7)  # also breaks the hierarchy
+    columns["trace_deviation"][3] = 1e-3
+    with raises("negativity range", 0.5, 1.5):
+        _check_block(columns)
 
 
 def test_run_trajectory_grid():
     cfg = ScenarioConfig(t_max=1.0, dt=0.3, gamma_over_p=0.5)
     traj = run_trajectory(cfg)
-    assert len(traj.samples) == 4
-    np.testing.assert_allclose([s.t for s in traj.samples], [0.0, 0.3, 0.6, 0.9])
+    assert all(values.shape == (4,) for values in traj.columns.values())
+    np.testing.assert_allclose(traj.columns["t"], [0.0, 0.3, 0.6, 0.9])
     cfg = ScenarioConfig(t_max=2.0, dt=0.1)
-    assert len(run_trajectory(cfg).samples) == 21
+    assert all(values.shape == (21,) for values in run_trajectory(cfg).columns.values())
 
 
 def test_run_trajectory_initial_row():
     cfg = ScenarioConfig(initial_state="cat", t_max=0.5, dt=0.5)
-    first = run_trajectory(cfg).samples[0]
-    assert first.t == 0.0
-    assert first.negativity == pytest.approx(1.0, abs=1e-12)
-    assert first.discord_1 == pytest.approx(0.5, abs=1e-12)
-    assert first.purity == pytest.approx(1.0, abs=1e-12)
+    first = {name: values[0] for name, values in run_trajectory(cfg).columns.items()}
+    assert first["t"] == 0.0
+    assert first["negativity"] == pytest.approx(1.0, abs=1e-12)
+    assert first["discord_1"] == pytest.approx(0.5, abs=1e-12)
+    assert first["purity"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_run_trajectory_deterministic():
     cfg = ScenarioConfig(initial_state="werner", t_max=1.0, dt=0.25)
-    assert run_trajectory(cfg).samples == run_trajectory(cfg).samples
+    first, second = run_trajectory(cfg), run_trajectory(cfg)
+    assert first != second  # records compare by identity, never elementwise
+    one, two = first.columns, second.columns
+    assert tuple(one) == tuple(two) == COLUMNS
+    for name in COLUMNS:
+        assert np.array_equal(one[name], two[name]), name
+        with pytest.raises(ValueError, match="read-only"):
+            one[name][0] = 0.0
 
 
 def test_detect_features_sine_oracle():
@@ -152,9 +189,7 @@ def test_detect_features_sine_oracle():
 
 
 def test_detect_features_no_death():
-    samples = tuple(synthetic_sample(0.1 * k, 0.5) for k in range(20))
-    traj = TrajectoryRecord(config=ScenarioConfig(), samples=samples, wall_time=0.0)
-    report = detect_features(traj)
+    report = detect_features(synthetic_record([0.5] * 20))
     assert report.death_intervals == ()
     assert report.revival_count == 0
     assert report.residual_discord_in_death is None
@@ -162,20 +197,14 @@ def test_detect_features_no_death():
 
 def test_detect_features_needs_two_samples():
     # a single dipped sample is not an interval
-    neg = [0.5, 1e-8, 0.5, 1e-8, 1e-8, 0.4]
-    samples = tuple(synthetic_sample(0.1 * k, v) for k, v in enumerate(neg))
-    traj = TrajectoryRecord(config=ScenarioConfig(), samples=samples, wall_time=0.0)
-    report = detect_features(traj)
+    report = detect_features(synthetic_record([0.5, 1e-8, 0.5, 1e-8, 1e-8, 0.4]))
     assert len(report.death_intervals) == 1
     assert report.death_intervals[0] == (pytest.approx(0.3), pytest.approx(0.4))
     assert report.revival_count == 1
 
 
 def test_detect_features_terminal_death_does_not_revive():
-    neg = [0.5, 0.5, 1e-8, 1e-8, 1e-8]
-    samples = tuple(synthetic_sample(0.1 * k, v) for k, v in enumerate(neg))
-    traj = TrajectoryRecord(config=ScenarioConfig(), samples=samples, wall_time=0.0)
-    report = detect_features(traj)
+    report = detect_features(synthetic_record([0.5, 0.5, 1e-8, 1e-8, 1e-8]))
     assert len(report.death_intervals) == 1
     assert report.revival_count == 0
 
@@ -185,6 +214,9 @@ def test_death_runs_are_maximal():
     assert death_runs(neg, 1e-6) == [(0, 0), (2, 2), (4, 6), (8, 9)]
     assert death_runs([0.5, 0.5], 1e-6) == []
     assert death_runs([], 1e-6) == []
+    assert death_runs(np.array([]), 1e-6) == []
+    assert death_runs(np.full(5, 1e-8), 1e-6) == [(0, 4)]
+    assert death_runs(np.array([0.5, 0.5, 1e-8]), 1e-6) == [(2, 2)]
 
 
 def test_emit_outputs_files(tmp_path):
@@ -200,7 +232,7 @@ def test_emit_outputs_files(tmp_path):
     assert lines[0] == ("t,negativity,discord_1,discord_2,purity,"
                         "min_eigenvalue,trace_deviation")
     assert lines[0] == CSV_HEADER
-    assert len(lines) == 1 + len(traj.samples)
+    assert len(lines) == 1 + len(traj.columns["t"])
     first = lines[1].split(",")
     assert first[0] == "0" and len(first) == 7
 
@@ -217,8 +249,7 @@ def test_emit_outputs_files(tmp_path):
 def test_emit_outputs_formatting(tmp_path):
     # cells carry 12 significant digits
     cfg = ScenarioConfig(t_max=0.1, dt=0.1, outputs=str(tmp_path))
-    samples = (synthetic_sample(0.0, 1.0 / 3.0), synthetic_sample(0.1, 0.25))
-    traj = TrajectoryRecord(config=cfg, samples=samples, wall_time=0.0)
+    traj = synthetic_record([1.0 / 3.0, 0.25], config=cfg)
     emit_outputs(traj, detect_features(traj), cfg)
     lines = (tmp_path / "trajectory.csv").read_text().splitlines()
     assert lines[1].split(",")[1] == "0.333333333333"
