@@ -8,6 +8,20 @@ and geometric discord along the evolution, one block of time samples at
 a time.
 """
 
+import os as _os
+
+# OpenBLAS reads its thread count once, when numpy first loads it, and
+# starts its worker threads then; on these 4x4 problems they only spin.
+# So unless the caller chose a count, numpy is loaded with one thread and
+# the environment is restored at once, leaving child processes the
+# caller's own settings.
+if "OPENBLAS_NUM_THREADS" not in _os.environ:
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as _numpy  # noqa: F401
+    finally:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
+
 from .correlations import (COLUMNS, geometric_discord, negativity, purity,
                            sample_correlations_stack)
 from .dirac import (DiracParams, SpectralData, build_dirac_hamiltonian,
@@ -17,7 +31,7 @@ from .errors import (DegenerateSpectrumError, InvariantViolation,
                      UnsupportedConfigurationError, UsageError)
 from .ionmap import IonParams, assemble_ion_hamiltonian, dirac_to_ion, ion_to_dirac
 from .linalg import (EigenSystem, evolution_operator, hermitian_eigensystem,
-                     partial_transpose, tensor_product, trace_norm_hermitian)
+                     partial_transpose, tensor_product, top_eigenvalue_3x3)
 from .noise import (KrausSet, NoiseParams, apply_channel, build_kraus_set,
                     dephasing_mask, evolve_noiseless, evolve_noiseless_stack,
                     evolve_noisy, evolve_noisy_stack, validate_density_matrix)
@@ -72,6 +86,6 @@ __all__ = [
     "run_trajectory",
     "sample_correlations_stack",
     "tensor_product",
-    "trace_norm_hermitian",
+    "top_eigenvalue_3x3",
     "validate_density_matrix",
 ]

@@ -2,11 +2,12 @@
 
 Everything the rest of the package needs is here: Kronecker products on
 qubit factors, the LAPACK Hermitian eigensolver with a fixed eigenvector
-phase convention, partial transposition, the Hermitian trace norm and
-spectral evolution operators. Matrices are plain complex numpy arrays;
-partial transposition and the trace norm also take (B, 4, 4) stacks, one
-matrix per trajectory sample, and the evolution operator takes a 1-D
-array of times. All operations are pure functions and never mutate
+phase convention, partial transposition, the closed-form top eigenvalue
+of real symmetric 3x3 matrices and spectral evolution operators.
+Matrices are plain complex numpy arrays; partial transposition also
+takes (B, 4, 4) stacks, one matrix per trajectory sample, the top
+eigenvalue takes (B, 3, 3) stacks, and the evolution operator takes a
+1-D array of times. All operations are pure functions and never mutate
 their inputs.
 """
 
@@ -137,17 +138,64 @@ def partial_transpose(rho, subsystem: int) -> np.ndarray:
     return out.reshape(lead + (4, 4)).copy()
 
 
-def trace_norm_hermitian(M):
-    """Sum of absolute eigenvalues of a Hermitian matrix.
+def top_eigenvalue_3x3(K) -> np.ndarray:
+    """Largest eigenvalue of every real symmetric 3x3 matrix of a (B, 3, 3) stack.
 
-    A (B, n, n) stack gives a length-B array, one norm per matrix; a
-    single matrix gives a float.
+    Closed form, without LAPACK, reading the lower triangle as LAPACK's
+    eigvalsh does. With q = tr K / 3, p = sqrt(||K - qI||_F^2 / 6) and
+    r = det(K - qI) / (2 p^3), the eigenvalues are
+    q + 2p cos(phi + 2 pi k / 3) with phi = arccos(r) / 3 in [0, pi/3],
+    largest for k = 0 (Smith, Commun. ACM 4, 168 (1961)).
+
+    That form is well conditioned for r >= 0. Towards r = -1 the top two
+    eigenvalues meet, and an error e in r moves the top one by about
+    p sqrt(e) (1e-8 on unit matrices). For r < 0 the smallest eigenvalue
+    (k = 1) is well separated instead, so its eigenvector u is taken from
+    the adjugate of K - lambda_min I (rank one, u u^T up to scale), and
+    the top eigenvalue is that of K restricted to the plane orthogonal to
+    u, whose 2x2 closed form has no cancellation. K = qI (p = 0) gives q.
+    Either way the result is within a few units in the last place of
+    max|K_ij|.
     """
-    A = np.asarray(M)
-    A = _as_square(A, stacked=A.ndim == 3)
-    _require_hermitian(A, "trace norm input")
-    norms = np.sum(np.abs(np.linalg.eigvalsh(A)), axis=-1)
-    return norms if A.ndim == 3 else float(norms)
+    K = np.asarray(K, dtype=float)
+    if K.ndim != 3 or K.shape[1:] != (3, 3):
+        raise ValueError(f"expected a (B, 3, 3) stack, got shape {K.shape}")
+    q = np.trace(K, axis1=1, axis2=2) / 3.0
+    d0, d1, d2 = K[:, 0, 0] - q, K[:, 1, 1] - q, K[:, 2, 2] - q
+    k10, k20, k21 = K[:, 1, 0], K[:, 2, 0], K[:, 2, 1]
+    p = np.sqrt((d0 * d0 + d1 * d1 + d2 * d2
+                 + 2.0 * (k10 * k10 + k20 * k20 + k21 * k21)) / 6.0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        # the entries of (K - qI) / p; nan where p = 0, where any phi gives q
+        b0, b1, b2, b10, b20, b21 = (x / p for x in (d0, d1, d2, k10, k20, k21))
+    r = 0.5 * (b0 * (b1 * b2 - b21 * b21) - b10 * (b10 * b2 - b21 * b20)
+               + b20 * (b10 * b21 - b1 * b20))
+    phi = np.arccos(np.clip(np.nan_to_num(r), -1.0, 1.0)) / 3.0
+    top = q + 2.0 * p * np.cos(phi)
+
+    low = np.flatnonzero(r < 0.0)
+    # S = (K - lambda_min I) / p on the r < 0 rows, and its adjugate
+    shift = 2.0 * np.cos(phi[low] + 2.0 * np.pi / 3.0)
+    s0, s1, s2 = b0[low] - shift, b1[low] - shift, b2[low] - shift
+    s10, s20, s21 = b10[low], b20[low], b21[low]
+    a0, a1, a2 = s1 * s2 - s21 * s21, s0 * s2 - s20 * s20, s0 * s1 - s10 * s10
+    a10, a20, a21 = s20 * s21 - s10 * s2, s10 * s21 - s20 * s1, s10 * s20 - s0 * s21
+    adj = np.stack([[a0, a10, a20], [a10, a1, a21], [a20, a21, a2]])
+    # u: the adjugate's column with the largest diagonal entry, normalized
+    best = np.argmax(np.abs(np.stack([a0, a1, a2])), axis=0)
+    u = adj[best, :, np.arange(low.size)]
+    x, y, z = (u / np.sqrt(np.sum(u * u, axis=1))[:, None]).T
+    # an orthonormal basis of the plane orthogonal to u (Duff et al.,
+    # J. Comput. Graph. Tech. 6(1), 1 (2017)), as the columns of E
+    sign = np.where(z < 0.0, -1.0, 1.0)
+    a = -1.0 / (sign + z)
+    c = x * y * a
+    E = np.stack([np.stack([1.0 + sign * x * x * a, sign * c, -sign * x], axis=1),
+                  np.stack([c, sign + y * y * a, -y], axis=1)], axis=2)
+    C = np.swapaxes(E, 1, 2) @ K[low] @ E
+    top[low] = (0.5 * (C[:, 0, 0] + C[:, 1, 1])
+                + np.hypot(0.5 * (C[:, 0, 0] - C[:, 1, 1]), C[:, 1, 0]))
+    return top
 
 
 def evolution_operator(H, times) -> np.ndarray:

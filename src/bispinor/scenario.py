@@ -38,6 +38,9 @@ MAX_SAMPLES = 1_000_000
 #: samples evolved and measured together as one (B, 4, 4) stack; bounds
 #: the working set of a long trajectory
 BLOCK_SAMPLES = 256
+#: trajectory.csv rows formatted and written together; bounds the text
+#: held in memory however long the trajectory is
+CSV_WRITE_ROWS = 4096
 
 _NONNEGATIVE_KEYS = ("m_over_p", "E_over_p", "gamma_over_p", "eps_dead", "eps_alive")
 
@@ -278,16 +281,23 @@ def emit_outputs(traj: TrajectoryRecord, report: FeatureReport,
     """Write trajectory.csv, report.json and (optionally) the SVG charts.
 
     Returns the list of written paths. Cells carry 12 significant digits;
-    identical configs reproduce the files byte for byte.
+    identical configs reproduce the files byte for byte. The CSV is
+    written CSV_WRITE_ROWS rows at a time, so only one block of rows is
+    ever held as text.
     """
     out_dir = Path(config.outputs)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
 
     csv_path = out_dir / "trajectory.csv"
-    row = ",".join(["%.12g"] * len(COLUMNS))
-    rows = zip(*(traj.columns[name].tolist() for name in COLUMNS))
-    csv_path.write_text("\n".join([CSV_HEADER, *(row % r for r in rows)]) + "\n")
+    row = ",".join(["%.12g"] * len(COLUMNS)) + "\n"
+    n_rows = len(traj.columns["t"])
+    with csv_path.open("w") as fh:
+        fh.write(CSV_HEADER + "\n")
+        for start in range(0, n_rows, CSV_WRITE_ROWS):
+            rows = zip(*(traj.columns[name][start:start + CSV_WRITE_ROWS].tolist()
+                         for name in COLUMNS))
+            fh.write("".join([row % r for r in rows]))
     written.append(csv_path)
 
     report_path = out_dir / "report.json"
@@ -382,11 +392,11 @@ def _parse_float(raw: str, key: str) -> float:
 def parse_config_text(text: str) -> list:
     """Parse flat key=value config text into resolved ScenarioConfigs.
 
-    Unknown keys, malformed values and unknown state names raise
-    UsageError. A comma-separated m_over_p list expands into one config
-    per grid point (a sweep).
+    Unknown keys, a key given twice, malformed values and unknown state
+    names raise UsageError. A comma-separated m_over_p list expands into
+    one config per grid point (a sweep).
     """
-    raw = {}
+    raw, first_line = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -397,7 +407,11 @@ def parse_config_text(text: str) -> list:
         key = key.strip()
         if key not in _CONFIG_KEYS:
             raise UsageError(f"unknown config key '{key}' on line {lineno}")
+        if key in raw:
+            raise UsageError(f"config key '{key}' is given twice, "
+                             f"on lines {first_line[key]} and {lineno}")
         raw[key] = value.strip()
+        first_line[key] = lineno
 
     kwargs = {}
     m_values = [1.0]
@@ -435,7 +449,11 @@ def load_config(path) -> list:
     p = Path(path)
     if not p.is_file():
         raise UsageError(f"config file not found: {p}")
-    return parse_config_text(p.read_text())
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"config file {p} is not valid UTF-8: {exc}") from None
+    return parse_config_text(text)
 
 
 def _point_dir_name(m: float) -> str:

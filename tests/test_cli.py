@@ -108,9 +108,13 @@ def test_non_hermitian_custom_state_exits_two(tmp_path, capsys):
     "t_max = inf",
     "dt = 1e-9",
     "m_over_p = 1.0, 1.0",
+    "t_max = 2.0",         # a key given twice
+    "# caf\udce9",         # written as the lone byte 0xe9: not valid UTF-8
 ])
 def test_malformed_config_values_exit_one(tmp_path, capsys, line):
-    cfg = write_config(tmp_path, BASE_CONFIG + f"{line}\noutputs = {tmp_path / 'out'}\n")
+    text = BASE_CONFIG + f"{line}\noutputs = {tmp_path / 'out'}\n"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(text.encode("utf-8", "surrogateescape"))
     assert main(["simulate", "--config", str(cfg)]) == 1
     assert "usage error" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -146,15 +150,44 @@ def test_help_exits_zero():
     assert exc.value.code == 0
 
 
-def test_module_entry_point(tmp_path):
-    """The installed interface works end to end in a fresh interpreter."""
-    cfg = write_config(tmp_path, BASE_CONFIG + f"outputs = {tmp_path / 'out'}\n")
-    # the child imports the package this session imported, installed or not
+def fresh_interpreter_env(**overrides):
+    """The environment for a child that imports the package this session imported."""
     package_root = str(Path(bispinor.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (package_root, os.environ.get("PYTHONPATH")))))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    env.update(overrides)
+    return env
+
+
+def test_module_entry_point(tmp_path):
+    """The installed interface works end to end in a fresh interpreter."""
+    cfg = write_config(tmp_path, BASE_CONFIG + f"outputs = {tmp_path / 'out'}\n")
     proc = subprocess.run([sys.executable, "-m", "bispinor.cli", "simulate",
                            "--config", str(cfg)],
-                          capture_output=True, text=True, timeout=120, env=env)
+                          capture_output=True, text=True, timeout=120,
+                          env=fresh_interpreter_env())
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out" / "report.json").is_file()
+
+
+def import_probe(code, **env):
+    """Standard output words of `import os, bispinor` then code, in a fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-c", "import os, bispinor\n" + code],
+                          capture_output=True, text=True, timeout=120,
+                          env=fresh_interpreter_env(**env))
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
+                    reason="needs /proc/self/task to count threads")
+def test_import_loads_blas_with_one_thread():
+    # one OS thread, and the variable set for the import is gone again
+    assert import_probe('print(len(os.listdir("/proc/self/task")), '
+                        'os.environ.get("OPENBLAS_NUM_THREADS"))') == ["1", "None"]
+
+
+def test_import_keeps_the_callers_blas_thread_count():
+    assert import_probe('print(os.environ["OPENBLAS_NUM_THREADS"])',
+                        OPENBLAS_NUM_THREADS="2") == ["2"]

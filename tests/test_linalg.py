@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bispinor.linalg import (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z,
                              evolution_operator, hermitian_eigensystem,
                              partial_transpose, tensor_product,
-                             trace_norm_hermitian)
+                             top_eigenvalue_3x3)
 
 RNG = np.random.default_rng(20260814)
 
@@ -156,11 +158,58 @@ def test_partial_transpose_rejects_bad_subsystem():
         partial_transpose(np.eye(4), 3)
 
 
-def test_trace_norm_known_values():
-    assert trace_norm_hermitian(np.diag([1.0, -2.0, 0.5, 0.0])) == pytest.approx(3.5)
-    H = random_hermitian(4)
-    want = float(np.sum(np.abs(np.linalg.eigvalsh(H))))
-    assert trace_norm_hermitian(H) == pytest.approx(want, abs=1e-10)
+# closed form against LAPACK: |error| <= TOP_TOL * max(1, max|K_ij|), fixed
+# before the first run
+TOP_TOL = 1e-13
+
+
+def assert_top_eigenvalue_matches_lapack(K):
+    K = np.asarray(K, dtype=float)
+    got = top_eigenvalue_3x3(K)
+    want = np.linalg.eigvalsh(K)[:, -1]
+    bound = TOP_TOL * np.maximum(1.0, np.max(np.abs(K), axis=(1, 2)))
+    worst = int(np.argmax(np.abs(got - want) / bound))
+    assert abs(got[worst] - want[worst]) <= bound[worst], (K[worst], got[worst], want[worst])
+
+
+def rotated(eigenvalues, count, seed):
+    """count symmetric matrices Q diag(eigenvalues) Q^T with seeded random rotations Q."""
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(count, 3, 3)))
+    return (Q * np.asarray(eigenvalues, dtype=float)) @ np.swapaxes(Q, 1, 2)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=9, max_size=9),
+       st.floats(0.0, 4.0, allow_nan=False))
+def test_top_eigenvalue_matches_lapack_on_psd(entries, scale):
+    G = scale * np.array(entries).reshape(3, 3)
+    assert_top_eigenvalue_matches_lapack((G @ G.T)[None])
+
+
+@pytest.mark.parametrize("K", [
+    np.zeros((3, 3)),
+    0.7 * np.eye(3),
+    np.outer([1.0, -2.0, 0.5], [1.0, -2.0, 0.5]),    # rank one
+    np.diag([0.5, 1.0, 1.0]),                        # doubled top eigenvalue
+    np.diag([1.0, 0.2, 0.2]),                        # doubled bottom eigenvalue
+], ids=["zero", "multiple of identity", "rank one", "doubled top", "doubled bottom"])
+def test_top_eigenvalue_special_matrices(K):
+    assert_top_eigenvalue_matches_lapack(K[None])
+
+
+@pytest.mark.parametrize("eigenvalues", [
+    (1.0, 1.0, 0.3), (1.0, 1.0 - 1e-9, 0.2), (1.0, 0.3, 0.3), (1.0, 0.0, 0.0),
+    (2.0, 2.0, 0.0), (1.0, 1.0 - 1e-9, 1.0 - 2e-9), (0.9, 0.5, 0.1),
+], ids=str)
+def test_top_eigenvalue_on_rotated_spectra(eigenvalues):
+    # near r = -1 the plain trigonometric form is off by about 1e-8 here
+    assert_top_eigenvalue_matches_lapack(rotated(eigenvalues, 2000, seed=5))
+
+
+def test_top_eigenvalue_rejects_bad_shapes():
+    for bad in (np.eye(3), np.zeros((2, 4, 4))):
+        with pytest.raises(ValueError):
+            top_eigenvalue_3x3(bad)
 
 
 def test_evolution_operator_properties():

@@ -7,7 +7,7 @@ import pytest
 
 from bispinor.correlations import COLUMNS
 from bispinor.errors import InvariantViolation, UsageError
-from bispinor.scenario import (CSV_HEADER, MAX_SAMPLES, ScenarioConfig,
+from bispinor.scenario import (CSV_HEADER, CSV_WRITE_ROWS, MAX_SAMPLES, ScenarioConfig,
                                TrajectoryRecord, _check_block, death_runs,
                                detect_features, emit_outputs, initial_state,
                                load_config, parse_config_text, run_scenario,
@@ -256,6 +256,19 @@ def test_emit_outputs_formatting(tmp_path):
     assert lines[2].split(",")[1] == "0.25"
 
 
+def test_emit_outputs_streams_rows_in_blocks(tmp_path):
+    # one full write block, a partial one, and cells that need all 12 digits
+    n = CSV_WRITE_ROWS + 37
+    cfg = ScenarioConfig(t_max=(n - 1) * 0.1, dt=0.1, outputs=str(tmp_path))
+    rng = np.random.default_rng(3)
+    traj = synthetic_record(rng.random(n) / 3.0, config=cfg)
+    emit_outputs(traj, detect_features(traj), cfg)
+    row = ",".join(["%.12g"] * len(COLUMNS))
+    all_rows = zip(*(traj.columns[name].tolist() for name in COLUMNS))
+    want = "\n".join([CSV_HEADER, *(row % r for r in all_rows)]) + "\n"
+    assert (tmp_path / "trajectory.csv").read_text() == want
+
+
 def test_emit_outputs_plots(tmp_path):
     cfg = ScenarioConfig(initial_state="cat", t_max=0.2, dt=0.1,
                          outputs=str(tmp_path), emit_plots=True)
@@ -337,6 +350,8 @@ def test_parse_config_errors():
         parse_config_text("initial_state = custom\ncustom_state = 1,0,0")
     with pytest.raises(UsageError, match="one or more numbers"):
         parse_config_text("m_over_p = 1.0, x")
+    with pytest.raises(UsageError, match="'t_max' is given twice, on lines 1 and 3"):
+        parse_config_text("t_max = 1.0\ndt = 0.1\nt_max = 2.0")
 
 
 def test_load_config_missing_file(tmp_path):
