@@ -5,11 +5,17 @@ and writes CSV/JSON/SVG outputs, `plan` prints the trapped-ion laser
 parameters realizing a config, `selftest` runs the built-in acceptance
 battery. Exit codes: 0 success, 1 usage error, 2 invariant violation,
 3 I/O error.
+
+`entry` is the process entry point (the `bispinor` console script and
+`python -m bispinor.cli`): it freezes the import-time heap, then runs
+`main`. `main` itself leaves the garbage collector alone, so it can be
+called in-process.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from dataclasses import replace
 
@@ -95,5 +101,18 @@ def main(argv=None) -> int:
         return 3
 
 
+def entry() -> int:
+    """Run `main` on the command line with the import-time heap frozen.
+
+    The objects numpy and the package create at import live until exit
+    anyway. `gc.freeze` moves them to the permanent generation, so the
+    full collections the interpreter makes at shutdown skip them instead
+    of walking ~21k objects each time. (`gc.disable` would not help:
+    those collections run regardless.)
+    """
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -191,3 +192,48 @@ def test_import_loads_blas_with_one_thread():
 def test_import_keeps_the_callers_blas_thread_count():
     assert import_probe('print(os.environ["OPENBLAS_NUM_THREADS"])',
                         OPENBLAS_NUM_THREADS="2") == ["2"]
+
+
+FREEZE_PROBE = """
+import gc, runpy, sys
+from bispinor.cli import main
+argv = ["plan", "--config", {cfg!r}]
+before = gc.get_freeze_count()
+main_code = main(argv)
+main_frozen = gc.get_freeze_count() - before
+sys.argv = ["bispinor", *argv]
+try:
+    runpy.run_module("bispinor.cli", run_name="__main__")
+except SystemExit as exc:
+    entry_code = exc.code
+print(main_code, main_frozen, entry_code, gc.get_freeze_count())
+"""
+
+
+def test_only_the_process_entry_freezes_the_heap(tmp_path):
+    # main() as tests and library callers run it, then `python -m
+    # bispinor.cli`, whose __main__ block runs entry(), the console script
+    cfg = write_config(tmp_path, "m_over_p = 1.0\nt_max = 1.0\ndt = 0.1\n")
+    words = import_probe(FREEZE_PROBE.format(cfg=str(cfg)))
+    assert words.count("m_over_p=1:") == 2
+    main_code, main_frozen, entry_code, entry_frozen = words[-4:]
+    assert (main_code, main_frozen, entry_code) == ("0", "0", "0")
+    assert int(entry_frozen) > 0
+
+
+def test_selftest_end_to_end(tmp_path):
+    """The acceptance battery as users run it, in a fresh interpreter."""
+    golden = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                         / "golden" / "selftest.json").read_text())
+    proc = subprocess.run([sys.executable, "-m", "bispinor.cli", "selftest"],
+                          capture_output=True, text=True, timeout=120,
+                          cwd=tmp_path, env=fresh_interpreter_env(TMPDIR=str(tmp_path)))
+    assert proc.returncode == 2, proc.stderr
+    lines = re.findall(r"^criterion (\d\d) \[[^\]]*\]: (PASS|FAIL) - (.*)$",
+                       proc.stdout, re.MULTILINE)
+    assert [int(number) for number, _, _ in lines] == list(range(1, 12))
+    failed = {int(number): detail for number, verdict, detail in lines
+              if verdict == "FAIL"}
+    assert failed == {int(k): v for k, v in golden["details"].items()}
+    # criterion 11's temporary directory is removed with the heap frozen
+    assert list(tmp_path.iterdir()) == []

@@ -271,11 +271,14 @@ def test_trajectory_degenerate_fallback_matches_loop_reference():
 
 
 def test_trajectory_does_not_depend_on_block_size(monkeypatch):
-    cfg = _trajectory_config(300)
-    reference = run_trajectory(cfg).columns
-    for block in (1, 7, 299, 300):
-        monkeypatch.setattr(scenario, "BLOCK_SAMPLES", block)
-        assert_same_columns(run_trajectory(cfg).columns, reference)
+    figure = _trajectory_config(2001)  # the paper figure, several blocks long
+    assert figure.n_samples > scenario.BLOCK_SAMPLES
+    cases = ((_trajectory_config(300), (1, 7, 299, 300)), (figure, (256,)))
+    references = [run_trajectory(cfg).columns for cfg, _ in cases]
+    for (cfg, blocks), reference in zip(cases, references):
+        for block in blocks:
+            monkeypatch.setattr(scenario, "BLOCK_SAMPLES", block)
+            assert_same_columns(run_trajectory(cfg).columns, reference)
 
 
 def test_initial_row_is_the_initial_state_itself():
