@@ -30,8 +30,8 @@ from .dirac import (DiracParams, SpectralData, build_dirac_hamiltonian,
 from .errors import (DegenerateSpectrumError, InvariantViolation,
                      UnsupportedConfigurationError, UsageError)
 from .ionmap import IonParams, assemble_ion_hamiltonian, dirac_to_ion, ion_to_dirac
-from .linalg import (EigenSystem, evolution_operator, hermitian_eigensystem,
-                     partial_transpose, tensor_product, top_eigenvalue_3x3)
+from .linalg import (evolution_operator, partial_transpose, tensor_product,
+                     top_eigenvalue_3x3)
 from .noise import (KrausSet, NoiseParams, apply_channel, build_kraus_set,
                     dephasing_mask, evolve_noiseless, evolve_noiseless_stack,
                     evolve_noisy, evolve_noisy_stack, validate_density_matrix)
@@ -45,7 +45,6 @@ __all__ = [
     "COLUMNS",
     "DegenerateSpectrumError",
     "DiracParams",
-    "EigenSystem",
     "FeatureReport",
     "InvariantViolation",
     "IonParams",
@@ -74,7 +73,6 @@ __all__ = [
     "evolve_noisy",
     "evolve_noisy_stack",
     "geometric_discord",
-    "hermitian_eigensystem",
     "initial_state",
     "ion_to_dirac",
     "load_config",

@@ -1,9 +1,9 @@
 """Dense complex linear algebra for matrices up to 4x4.
 
 Everything the rest of the package needs is here: Kronecker products on
-qubit factors, the LAPACK Hermitian eigensolver with a fixed eigenvector
-phase convention, partial transposition, the closed-form top eigenvalue
-of real symmetric 3x3 matrices and spectral evolution operators.
+qubit factors, partial transposition, the closed-form top eigenvalue of
+real symmetric 3x3 matrices and the spectral evolution operator, the
+only place the package takes eigenvectors (LAPACK ``eigh``).
 Matrices are plain complex numpy arrays; partial transposition also
 takes (B, 4, 4) stacks, one matrix per trajectory sample, the top
 eigenvalue takes (B, 3, 3) stacks, and the evolution operator takes a
@@ -13,8 +13,6 @@ their inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -23,14 +21,6 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
 
 PAULI = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
-
-
-@dataclass(frozen=True)
-class EigenSystem:
-    """Eigenvalues (ascending) and matching orthonormal eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def _as_square(M, dims=(2, 3, 4), stacked: bool = False) -> np.ndarray:
@@ -78,34 +68,6 @@ def tensor_product(A, B) -> np.ndarray:
     B = _as_square(B, dims=(2,))
     # np.kron's elementwise products, without its generic-shape overhead
     return (A[:, None, :, None] * B[None, :, None, :]).reshape(4, 4)
-
-
-def hermitian_eigensystem(H) -> EigenSystem:
-    """Diagonalize a Hermitian matrix with LAPACK (``numpy.linalg.eigh``).
-
-    Eigenvalues are returned ascending; each eigenvector's phase is fixed
-    by making its largest-magnitude component real and positive (ties
-    broken by lowest index) so results are reproducible.
-
-    Parameters
-    ----------
-    H : array_like, dim in {2, 3, 4}
-        Hermitian input with finite entries.
-
-    Returns
-    -------
-    EigenSystem
-
-    Raises
-    ------
-    ValueError
-        If the input is not finite or not Hermitian.
-    """
-    A = _as_square(H)
-    _require_hermitian(A, "eigensystem input")
-    lam, V = np.linalg.eigh(A)
-    piv = V[np.argmax(np.abs(V), axis=0), np.arange(A.shape[0])]  # first maximal index on ties
-    return EigenSystem(eigenvalues=lam, eigenvectors=V * (np.conj(piv) / np.abs(piv)))
 
 
 def partial_transpose(rho, subsystem: int) -> np.ndarray:
@@ -199,12 +161,15 @@ def top_eigenvalue_3x3(K) -> np.ndarray:
 
 
 def evolution_operator(H, times) -> np.ndarray:
-    """U(t) = exp(-i H t) assembled spectrally from the Hermitian eigensystem.
+    """U(t) = exp(-i H t), as V diag(exp(-i lambda t)) V^dag from ``eigh`` of H.
+
+    The product does not depend on the phases of the eigenvector columns
+    V, so none is fixed.
 
     Parameters
     ----------
-    H : array_like
-        Hermitian generator.
+    H : array_like, dim in {2, 3, 4}
+        Hermitian generator with finite entries.
     times : float or 1-D array_like
         Elapsed time(s); U(0) is the identity and U(t) U(-t) = I.
 
@@ -212,12 +177,19 @@ def evolution_operator(H, times) -> np.ndarray:
     -------
     numpy.ndarray
         One n x n operator for a scalar time, a (B, n, n) stack for B times.
+
+    Raises
+    ------
+    ValueError
+        If H is not a finite Hermitian square matrix, or a time is not finite.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim > 1:
         raise ValueError(f"times must be a scalar or a 1-D array, got shape {times.shape}")
     if not np.all(np.isfinite(times)):
         raise ValueError("time must be finite")
-    es = hermitian_eigensystem(H)
-    phases = np.exp(-1j * np.multiply.outer(times, es.eigenvalues))
-    return (es.eigenvectors * phases[..., None, :]) @ es.eigenvectors.conj().T
+    A = _as_square(H)
+    _require_hermitian(A, "evolution generator")
+    lam, V = np.linalg.eigh(A)
+    phases = np.exp(-1j * np.multiply.outer(times, lam))
+    return (V * phases[..., None, :]) @ V.conj().T

@@ -26,7 +26,8 @@ import numpy as np
 from .correlations import COLUMNS, sample_correlations_stack
 from .dirac import DiracParams
 from .errors import InvariantViolation, UsageError
-from .noise import NoiseParams, evolve_noisy_stack, validate_density_matrix
+from .noise import (PSD_TOL, TRACE_TOL, NoiseParams, evolve_noisy_stack,
+                    validate_density_matrix)
 
 STATE_NAMES = ("a", "b", "c", "d", "cat", "werner", "custom")
 
@@ -168,9 +169,9 @@ def _check_block(c: dict) -> None:
     """
     neg, d1, d2, pur = c["negativity"], c["discord_1"], c["discord_2"], c["purity"]
     checks = (
-        ("trace deviation", np.abs(c["trace_deviation"]) <= 1e-10, c["trace_deviation"]),
-        ("positivity", c["min_eigenvalue"] >= -1e-9, c["min_eigenvalue"]),
-        ("purity range", (0.25 - 1e-9 <= pur) & (pur <= 1.0 + 1e-9), pur),
+        ("trace deviation", np.abs(c["trace_deviation"]) <= TRACE_TOL, c["trace_deviation"]),
+        ("positivity", c["min_eigenvalue"] >= -PSD_TOL, c["min_eigenvalue"]),
+        ("purity range", (0.25 - PSD_TOL <= pur) & (pur <= 1.0 + PSD_TOL), pur),
         ("negativity range", (0.0 <= neg) & (neg <= 1.0 + 1e-9), neg),
         ("discord_1 range", (0.0 <= d1) & (d1 <= 0.5 + 1e-9), d1),
         ("discord_2 range", (0.0 <= d2) & (d2 <= 0.5 + 1e-9), d2),

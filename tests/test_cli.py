@@ -194,6 +194,17 @@ def test_import_keeps_the_callers_blas_thread_count():
                         OPENBLAS_NUM_THREADS="2") == ["2"]
 
 
+def test_public_names_are_consistent():
+    names = bispinor.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert hasattr(bispinor, name), name
+    assert not {"hermitian_eigensystem", "EigenSystem"} & set(names)
+    star = {}
+    exec("from bispinor import *", star)
+    assert set(names) <= set(star)
+
+
 FREEZE_PROBE = """
 import gc, runpy, sys
 from bispinor.cli import main

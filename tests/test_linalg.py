@@ -4,9 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bispinor.linalg import (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z,
-                             evolution_operator, hermitian_eigensystem,
-                             partial_transpose, tensor_product,
-                             top_eigenvalue_3x3)
+                             evolution_operator, partial_transpose,
+                             tensor_product, top_eigenvalue_3x3)
 
 RNG = np.random.default_rng(20260814)
 
@@ -50,79 +49,6 @@ def test_tensor_product_rejects_wrong_shapes():
         tensor_product(np.ones((2, 3)), np.eye(2))
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_eigensystem_matches_numpy(n):
-    """Eigenvalues and the reconstruction both agree with numpy.linalg."""
-    for _ in range(50):
-        H = random_hermitian(n)
-        es = hermitian_eigensystem(H)
-        np.testing.assert_allclose(es.eigenvalues, np.linalg.eigvalsh(H),
-                                   rtol=0, atol=1e-10)
-        rebuilt = es.eigenvectors @ np.diag(es.eigenvalues) @ es.eigenvectors.conj().T
-        np.testing.assert_allclose(rebuilt, H, rtol=0, atol=1e-10)
-
-
-def test_eigensystem_columns_orthonormal():
-    H = random_hermitian(4)
-    V = hermitian_eigensystem(H).eigenvectors
-    np.testing.assert_allclose(V.conj().T @ V, np.eye(4), rtol=0, atol=1e-12)
-
-
-def test_eigensystem_order_and_phase():
-    H = random_hermitian(4)
-    es = hermitian_eigensystem(H)
-    assert np.all(np.diff(es.eigenvalues) >= -1e-14)
-    for k in range(4):
-        col = es.eigenvectors[:, k]
-        piv = col[int(np.argmax(np.abs(col)))]
-        assert abs(piv.imag) < 1e-12 and piv.real > 0
-
-
-def test_eigensystem_deterministic():
-    H = random_hermitian(4)
-    a = hermitian_eigensystem(H)
-    b = hermitian_eigensystem(H)
-    assert np.array_equal(a.eigenvalues, b.eigenvalues)
-    assert np.array_equal(a.eigenvectors, b.eigenvectors)
-
-
-def test_eigensystem_diagonal_input():
-    # already diagonal: the spectrum comes back sorted ascending and the
-    # eigenvectors are exactly the matching unit vectors, phase-fixed to +1
-    H = np.diag([3.0, -1.0, 2.0, -1.0]).astype(complex)
-    es = hermitian_eigensystem(H)
-    np.testing.assert_array_equal(es.eigenvalues, [-1.0, -1.0, 2.0, 3.0])
-    V = es.eigenvectors
-    assert set(np.unique(V)) == {0.0, 1.0}
-    np.testing.assert_array_equal(V.sum(axis=0), np.ones(4))
-    np.testing.assert_array_equal(V.sum(axis=1), np.ones(4))
-    np.testing.assert_array_equal(V @ np.diag(es.eigenvalues) @ V.conj().T, H)
-
-
-def test_eigensystem_degenerate_spectrum():
-    # projector onto a 2d subspace, rotated; eigenvalues {0, 0, 1, 1}
-    Q, _ = np.linalg.qr(RNG.normal(size=(4, 4)) + 1j * RNG.normal(size=(4, 4)))
-    H = Q @ np.diag([0.0, 0.0, 1.0, 1.0]).astype(complex) @ Q.conj().T
-    es = hermitian_eigensystem(H)
-    np.testing.assert_allclose(es.eigenvalues, [0.0, 0.0, 1.0, 1.0],
-                               rtol=0, atol=1e-12)
-
-
-def test_eigensystem_input_validation():
-    with pytest.raises(ValueError):
-        hermitian_eigensystem(np.array([[0.0, 1.0], [0.0, 0.0]]))  # not Hermitian
-    with pytest.raises(ValueError):
-        hermitian_eigensystem(np.eye(5))
-    with pytest.raises(ValueError):
-        hermitian_eigensystem(np.ones((2, 3)))
-    # LAPACK cannot converge on non-finite entries; they are refused up front
-    for bad in (np.nan, np.inf):
-        H = np.eye(4, dtype=complex)
-        H[1, 1] = bad
-        with pytest.raises(ValueError, match="finite"):
-            hermitian_eigensystem(H)
-
-
 def test_partial_transpose_is_an_involution():
     rho = random_density()
     for side in (1, 2):
@@ -149,7 +75,7 @@ def test_partial_transpose_bell_state():
     vec = np.zeros(4, dtype=complex)
     vec[0] = vec[3] = 1.0 / np.sqrt(2.0)
     rho = np.outer(vec, vec.conj())
-    lam = hermitian_eigensystem(partial_transpose(rho, 1)).eigenvalues
+    lam = np.linalg.eigvalsh(partial_transpose(rho, 1))
     np.testing.assert_allclose(lam, [-0.5, 0.5, 0.5, 0.5], rtol=0, atol=1e-12)
 
 
@@ -223,11 +149,16 @@ def test_evolution_operator_properties():
 
 
 def test_evolution_operator_matches_reference_exponential():
-    H = random_hermitian(4)
+    # reference from the general eigensolver, V diag(exp(-i lambda t)) V^-1,
+    # which shares no code path with the Hermitian one under test
     t = 1.37
-    lam, V = np.linalg.eigh(H)
-    want = (V * np.exp(-1j * lam * t)) @ V.conj().T
-    np.testing.assert_allclose(evolution_operator(H, t), want, rtol=0, atol=1e-10)
+    for n in (2, 3, 4):
+        for _ in range(20):
+            H = random_hermitian(n)
+            lam, V = np.linalg.eig(H)
+            want = (V * np.exp(-1j * lam * t)) @ np.linalg.inv(V)
+            np.testing.assert_allclose(evolution_operator(H, t), want,
+                                       rtol=0, atol=1e-10)
 
 
 def test_evolution_operator_generator():
@@ -246,6 +177,21 @@ def test_evolution_operator_takes_a_time_stack():
     for U, t in zip(stack, ts):
         np.testing.assert_allclose(U, evolution_operator(H, t), rtol=0, atol=1e-14)
     assert evolution_operator(H, []).shape == (0, 4, 4)
+
+
+def test_evolution_operator_input_validation():
+    with pytest.raises(ValueError, match="Hermitian"):
+        evolution_operator(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
+    with pytest.raises(ValueError, match="dimension"):
+        evolution_operator(np.eye(5), 1.0)
+    with pytest.raises(ValueError, match="square"):
+        evolution_operator(np.ones((2, 3)), 1.0)
+    # LAPACK cannot converge on non-finite entries; they are refused up front
+    for bad in (np.nan, np.inf):
+        H = np.eye(4, dtype=complex)
+        H[1, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            evolution_operator(H, 1.0)
 
 
 def test_evolution_operator_rejects_nonfinite_time():
