@@ -10,6 +10,8 @@ is an energy in units of p.
 
 The commuting invariant operator built here squares to a scalar g2, which
 yields a closed-form spectrum and four rank-1 analytic eigenprojectors.
+Both operators are combinations of Pauli products built once at import;
+the four projectors come from one stacked (4, 4, 4) matrix product.
 """
 
 from __future__ import annotations
@@ -70,6 +72,17 @@ ALPHA_X = tensor_product(SIGMA_X, SIGMA_X)
 ALPHA_Y = tensor_product(SIGMA_X, SIGMA_Y)
 ALPHA_Z = tensor_product(SIGMA_X, SIGMA_Z)
 
+# the remaining Pauli products the builders combine; their entries are
+# exactly 0, +-1 or +-i, so products built once give the same H and O bits
+_ZX = tensor_product(SIGMA_Z, SIGMA_X)
+_ZY = tensor_product(SIGMA_Z, SIGMA_Y)
+_YX = tensor_product(SIGMA_Y, SIGMA_X)
+_YY = tensor_product(SIGMA_Y, SIGMA_Y)
+_IX = tensor_product(IDENTITY_2, SIGMA_X)
+_IY = tensor_product(IDENTITY_2, SIGMA_Y)
+_ZZ = tensor_product(SIGMA_Z, SIGMA_Z)
+_YZ = tensor_product(SIGMA_Y, SIGMA_Z)
+
 
 def build_dirac_hamiltonian(params: DiracParams) -> np.ndarray:
     """Assemble the 4x4 generator for the given configuration.
@@ -82,10 +95,8 @@ def build_dirac_hamiltonian(params: DiracParams) -> np.ndarray:
     ey = params.E_field * math.sin(params.theta)
     H = params.m * BETA + params.p * ALPHA_X
     # beta*Sigma_i = sz (x) s_i ; i*beta*alpha_i = -sy (x) s_i
-    H = H + params.kappa * (ex * tensor_product(SIGMA_Z, SIGMA_X)
-                            + ey * tensor_product(SIGMA_Z, SIGMA_Y))
-    H = H - params.mu * (ex * tensor_product(SIGMA_Y, SIGMA_X)
-                         + ey * tensor_product(SIGMA_Y, SIGMA_Y))
+    H = H + params.kappa * (ex * _ZX + ey * _ZY)
+    H = H - params.mu * (ex * _YX + ey * _YY)
     return H
 
 
@@ -98,11 +109,10 @@ def build_invariant_operator(params: DiracParams) -> np.ndarray:
     ex = params.E_field * math.cos(params.theta)
     ey = params.E_field * math.sin(params.theta)
     cross_z = params.p * params.E_field * math.sin(params.theta)
-    O = params.m * params.kappa * (ex * tensor_product(IDENTITY_2, SIGMA_X)
-                                   + ey * tensor_product(IDENTITY_2, SIGMA_Y))
-    O = O + params.mu * cross_z * tensor_product(SIGMA_Z, SIGMA_Z)
+    O = params.m * params.kappa * (ex * _IX + ey * _IY)
+    O = O + params.mu * cross_z * _ZZ
     # -i*beta*alpha_z = sy (x) sz
-    O = O + params.kappa * cross_z * tensor_product(SIGMA_Y, SIGMA_Z)
+    O = O + params.kappa * cross_z * _YZ
     return O
 
 
@@ -112,7 +122,11 @@ def compute_g2(params: DiracParams) -> float:
     Evaluates (1/16) Tr[(H^2 - Tr[H^2]/4 * I)^2]. At theta = pi/4 this
     equals E^2 [m^2 kappa^2 + (mu^2 + kappa^2) p^2 / 2].
     """
-    H = build_dirac_hamiltonian(params)
+    return _g2_of(build_dirac_hamiltonian(params))
+
+
+def _g2_of(H: np.ndarray) -> float:
+    # compute_g2's trace formula on an already built Hamiltonian
     H2 = H @ H
     traceless = H2 - (np.trace(H2).real / 4.0) * np.eye(4)
     return float(np.trace(traceless @ traceless).real / 16.0)
@@ -149,13 +163,17 @@ def eigenprojectors(params: DiracParams) -> SpectralData:
     Works at any theta: the eigenvalues follow from
     lambda^2 = Tr[H^2]/4 + 2 (-1)^s sqrt(g2) since O^2 = g2 * I.
 
+    g2 comes from the same H, by compute_g2's trace formula. The four
+    products are formed as one (4, 4, 4) stack in the key order of
+    lambdas; the dict values are views of it.
+
     Raises DegenerateSpectrumError when g2 or any |lambda| falls below
     1e-12. The projectors are the closed-form check on the numeric
     evolution (linalg.evolution_operator), which needs none.
     """
     H = build_dirac_hamiltonian(params)
     O = build_invariant_operator(params)
-    g2 = compute_g2(params)
+    g2 = _g2_of(H)
     if g2 <= DEGENERACY_TOL:
         raise DegenerateSpectrumError(
             f"g2 = {g2:g} is degenerate; use numeric diagonalization"
@@ -173,9 +191,10 @@ def eigenprojectors(params: DiracParams) -> SpectralData:
         lambdas[(0, s)] = lam
         lambdas[(1, s)] = -lam
     eye = np.eye(4, dtype=complex)
-    projectors = {}
-    for (n, s), lam in lambdas.items():
-        left = eye + ((-1.0) ** n / abs(lam)) * H
-        right = eye + ((-1.0) ** s / sqrt_g2) * O
-        projectors[(n, s)] = 0.25 * (left @ right)
+    keys = list(lambdas)
+    h_coef = np.array([(-1.0) ** n / abs(lambdas[n, s]) for n, s in keys])
+    o_coef = np.array([(-1.0) ** s / sqrt_g2 for _, s in keys])
+    left = eye + h_coef[:, None, None] * H
+    right = eye + o_coef[:, None, None] * O
+    projectors = dict(zip(keys, 0.25 * (left @ right)))
     return SpectralData(g2=g2, lambdas=lambdas, projectors=projectors)

@@ -68,6 +68,8 @@ def build_kraus_set(noise: NoiseParams, t: float) -> KrausSet:
     omega = sqrt(1 - exp(-Gamma t)). Returns the four products F_nu E_mu.
     At t = 0 (or Gamma = 0) the set degenerates to {I, 0, 0, 0}.
     """
+    if not math.isfinite(t):
+        raise ValueError("time must be finite")
     if t < 0:
         raise ValueError("channel is defined forward in time only (t >= 0)")
     decay = math.exp(-noise.gamma_rate * t)
@@ -87,12 +89,16 @@ def dephasing_mask(noise: NoiseParams, times) -> np.ndarray:
 
     The channel maps rho_kl -> c_kl * rho_kl with c_kl = gamma ** n, where
     n counts the qubits whose level differs between row k and column l.
-    times is a 1-D array. gamma(t) = sqrt(exp(-Gamma t)) is computed
-    exactly as build_kraus_set computes it. Every mask is checked to leave
-    the populations untouched (unit diagonal to 1e-12), the elementwise
-    form of Kraus completeness.
+    times is a 1-D array of finite, nonnegative times. gamma(t) =
+    sqrt(exp(-Gamma t)) is computed exactly as build_kraus_set computes
+    it. Every mask is checked to leave the populations untouched (unit
+    diagonal to 1e-12), the elementwise form of Kraus completeness.
     """
     times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise ValueError(f"times must be a 1-D array, got shape {times.shape}")
+    if not np.all(np.isfinite(times)):
+        raise ValueError("time must be finite")
     if np.any(times < 0):
         raise ValueError("channel is defined forward in time only (t >= 0)")
     # math.exp, not np.exp: the vectorised exp differs from libm in the last
@@ -100,7 +106,8 @@ def dephasing_mask(noise: NoiseParams, times) -> np.ndarray:
     rate = noise.gamma_rate
     gamma = np.sqrt([math.exp(-rate * t) for t in times.tolist()])
     mask = np.stack((np.ones_like(gamma), gamma, gamma * gamma), axis=-1)[..., _FLIPS]
-    if np.max(np.abs(np.diagonal(mask, axis1=-2, axis2=-1) - 1.0), initial=0.0) > 1e-12:
+    # stated as the condition that must hold, so a NaN fails it
+    if not np.max(np.abs(np.diagonal(mask, axis1=-2, axis2=-1) - 1.0), initial=0.0) <= 1e-12:
         raise ValueError("dephasing mask failed the completeness check")
     return mask
 
@@ -108,15 +115,20 @@ def dephasing_mask(noise: NoiseParams, times) -> np.ndarray:
 def apply_channel(rho, ks: KrausSet) -> np.ndarray:
     """Operator-sum action of the dephasing channel.
 
-    Rejects Kraus sets that fail trace preservation (sum K^dag K = I to
-    1e-12). The operators are real diagonal, so the dagger placement is
+    rho is one 4x4 state or a (B, 4, 4) stack; each state of a stack gets
+    the same arithmetic, in the same order, as it would alone, so the
+    result matches a per-state loop bit for bit. Rejects Kraus sets that
+    fail trace preservation (sum K^dag K = I to 1e-12, a NaN included).
+    The operators are real diagonal, so the dagger placement is
     immaterial; the standard K rho K^dag form is used.
     """
     rho = np.asarray(rho, dtype=complex)
+    if rho.shape[-2:] != (4, 4) or rho.ndim not in (2, 3):
+        raise ValueError(f"expected a 4x4 state or a (B, 4, 4) stack, got shape {rho.shape}")
     total = sum(K.conj().T @ K for K in ks.operators)
-    if np.max(np.abs(total - np.eye(4))) > 1e-12:
+    if not np.max(np.abs(total - np.eye(4))) <= 1e-12:
         raise ValueError("Kraus set failed the completeness check")
-    out = np.zeros((4, 4), dtype=complex)
+    out = np.zeros(rho.shape, dtype=complex)
     for K in ks.operators:
         out += K @ rho @ K.conj().T
     return out

@@ -365,8 +365,11 @@ def _write_svg_chart(path: Path, title: str, ts, series) -> None:
                      f'font-size="11" text-anchor="end">{v:.3g}</text>')
     parts.append(f'<text x="{ml + pw / 2}" y="{height - 8}" font-family="sans-serif" '
                  f'font-size="12" text-anchor="middle">p t</text>')
+    # px and py on whole arrays: the same float operations in the same order
+    xs = px(np.asarray(ts, dtype=float)).tolist()
     for idx, (label, vals, color) in enumerate(series):
-        pts = " ".join(f"{px(t):.2f},{py(v):.2f}" for t, v in zip(ts, vals))
+        ys = py(np.asarray(vals, dtype=float)).tolist()
+        pts = " ".join(map("%.2f,%.2f".__mod__, zip(xs, ys)))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      f'stroke-width="1.2"/>')
         parts.append(f'<text x="{width - mr - 6}" y="{mt + 16 + 16 * idx}" '

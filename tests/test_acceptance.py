@@ -12,10 +12,16 @@ and are expected to fail; the printed detail carries the measured
 numbers.
 """
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
-from bispinor import acceptance, noise
+from bispinor import acceptance, dirac, ionmap, noise
+
+#: one grid point, away from the first and last, where a fault is planted
+FAULT_POINT = acceptance._grid()[29]
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +39,68 @@ def run_criterion(number, cache):
 def test_criterion_01_closed_form_spectrum(cache):
     ok, detail = run_criterion(1, cache)
     assert ok, detail
+
+
+def test_criterion_01_catches_one_off_eigenvalue(monkeypatch):
+    # one closed-form eigenvalue at one grid point, off by 1e-9 relative
+    def planted(params, n, s):
+        value = dirac.eigenvalue_closed_form(params, n, s)
+        return value * (1.0 + 1e-9) if (params, n, s) == (FAULT_POINT, 1, 0) else value
+
+    monkeypatch.setattr(acceptance, "eigenvalue_closed_form", planted)
+    ok, detail = acceptance.criterion_01(None)
+    assert not ok, detail
+
+
+def test_criterion_02_catches_one_off_projector_entry(monkeypatch):
+    def planted(params):
+        sd = dirac.eigenprojectors(params)
+        if params != FAULT_POINT:
+            return sd
+        projectors = dict(sd.projectors)
+        projectors[(0, 1)] = projectors[(0, 1)].copy()
+        projectors[(0, 1)][2, 1] += 1e-9
+        return dataclasses.replace(sd, projectors=projectors)
+
+    monkeypatch.setattr(acceptance, "eigenprojectors", planted)
+    ok, detail = acceptance.criterion_02(None)
+    assert not ok, detail
+
+
+def test_criterion_03_catches_one_off_ion_entry(monkeypatch):
+    want_ion = ionmap.dirac_to_ion(FAULT_POINT)
+
+    def planted(ion, p):
+        H = ionmap.assemble_ion_hamiltonian(ion, p)
+        if ion == want_ion:
+            H[3, 0] += 1e-11
+        return H
+
+    monkeypatch.setattr(acceptance, "assemble_ion_hamiltonian", planted)
+    ok, detail = acceptance.criterion_03(None)
+    assert not ok, detail
+
+
+def with_nan_entry(func):
+    def planted(*args):
+        out = np.array(func(*args))
+        out[..., 1, 2] = np.nan
+        return out
+    return planted
+
+
+@pytest.mark.parametrize("number, name, plant", [
+    (4, "apply_channel", with_nan_entry),
+    (5, "evolve_noisy_stack", with_nan_entry),
+    (6, "geometric_discord",
+     lambda func: lambda rho, side: math.nan if side == 2 else func(rho, side)),
+    (10, "negativity", lambda func: lambda rho: math.nan),
+])
+def test_a_nan_deviation_fails_its_criterion(cache, monkeypatch, number, name, plant):
+    # Python's max(0.0, nan) is 0.0: a fold that drops the NaN would pass
+    monkeypatch.setattr(acceptance, name, plant(getattr(acceptance, name)))
+    ok, detail = acceptance.CRITERIA[number - 1][2](cache)
+    assert not ok, detail
 
 
 def test_criterion_02_projector_suite(cache):

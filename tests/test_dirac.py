@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bispinor.dirac import (ALPHA_X, BETA, DiracParams, build_dirac_hamiltonian,
                             build_invariant_operator, compute_g2,
                             eigenprojectors, eigenvalue_closed_form)
 from bispinor.errors import DegenerateSpectrumError, UnsupportedConfigurationError
+from bispinor.linalg import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, tensor_product
 
 RNG = np.random.default_rng(41)
 
@@ -179,3 +182,66 @@ def test_degenerate_field_refused():
     # kappa = 0 with mu = 0 kills the invariant the same way
     with pytest.raises(DegenerateSpectrumError):
         eigenprojectors(DiracParams(m=1.0, p=1.0, kappa=0.0, mu=0.0, E_field=1.0))
+
+
+# ------------------------------------------- builders against their formulas
+
+def formula_hamiltonian(params):
+    """H term by term, each Pauli product from tensor_product."""
+    ex = params.E_field * math.cos(params.theta)
+    ey = params.E_field * math.sin(params.theta)
+    H = params.m * BETA + params.p * ALPHA_X
+    H = H + params.kappa * (ex * tensor_product(SIGMA_Z, SIGMA_X)
+                            + ey * tensor_product(SIGMA_Z, SIGMA_Y))
+    H = H - params.mu * (ex * tensor_product(SIGMA_Y, SIGMA_X)
+                         + ey * tensor_product(SIGMA_Y, SIGMA_Y))
+    return H
+
+
+def formula_invariant(params):
+    """O term by term, each Pauli product from tensor_product."""
+    ex = params.E_field * math.cos(params.theta)
+    ey = params.E_field * math.sin(params.theta)
+    cross_z = params.p * params.E_field * math.sin(params.theta)
+    O = params.m * params.kappa * (ex * tensor_product(IDENTITY_2, SIGMA_X)
+                                   + ey * tensor_product(IDENTITY_2, SIGMA_Y))
+    O = O + params.mu * cross_z * tensor_product(SIGMA_Z, SIGMA_Z)
+    return O + params.kappa * cross_z * tensor_product(SIGMA_Y, SIGMA_Z)
+
+
+def loop_projectors(H, O, g2, lambdas):
+    """The four projectors one 4x4 product at a time."""
+    eye = np.eye(4, dtype=complex)
+    return {(n, s): 0.25 * ((eye + ((-1.0) ** n / abs(lam)) * H)
+                            @ (eye + ((-1.0) ** s / math.sqrt(g2)) * O))
+            for (n, s), lam in lambdas.items()}
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+energies = st.floats(0.0, 5.0, allow_nan=False, allow_infinity=False)
+couplings = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+angles = st.floats(0.0, 2.0 * math.pi, allow_nan=False) | st.just(math.pi / 4)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.builds(DiracParams, m=energies, p=energies, kappa=couplings, mu=couplings,
+                 E_field=energies, theta=angles))
+def test_builders_match_the_tensor_product_formula_bitwise(params):
+    H = build_dirac_hamiltonian(params)
+    O = build_invariant_operator(params)
+    assert same_bits(H, formula_hamiltonian(params))
+    assert same_bits(O, formula_invariant(params))
+    try:
+        sd = eigenprojectors(params)
+    except DegenerateSpectrumError:
+        return
+    # g2 from the H eigenprojectors built equals compute_g2's, and the
+    # stacked projector product equals the per-projector one
+    assert sd.g2 == compute_g2(params)
+    want = loop_projectors(H, O, sd.g2, sd.lambdas)
+    assert list(sd.projectors) == list(want)
+    for key, P in sd.projectors.items():
+        assert same_bits(P, want[key]), key

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bispinor.dirac import DiracParams
 from bispinor.errors import InvariantViolation
@@ -119,6 +121,50 @@ def test_channel_rejects_broken_kraus_set():
                       omega_factor=ks.omega_factor)
     with pytest.raises(ValueError):
         apply_channel(np.eye(4) / 4.0, broken)
+
+
+def test_channel_rejects_non_finite_input():
+    # NaN passes every "deviation > tol" test, so each check must refuse it
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="time must be finite"):
+            build_kraus_set(NoiseParams(0.5), bad)
+        with pytest.raises(ValueError, match="time must be finite"):
+            dephasing_mask(NoiseParams(0.5), [0.5, bad])
+    ks = build_kraus_set(NoiseParams(0.5), 1.0)
+    poisoned = KrausSet(operators=(np.full((4, 4), np.nan),) + ks.operators[1:],
+                        gamma_factor=ks.gamma_factor, omega_factor=ks.omega_factor)
+    with pytest.raises(ValueError, match="completeness"):
+        apply_channel(np.eye(4) / 4.0, poisoned)
+
+
+def test_dephasing_mask_requires_1d_times():
+    for times in (0.5, [[0.5, 1.0]]):
+        with pytest.raises(ValueError, match="1-D"):
+            dephasing_mask(NoiseParams(0.5), times)
+
+
+unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def density_stacks(draw):
+    batch = draw(st.integers(1, 6))
+    entries = np.array(draw(st.lists(unit, min_size=32 * batch, max_size=32 * batch)))
+    G = (entries[:16 * batch] + 1j * entries[16 * batch:]).reshape(batch, 4, 4)
+    rho = G @ np.swapaxes(G.conj(), -1, -2)
+    trace = np.trace(rho, axis1=-2, axis2=-1).real
+    assume(np.all(trace > 1e-3))
+    return rho / trace[:, None, None]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(density_stacks(), st.floats(0.0, 2.0), st.floats(0.0, 20.0))
+def test_stacked_channel_matches_per_state_loop_bitwise(rhos, rate, t):
+    ks = build_kraus_set(NoiseParams(rate), t)
+    got = apply_channel(rhos, ks)
+    assert got.shape == rhos.shape
+    for rho, out in zip(rhos, got):
+        assert out.tobytes() == apply_channel(rho, ks).tobytes()
 
 
 def test_validate_density_matrix_passes_good_states():

@@ -4,7 +4,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from bispinor import scenario
 from bispinor.correlations import COLUMNS
 from bispinor.errors import InvariantViolation, UsageError
 from bispinor.scenario import (CSV_HEADER, CSV_WRITE_ROWS, MAX_SAMPLES, ScenarioConfig,
@@ -281,6 +284,35 @@ def test_emit_outputs_plots(tmp_path):
         text = (tmp_path / name).read_text()
         assert text.startswith("<svg")
         assert "polyline" in text
+
+
+def reference_polyline(ts, vals, y_max):
+    """A chart's points, one f-string per sample (the 640x400 frame)."""
+    t_max = ts[-1] if ts[-1] > 0 else 1.0
+    return " ".join(f"{60 + 560 * t / t_max:.2f},{30 + 330 * (1.0 - v / y_max):.2f}"
+                    for t, v in zip(ts, vals))
+
+
+steps = st.floats(0.0, 5.0, allow_nan=False, allow_infinity=False)
+values = st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(steps, values), min_size=1, max_size=300))
+@example([(0.0, 0.0)] * 3)    # t_max = 0 and an all-zero series (y_max = 1e-12)
+@example([(0.0, 0.3), (0.0, 0.9)])
+def test_svg_polyline_matches_per_point_formula(tmp_path_factory, samples):
+    ts = np.cumsum([dt for dt, _ in samples]).tolist()
+    vals = [v for _, v in samples]
+    halves = [0.5 * v for v in vals]
+    path = tmp_path_factory.mktemp("svg") / "chart.svg"
+    scenario._write_svg_chart(path, "chart", ts, [("one", vals, "#000000"),
+                                                  ("two", halves, "#ffffff")])
+    points = re.findall(r'<polyline points="([^"]*)"', path.read_text())
+    # both series share the larger one's y_max
+    y_max = max(1e-12, max(vals))
+    assert points == [reference_polyline(ts, vals, y_max),
+                      reference_polyline(ts, halves, y_max)]
 
 
 def test_parse_config_full():
