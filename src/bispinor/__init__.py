@@ -25,19 +25,17 @@ if "OPENBLAS_NUM_THREADS" not in _os.environ:
 from .correlations import (COLUMNS, geometric_discord, negativity, purity,
                            sample_correlations_stack)
 from .dirac import (DiracParams, SpectralData, build_dirac_hamiltonian,
-                    build_invariant_operator, compute_g2, eigenprojectors,
-                    eigenvalue_closed_form)
+                    build_invariant_operator, eigenprojectors, eigenvalue_closed_form)
 from .errors import (DegenerateSpectrumError, InvariantViolation,
                      UnsupportedConfigurationError, UsageError)
-from .ionmap import IonParams, assemble_ion_hamiltonian, dirac_to_ion, ion_to_dirac
+from .ionmap import IonParams, assemble_ion_hamiltonian, dirac_to_ion
 from .linalg import (evolution_operator, partial_transpose, tensor_product,
                      top_eigenvalue_3x3)
-from .noise import (KrausSet, NoiseParams, apply_channel, build_kraus_set,
-                    dephasing_mask, evolve_noiseless, evolve_noiseless_stack,
-                    evolve_noisy, evolve_noisy_stack, validate_density_matrix)
-from .scenario import (FeatureReport, ScenarioConfig, TrajectoryRecord,
-                       detect_features, emit_outputs, initial_state, load_config,
-                       parse_config_text, run_scenario, run_trajectory)
+from .noise import (NoiseParams, apply_channel, build_kraus_set, dephasing_mask,
+                    evolve_noiseless_stack, evolve_noisy_stack, validate_density_matrix)
+from .scenario import (FeatureReport, ScenarioConfig, detect_features, emit_outputs,
+                       initial_state, load_config, parse_config_text, run_scenario,
+                       run_trajectory)
 
 __version__ = "0.1.0"
 
@@ -48,11 +46,9 @@ __all__ = [
     "FeatureReport",
     "InvariantViolation",
     "IonParams",
-    "KrausSet",
     "NoiseParams",
     "ScenarioConfig",
     "SpectralData",
-    "TrajectoryRecord",
     "UnsupportedConfigurationError",
     "UsageError",
     "apply_channel",
@@ -61,20 +57,16 @@ __all__ = [
     "build_invariant_operator",
     "build_kraus_set",
     "dephasing_mask",
-    "compute_g2",
     "detect_features",
     "dirac_to_ion",
     "eigenprojectors",
     "eigenvalue_closed_form",
     "emit_outputs",
     "evolution_operator",
-    "evolve_noiseless",
     "evolve_noiseless_stack",
-    "evolve_noisy",
     "evolve_noisy_stack",
     "geometric_discord",
     "initial_state",
-    "ion_to_dirac",
     "load_config",
     "negativity",
     "parse_config_text",

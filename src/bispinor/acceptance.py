@@ -60,7 +60,10 @@ def _grid() -> list:
 
 
 class AcceptanceCache:
-    """Shares the expensive figure trajectories between criteria."""
+    """Shares the expensive figure trajectories between criteria.
+
+    Each trajectory is run_trajectory's dict of columns.
+    """
 
     def __init__(self):
         self.started = time.monotonic()
@@ -80,7 +83,7 @@ class AcceptanceCache:
 
     def column(self, name: str) -> np.ndarray:
         """One column of every acceptance trajectory, end to end."""
-        return np.concatenate([traj.columns[name] for traj in self.all_trajectories()])
+        return np.concatenate([columns[name] for columns in self.all_trajectories()])
 
 
 def criterion_01(cache) -> tuple:
@@ -152,7 +155,7 @@ def criterion_04(cache) -> tuple:
         masks = dephasing_mask(noise, times)
         for t, mask in zip(times, masks):
             ks = build_kraus_set(noise, t)
-            total = sum(K.conj().T @ K for K in ks.operators)
+            total = sum(K.conj().T @ K for K in ks)
             worst_kraus = np.maximum(worst_kraus, np.max(np.abs(total - eye)))
             dev = np.max(np.abs(mask * states - apply_channel(states, ks)))
             worst_mask = np.maximum(worst_mask, dev)
@@ -212,7 +215,7 @@ def criterion_06(cache) -> tuple:
 
 def criterion_07(cache) -> tuple:
     """Death interval, revival, and residual discord for the diagonal start."""
-    c = cache.traj("a", 1.0).columns
+    c = cache.traj("a", 1.0)
     neg, times, d1 = c["negativity"], c["t"], c["discord_1"]
     runs = [(k0, k1) for k0, k1 in death_runs(neg, 1e-6)
             if times[k1] - times[k0] >= 0.1 - 1e-12]
@@ -231,7 +234,7 @@ def criterion_08(cache) -> tuple:
     ok = True
     for state in ("cat", "werner"):
         for m in (0.0, 1.0):
-            c = cache.traj(state, m).columns
+            c = cache.traj(state, m)
             neg, times = c["negativity"], c["t"]
             n_min, n_max = float(neg.min()), float(neg.max())
             floor_ok = n_min > 1e-3

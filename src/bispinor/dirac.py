@@ -9,7 +9,8 @@ plane at angle theta. Units are natural (hbar = c = 1), so every quantity
 is an energy in units of p.
 
 The commuting invariant operator built here squares to a scalar g2, which
-yields a closed-form spectrum and four rank-1 analytic eigenprojectors.
+yields a closed-form spectrum and four rank-1 analytic eigenprojectors;
+eigenprojectors returns g2 with them.
 Both operators are combinations of Pauli products built once at import;
 the four projectors come from one stacked (4, 4, 4) matrix product.
 """
@@ -116,17 +117,12 @@ def build_invariant_operator(params: DiracParams) -> np.ndarray:
     return O
 
 
-def compute_g2(params: DiracParams) -> float:
+def _g2_of(H: np.ndarray) -> float:
     """Scalar square of the invariant operator, from the trace formula.
 
-    Evaluates (1/16) Tr[(H^2 - Tr[H^2]/4 * I)^2]. At theta = pi/4 this
-    equals E^2 [m^2 kappa^2 + (mu^2 + kappa^2) p^2 / 2].
+    Evaluates (1/16) Tr[(H^2 - Tr[H^2]/4 * I)^2] on a built Hamiltonian.
+    At theta = pi/4 this equals E^2 [m^2 kappa^2 + (mu^2 + kappa^2) p^2 / 2].
     """
-    return _g2_of(build_dirac_hamiltonian(params))
-
-
-def _g2_of(H: np.ndarray) -> float:
-    # compute_g2's trace formula on an already built Hamiltonian
     H2 = H @ H
     traceless = H2 - (np.trace(H2).real / 4.0) * np.eye(4)
     return float(np.trace(traceless @ traceless).real / 16.0)
@@ -163,7 +159,7 @@ def eigenprojectors(params: DiracParams) -> SpectralData:
     Works at any theta: the eigenvalues follow from
     lambda^2 = Tr[H^2]/4 + 2 (-1)^s sqrt(g2) since O^2 = g2 * I.
 
-    g2 comes from the same H, by compute_g2's trace formula. The four
+    g2 comes from the same H, by the trace formula of _g2_of. The four
     products are formed as one (4, 4, 4) stack in the key order of
     lambdas; the dict values are views of it.
 

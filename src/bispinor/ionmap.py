@@ -2,8 +2,8 @@
 
 A single ion with four internal levels (a, b, c, d) driven by carrier,
 red-sideband and blue-sideband lasers realizes the same 4x4 generator as
-the direct builder in `dirac`. This module holds the parameter maps in
-both directions and assembles the ionic Hamiltonian from Pauli operators
+the direct builder in `dirac`. This module maps Dirac parameters to
+laser parameters and assembles the ionic Hamiltonian from Pauli operators
 acting on level pairs. The two constructions must agree entrywise, which
 is what pins down every sign convention below.
 """
@@ -16,11 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dirac import DiracParams
-from .errors import UnsupportedConfigurationError
 
 LEVELS = {"a": 0, "b": 1, "c": 2, "d": 3}
-
-_GEOMETRY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -79,54 +76,6 @@ def dirac_to_ion(params: DiracParams) -> IonParams:
         omega1=(params.kappa * ex / 2.0, params.kappa * ey / 2.0, 0.0),
         omega2=(params.mu * ex / 2.0, params.mu * ey / 2.0, 0.0),
     )
-
-
-def ion_to_dirac(ion: IonParams, p: float, kappa: float = None) -> DiracParams:
-    """Invert the parameter map where the geometry allows it.
-
-    The carrier vectors must lie in the xy plane and be parallel
-    (within 1e-10), otherwise the configuration has no image in the
-    restricted field geometry and an UnsupportedConfigurationError is
-    raised. Only the products coupling*E_j are physical, so the split
-    is conventional: kappa defaults to 1 with E carrying the magnitude,
-    unless the caller pins kappa. When the tensor channel vanishes the
-    direction is read from the pseudotensor channel instead (mu = 1,
-    kappa = 0).
-    """
-    w1 = np.asarray(ion.omega1, dtype=float)
-    w2 = np.asarray(ion.omega2, dtype=float)
-    scale = max(1.0, float(np.max(np.abs(w1))), float(np.max(np.abs(w2))))
-    if abs(w1[2]) > _GEOMETRY_TOL * scale or abs(w2[2]) > _GEOMETRY_TOL * scale:
-        raise UnsupportedConfigurationError("carrier vectors must lie in the xy plane")
-    if np.linalg.norm(np.cross(w1, w2)) > _GEOMETRY_TOL * scale * scale:
-        raise UnsupportedConfigurationError("carrier vectors must be parallel")
-
-    m = 2.0 * ion.delta
-    # keep the map exact even when the sideband coupling is not c/2
-    p_eff = 2.0 * ion.eta_delta_omega * p
-
-    n1 = float(np.linalg.norm(w1))
-    n2 = float(np.linalg.norm(w2))
-    if n1 > _GEOMETRY_TOL * scale:
-        k = 1.0 if kappa is None else kappa
-        if k == 0.0:
-            raise UnsupportedConfigurationError("kappa pinned to 0 but tensor channel is nonzero")
-        evec = 2.0 * w1 / k
-        E = float(np.linalg.norm(evec))
-        theta = math.atan2(evec[1], evec[0])
-        mu = 2.0 * float(np.dot(w2, evec)) / (E * E)  # signed projection
-    elif n2 > _GEOMETRY_TOL * scale:
-        evec = 2.0 * w2
-        E = float(np.linalg.norm(evec))
-        theta = math.atan2(evec[1], evec[0])
-        k = 0.0
-        mu = 1.0
-    else:
-        E = 0.0
-        theta = math.pi / 4
-        k = 1.0 if kappa is None else kappa
-        mu = 0.0
-    return DiracParams(m=m, p=p_eff, kappa=k, mu=mu, E_field=E, theta=theta)
 
 
 def assemble_ion_hamiltonian(ion: IonParams, p: float) -> np.ndarray:

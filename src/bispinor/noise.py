@@ -10,9 +10,9 @@ output rotated by the coherent evolution operator.
 
 Trajectories are evaluated on a whole stack of times at once: the
 channel as a (B, 4, 4) coefficient mask and the rotation as a (B, 4, 4)
-stack of evolution operators from linalg.evolution_operator. The Kraus
-form (build_kraus_set, apply_channel) is the reference the elementwise
-form is checked against.
+stack of evolution operators from linalg.evolution_operator; one time
+is a one-row stack. The Kraus form (build_kraus_set, apply_channel) is
+the reference the elementwise form is checked against.
 """
 
 from __future__ import annotations
@@ -51,22 +51,14 @@ class NoiseParams:
             raise ValueError("gamma_rate must be finite and nonnegative")
 
 
-@dataclass(frozen=True)
-class KrausSet:
-    """The four diagonal operators {F_nu E_mu} at a fixed (Gamma, t)."""
-
-    operators: tuple
-    gamma_factor: float
-    omega_factor: float
-
-
-def build_kraus_set(noise: NoiseParams, t: float) -> KrausSet:
+def build_kraus_set(noise: NoiseParams, t: float) -> tuple:
     """Kraus operators of two-sided dephasing after elapsed time t.
 
     E1 = diag(1, gamma) (x) I, E2 = diag(0, omega) (x) I on qubit 1 and
     the mirrored F pair on qubit 2, with gamma = exp(-Gamma t / 2) and
-    omega = sqrt(1 - exp(-Gamma t)). Returns the four products F_nu E_mu.
-    At t = 0 (or Gamma = 0) the set degenerates to {I, 0, 0, 0}.
+    omega = sqrt(1 - exp(-Gamma t)). Returns the four products F_nu E_mu
+    as a tuple. At t = 0 (or Gamma = 0) the set degenerates to
+    {I, 0, 0, 0}.
     """
     if not math.isfinite(t):
         raise ValueError("time must be finite")
@@ -80,8 +72,7 @@ def build_kraus_set(noise: NoiseParams, t: float) -> KrausSet:
     e2 = tensor_product(np.diag([0.0, omega]).astype(complex), i2)
     f1 = tensor_product(i2, np.diag([1.0, gamma]).astype(complex))
     f2 = tensor_product(i2, np.diag([0.0, omega]).astype(complex))
-    ops = tuple(f @ e for f in (f1, f2) for e in (e1, e2))
-    return KrausSet(operators=ops, gamma_factor=gamma, omega_factor=omega)
+    return tuple(f @ e for f in (f1, f2) for e in (e1, e2))
 
 
 def dephasing_mask(noise: NoiseParams, times) -> np.ndarray:
@@ -112,12 +103,13 @@ def dephasing_mask(noise: NoiseParams, times) -> np.ndarray:
     return mask
 
 
-def apply_channel(rho, ks: KrausSet) -> np.ndarray:
+def apply_channel(rho, ks: tuple) -> np.ndarray:
     """Operator-sum action of the dephasing channel.
 
     rho is one 4x4 state or a (B, 4, 4) stack; each state of a stack gets
     the same arithmetic, in the same order, as it would alone, so the
-    result matches a per-state loop bit for bit. Rejects Kraus sets that
+    result matches a per-state loop bit for bit. ks is a tuple of Kraus
+    operators as build_kraus_set returns it. Rejects Kraus sets that
     fail trace preservation (sum K^dag K = I to 1e-12, a NaN included).
     The operators are real diagonal, so the dagger placement is
     immaterial; the standard K rho K^dag form is used.
@@ -125,11 +117,11 @@ def apply_channel(rho, ks: KrausSet) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4) or rho.ndim not in (2, 3):
         raise ValueError(f"expected a 4x4 state or a (B, 4, 4) stack, got shape {rho.shape}")
-    total = sum(K.conj().T @ K for K in ks.operators)
+    total = sum(K.conj().T @ K for K in ks)
     if not np.max(np.abs(total - np.eye(4))) <= 1e-12:
         raise ValueError("Kraus set failed the completeness check")
     out = np.zeros(rho.shape, dtype=complex)
-    for K in ks.operators:
+    for K in ks:
         out += K @ rho @ K.conj().T
     return out
 
@@ -184,15 +176,3 @@ def evolve_noisy_stack(rho0, params: DiracParams, noise: NoiseParams,
     dephased = dephasing_mask(noise, times) * np.asarray(rho0, dtype=complex)
     return evolve_noiseless_stack(dephased, params, times)
 
-
-def evolve_noiseless(rho0, params: DiracParams, t: float) -> np.ndarray:
-    """Coherent evolution of a state for time t (one-sample evolve_noiseless_stack)."""
-    return evolve_noiseless_stack(rho0, params, [t])[0]
-
-
-def evolve_noisy(rho0, params: DiracParams, noise: NoiseParams, t: float) -> np.ndarray:
-    """Noisy state at elapsed time t (one-sample evolve_noisy_stack).
-
-    Reduces to evolve_noiseless when Gamma = 0 (the mask is all ones).
-    """
-    return evolve_noisy_stack(rho0, params, noise, [t])[0]

@@ -8,8 +8,9 @@ sweep writing one subdirectory per grid point plus an index file.
 
 The trajectory runner walks its time axis in blocks of BLOCK_SAMPLES
 samples; each block is evolved and measured as one (B, 4, 4) stack into
-the seven correlations.COLUMNS, checked as arrays and copied into one
-columnar record. Feature detection and the CSV writer read the columns.
+the seven correlations.COLUMNS, checked as arrays and copied into the
+trajectory: a dict of seven read-only float64 columns in CSV order.
+Feature detection and the CSV writer read the columns.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import cmath
 import json
 import math
-import time
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -107,20 +107,6 @@ _CONFIG_KEYS = tuple(f.name for f in fields(ScenarioConfig))
 _FLOAT_KEYS = tuple(f.name for f in fields(ScenarioConfig) if f.type == "float")
 
 
-@dataclass(frozen=True, eq=False)
-class TrajectoryRecord:
-    """One sampled trajectory as a table.
-
-    columns maps each name of correlations.COLUMNS, in CSV order, to a
-    float64 array with one entry per sample in time order; run_trajectory
-    makes the arrays read-only. Records compare by identity.
-    """
-
-    config: ScenarioConfig
-    columns: dict
-    wall_time: float
-
-
 @dataclass(frozen=True)
 class FeatureReport:
     """Sudden-death intervals and revival bookkeeping for one trajectory."""
@@ -193,18 +179,19 @@ def scenario_params(config: ScenarioConfig) -> DiracParams:
                        mu=config.mu, E_field=config.E_over_p, theta=config.theta)
 
 
-def run_trajectory(config: ScenarioConfig) -> TrajectoryRecord:
+def run_trajectory(config: ScenarioConfig) -> dict:
     """Sample the noisy evolution on {0, dt, ..., t_max}.
 
-    Sample k sits at t = k * dt. The axis is evaluated in blocks of
+    Returns a dict mapping each name of correlations.COLUMNS, in CSV
+    order, to a read-only float64 array with one entry per sample in time
+    order. Sample k sits at t = k * dt. The axis is evaluated in blocks of
     BLOCK_SAMPLES; the t = 0 row is computed from the initial state
     itself. Every block is checked against the invariants before the
     next one runs; a violation aborts with a diagnostic naming the check
     and the time of the earliest failing sample. The pipeline has no
     randomness and its results do not depend on the block size, so
-    identical configs give identical records.
+    identical configs give identical columns.
     """
-    started = time.perf_counter()
     params = scenario_params(config)
     noise = NoiseParams(gamma_rate=config.gamma_over_p)
     rho0 = initial_state(config.initial_state, config.custom_state)
@@ -221,8 +208,7 @@ def run_trajectory(config: ScenarioConfig) -> TrajectoryRecord:
             columns[name][start:start + len(block)] = measured[name]
     for values in columns.values():
         values.flags.writeable = False
-    return TrajectoryRecord(config=config, columns=columns,
-                            wall_time=time.perf_counter() - started)
+    return columns
 
 
 def death_runs(negativities, eps_dead: float) -> list:
@@ -237,18 +223,18 @@ def death_runs(negativities, eps_dead: float) -> list:
     return list(zip(edges[0::2].tolist(), (edges[1::2] - 1).tolist()))
 
 
-def detect_features(traj: TrajectoryRecord,
+def detect_features(columns: dict,
                     eps_dead: float = DEFAULT_EPS_DEAD,
                     eps_alive: float = DEFAULT_EPS_ALIVE) -> FeatureReport:
     """Locate sudden-death intervals and count revivals.
 
-    A death interval is a maximal run of at least two consecutive samples
-    with negativity below eps_dead; it counts as revived when any later
-    sample exceeds eps_alive. residual_discord_in_death is the smallest
-    discord_1 seen inside death intervals (None when there are none).
+    columns is run_trajectory's dict. A death interval is a maximal run
+    of at least two consecutive samples with negativity below eps_dead; it
+    counts as revived when any later sample exceeds eps_alive.
+    residual_discord_in_death is the smallest discord_1 seen inside death
+    intervals (None when there are none).
     """
-    c = traj.columns
-    neg, times, d1 = c["negativity"], c["t"], c["discord_1"]
+    neg, times, d1 = columns["negativity"], columns["t"], columns["discord_1"]
     if not neg.size:
         raise ValueError("empty trajectory")
     intervals = [(k0, k1) for k0, k1 in death_runs(neg, eps_dead) if k1 > k0]
@@ -263,7 +249,7 @@ def detect_features(traj: TrajectoryRecord,
         min_negativity=float(neg.min()),
         max_negativity=float(neg.max()),
         residual_discord_in_death=residual,
-        final_purity=float(c["purity"][-1]),
+        final_purity=float(columns["purity"][-1]),
     )
 
 
@@ -279,10 +265,11 @@ def config_echo(config: ScenarioConfig) -> dict:
 CSV_HEADER = ",".join(COLUMNS)
 
 
-def emit_outputs(traj: TrajectoryRecord, report: FeatureReport,
+def emit_outputs(columns: dict, report: FeatureReport,
                  config: ScenarioConfig) -> list:
     """Write trajectory.csv, report.json and (optionally) the SVG charts.
 
+    columns is run_trajectory's dict; the files go to config.outputs.
     Returns the list of written paths. Cells carry 12 significant digits;
     identical configs reproduce the files byte for byte. The CSV is
     written CSV_WRITE_ROWS rows at a time, so only one block of rows is
@@ -294,11 +281,11 @@ def emit_outputs(traj: TrajectoryRecord, report: FeatureReport,
 
     csv_path = out_dir / "trajectory.csv"
     row = ",".join(["%.12g"] * len(COLUMNS)) + "\n"
-    n_rows = len(traj.columns["t"])
+    n_rows = len(columns["t"])
     with csv_path.open("w") as fh:
         fh.write(CSV_HEADER + "\n")
         for start in range(0, n_rows, CSV_WRITE_ROWS):
-            rows = zip(*(traj.columns[name][start:start + CSV_WRITE_ROWS].tolist()
+            rows = zip(*(columns[name][start:start + CSV_WRITE_ROWS].tolist()
                          for name in COLUMNS))
             fh.write("".join([row % r for r in rows]))
     written.append(csv_path)
@@ -317,7 +304,7 @@ def emit_outputs(traj: TrajectoryRecord, report: FeatureReport,
     written.append(report_path)
 
     if config.emit_plots:
-        ts, neg, d1, d2 = (traj.columns[name].tolist()
+        ts, neg, d1, d2 = (columns[name].tolist()
                            for name in ("t", "negativity", "discord_1", "discord_2"))
         neg_path = out_dir / "negativity.svg"
         _write_svg_chart(neg_path, "negativity", ts, [("negativity", neg, "#1f4e9c")])
@@ -428,8 +415,6 @@ def parse_config_text(text: str) -> list:
             raise UsageError(
                 f"m_over_p expects one or more numbers, got '{raw['m_over_p']}'"
             ) from None
-        if not m_values:
-            raise UsageError("m_over_p must carry at least one value")
     for f in fields(ScenarioConfig):
         if f.name not in raw or f.name in ("m_over_p", "custom_state"):
             continue
@@ -489,29 +474,20 @@ def run_scenario(configs: list) -> list:
         if cfg.initial_state == "custom":
             initial_state("custom", cfg.custom_state)
 
-    results = []
-    if len(configs) == 1:
-        cfg = configs[0]
-        traj = run_trajectory(cfg)
-        report = detect_features(traj, cfg.eps_dead, cfg.eps_alive)
-        emit_outputs(traj, report, cfg)
-        results.append((cfg, report, Path(cfg.outputs)))
-        return results
-
+    sweep = len(configs) > 1
     root = Path(configs[0].outputs)
-    root.mkdir(parents=True, exist_ok=True)
-    index = []
+    results = []
     for cfg in configs:
-        sub = root / _point_dir_name(cfg.m_over_p)
-        point_cfg = replace(cfg, outputs=str(sub))
-        traj = run_trajectory(point_cfg)
-        report = detect_features(traj, cfg.eps_dead, cfg.eps_alive)
-        emit_outputs(traj, report, point_cfg)
-        results.append((point_cfg, report, sub))
-        index.append({
-            "m_over_p": cfg.m_over_p,
-            "trajectory": f"{sub.name}/trajectory.csv",
-            "report": f"{sub.name}/report.json",
-        })
-    (root / "index.json").write_text(json.dumps({"points": index}, indent=2) + "\n")
+        if sweep:
+            cfg = replace(cfg, outputs=str(root / _point_dir_name(cfg.m_over_p)))
+        columns = run_trajectory(cfg)
+        report = detect_features(columns, cfg.eps_dead, cfg.eps_alive)
+        emit_outputs(columns, report, cfg)
+        results.append((cfg, report, Path(cfg.outputs)))
+    if sweep:
+        index = [{"m_over_p": cfg.m_over_p,
+                  "trajectory": f"{out_dir.name}/trajectory.csv",
+                  "report": f"{out_dir.name}/report.json"}
+                 for cfg, _, out_dir in results]
+        (root / "index.json").write_text(json.dumps({"points": index}, indent=2) + "\n")
     return results

@@ -200,9 +200,19 @@ def test_public_names_are_consistent():
     for name in names:
         assert hasattr(bispinor, name), name
     assert not {"hermitian_eigensystem", "EigenSystem"} & set(names)
+    for name in ("TrajectoryRecord", "KrausSet", "evolve_noiseless", "evolve_noisy",
+                 "compute_g2", "ion_to_dirac"):
+        assert name not in names and not hasattr(bispinor, name), name
     star = {}
     exec("from bispinor import *", star)
     assert set(names) <= set(star)
+
+
+def test_readme_python_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (example,) = re.findall(r"^```python\n(.*?)^```$", readme, re.DOTALL | re.MULTILINE)
+    exec(compile(example, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines()[-1].startswith("True [")
 
 
 FREEZE_PROBE = """

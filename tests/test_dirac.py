@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bispinor.dirac import (ALPHA_X, BETA, DiracParams, build_dirac_hamiltonian,
-                            build_invariant_operator, compute_g2,
-                            eigenprojectors, eigenvalue_closed_form)
+                            build_invariant_operator, eigenprojectors,
+                            eigenvalue_closed_form)
 from bispinor.errors import DegenerateSpectrumError, UnsupportedConfigurationError
 from bispinor.linalg import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, tensor_product
 
@@ -79,8 +79,14 @@ def test_invariant_commutes_and_squares_to_scalar():
             H = build_dirac_hamiltonian(params)
             O = build_invariant_operator(params)
             assert np.max(np.abs(H @ O - O @ H)) < 1e-12
-            g2 = compute_g2(params)
+            g2 = eigenprojectors(params).g2
             assert np.max(np.abs(O @ O - g2 * np.eye(4))) < 1e-10
+    # degenerate spectra have no projectors; g2 is then the trace formula's
+    for params in (DiracParams(m=1.0, p=1.0, kappa=1.0, mu=1.0, E_field=0.0),
+                   DiracParams(m=1.0, p=1.0, kappa=0.0, mu=0.0, E_field=1.0)):
+        g2 = trace_formula_g2(build_dirac_hamiltonian(params))
+        O = build_invariant_operator(params)
+        assert np.max(np.abs(O @ O - g2 * np.eye(4))) < 1e-10
 
 
 def test_invariant_equals_shifted_hamiltonian_square():
@@ -99,7 +105,7 @@ def test_g2_closed_form_at_quarter_pi():
         params = random_params()
         m, p, k, mu, E = params.m, params.p, params.kappa, params.mu, params.E_field
         want = E * E * (m * m * k * k + 0.5 * (mu * mu + k * k) * p * p)
-        assert compute_g2(params) == pytest.approx(want, abs=1e-10)
+        assert eigenprojectors(params).g2 == pytest.approx(want, abs=1e-10)
 
 
 def test_closed_form_anchor_massless():
@@ -209,6 +215,13 @@ def formula_invariant(params):
     return O + params.kappa * cross_z * tensor_product(SIGMA_Y, SIGMA_Z)
 
 
+def trace_formula_g2(H):
+    """g2 = (1/16) Tr[(H^2 - Tr[H^2]/4 * I)^2], written out."""
+    H2 = H @ H
+    traceless = H2 - (np.trace(H2).real / 4.0) * np.eye(4)
+    return float(np.trace(traceless @ traceless).real / 16.0)
+
+
 def loop_projectors(H, O, g2, lambdas):
     """The four projectors one 4x4 product at a time."""
     eye = np.eye(4, dtype=complex)
@@ -238,9 +251,9 @@ def test_builders_match_the_tensor_product_formula_bitwise(params):
         sd = eigenprojectors(params)
     except DegenerateSpectrumError:
         return
-    # g2 from the H eigenprojectors built equals compute_g2's, and the
+    # g2 is the trace formula on the H eigenprojectors built, and the
     # stacked projector product equals the per-projector one
-    assert sd.g2 == compute_g2(params)
+    assert sd.g2 == trace_formula_g2(H)
     want = loop_projectors(H, O, sd.g2, sd.lambdas)
     assert list(sd.projectors) == list(want)
     for key, P in sd.projectors.items():

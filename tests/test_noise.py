@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from bispinor.dirac import DiracParams
 from bispinor.errors import InvariantViolation
 from bispinor.linalg import evolution_operator
-from bispinor.noise import (KrausSet, NoiseParams, apply_channel, build_kraus_set,
-                            dephasing_mask, evolve_noiseless, evolve_noisy,
+from bispinor.noise import (NoiseParams, apply_channel, build_kraus_set,
+                            dephasing_mask, evolve_noiseless_stack, evolve_noisy_stack,
                             validate_density_matrix)
 
 RNG = np.random.default_rng(3)
@@ -38,18 +38,22 @@ def test_noise_params_validation():
 
 def test_kraus_factors():
     ks = build_kraus_set(NoiseParams(0.5), 2.0)
-    assert ks.gamma_factor == pytest.approx(math.exp(-0.5))
-    assert ks.omega_factor == pytest.approx(math.sqrt(1.0 - math.exp(-1.0)))
-    assert len(ks.operators) == 4
-    for K in ks.operators:
-        assert np.max(np.abs(K.imag)) == 0.0  # all real diagonal
+    # F_nu E_mu = diag(1 or 0, gamma or omega) on each qubit, qubit 1 first
+    g, w = math.exp(-0.5), math.sqrt(1.0 - math.exp(-1.0))
+    want = ([1.0, g, g, g * g], [0.0, 0.0, w, w * g], [0.0, w, 0.0, w * g],
+            [0.0, 0.0, 0.0, w * w])
+    assert len(ks) == 4
+    for K, diagonal in zip(ks, want):
+        assert np.array_equal(K, np.diag(np.diag(K)))  # diagonal
+        assert np.max(np.abs(K.imag)) == 0.0  # and real
+        np.testing.assert_allclose(np.diag(K).real, diagonal, rtol=1e-15, atol=0)
 
 
 def test_kraus_completeness():
     for gamma in (0.0, 0.3, 2.0):
         for t in (0.0, 0.5, 7.0, 100.0):
             ks = build_kraus_set(NoiseParams(gamma), t)
-            total = sum(K.conj().T @ K for K in ks.operators)
+            total = sum(K.conj().T @ K for K in ks)
             assert np.max(np.abs(total - np.eye(4))) < 1e-12
 
 
@@ -57,8 +61,9 @@ def test_kraus_identity_limits():
     # no rate, or no elapsed time: the channel is the identity
     for ks in (build_kraus_set(NoiseParams(0.0), 5.0),
                build_kraus_set(NoiseParams(0.7), 0.0)):
-        assert ks.gamma_factor == 1.0
-        assert ks.omega_factor == 0.0
+        # gamma = 1 and omega = 0 exactly: the set is {I, 0, 0, 0}
+        assert np.array_equal(ks[0], np.eye(4))
+        assert not np.any(ks[1:])
         rho = random_density()
         assert np.max(np.abs(apply_channel(rho, ks) - rho)) < 1e-15
 
@@ -80,7 +85,7 @@ def test_channel_matches_elementwise_form():
 
 
 def test_dephasing_mask_shape():
-    g = build_kraus_set(NoiseParams(1.0), 1.0).gamma_factor
+    g = build_kraus_set(NoiseParams(1.0), 1.0)[0][1, 1].real  # gamma
     c = dephasing_mask(NoiseParams(1.0), [1.0])[0]
     assert np.array_equal(np.diag(c), np.ones(4))
     assert c[0, 3] == pytest.approx(g * g)
@@ -117,10 +122,8 @@ def test_channel_never_raises_purity():
 
 def test_channel_rejects_broken_kraus_set():
     ks = build_kraus_set(NoiseParams(0.5), 1.0)
-    broken = KrausSet(operators=ks.operators[:3], gamma_factor=ks.gamma_factor,
-                      omega_factor=ks.omega_factor)
     with pytest.raises(ValueError):
-        apply_channel(np.eye(4) / 4.0, broken)
+        apply_channel(np.eye(4) / 4.0, ks[:3])
 
 
 def test_channel_rejects_non_finite_input():
@@ -131,8 +134,7 @@ def test_channel_rejects_non_finite_input():
         with pytest.raises(ValueError, match="time must be finite"):
             dephasing_mask(NoiseParams(0.5), [0.5, bad])
     ks = build_kraus_set(NoiseParams(0.5), 1.0)
-    poisoned = KrausSet(operators=(np.full((4, 4), np.nan),) + ks.operators[1:],
-                        gamma_factor=ks.gamma_factor, omega_factor=ks.omega_factor)
+    poisoned = (np.full((4, 4), np.nan),) + ks[1:]
     with pytest.raises(ValueError, match="completeness"):
         apply_channel(np.eye(4) / 4.0, poisoned)
 
@@ -202,7 +204,7 @@ def test_noiseless_evolution_matches_unitary_conjugation():
         U = evolution_operator(H, t)
         for rho in (bell_state(), random_density()):
             want = U @ rho @ U.conj().T
-            got = evolve_noiseless(rho, PARAMS, t)
+            got = evolve_noiseless_stack(rho, PARAMS, [t])[0]
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
 
@@ -210,14 +212,14 @@ def test_noiseless_evolution_degenerate_fallback():
     # E = 0: degenerate spectrum, no analytic projectors; still unitary
     free = DiracParams(m=1.0, p=1.0, kappa=1.0, mu=1.0, E_field=0.0)
     rho = bell_state()
-    out = evolve_noiseless(rho, free, 1.3)
+    out = evolve_noiseless_stack(rho, free, [1.3])[0]
     assert abs(np.trace(out).real - 1.0) < 1e-12
     assert float(np.trace(out @ out).real) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_noiseless_preserves_purity():
     rho = bell_state()
-    out = evolve_noiseless(rho, PARAMS, 5.0)
+    out = evolve_noiseless_stack(rho, PARAMS, [5.0])[0]
     assert float(np.trace(out @ out).real) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -225,14 +227,14 @@ def test_noisy_reduces_to_noiseless_at_zero_rate():
     quiet = NoiseParams(0.0)
     for t in (0.5, 3.0):
         rho = random_density()
-        np.testing.assert_allclose(evolve_noisy(rho, PARAMS, quiet, t),
-                                   evolve_noiseless(rho, PARAMS, t),
+        np.testing.assert_allclose(evolve_noisy_stack(rho, PARAMS, quiet, [t])[0],
+                                   evolve_noiseless_stack(rho, PARAMS, [t])[0],
                                    rtol=0, atol=1e-12)
 
 
 def test_noisy_at_time_zero_is_identity():
     rho = random_density()
-    np.testing.assert_allclose(evolve_noisy(rho, PARAMS, NoiseParams(0.9), 0.0),
+    np.testing.assert_allclose(evolve_noisy_stack(rho, PARAMS, NoiseParams(0.9), [0.0])[0],
                                rho, rtol=0, atol=1e-14)
 
 
@@ -247,7 +249,7 @@ def test_noisy_composition_order():
     U = evolution_operator(H, t)
     ks = build_kraus_set(noise, t)
     want = U @ apply_channel(rho0, ks) @ U.conj().T
-    got = evolve_noisy(rho0, PARAMS, noise, t)
+    got = evolve_noisy_stack(rho0, PARAMS, noise, [t])[0]
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
     reversed_order = apply_channel(U @ rho0 @ U.conj().T, ks)
     assert np.max(np.abs(got - reversed_order)) > 1e-3
@@ -255,13 +257,13 @@ def test_noisy_composition_order():
 
 def test_noisy_rejects_negative_time():
     with pytest.raises(ValueError):
-        evolve_noisy(bell_state(), PARAMS, NoiseParams(0.5), -1.0)
+        evolve_noisy_stack(bell_state(), PARAMS, NoiseParams(0.5), [-1.0])
 
 
 def test_noisy_long_time_coherence_floor():
     # gamma factor shrinks but never reaches zero at finite time
     rho = bell_state()
-    out = evolve_noisy(rho, PARAMS, NoiseParams(0.5), 20.0)
+    out = evolve_noisy_stack(rho, PARAMS, NoiseParams(0.5), [20.0])[0]
     assert abs(np.trace(out).real - 1.0) < 1e-12
     pur = float(np.trace(out @ out).real)
     assert 0.25 - 1e-12 <= pur <= 1.0

@@ -11,15 +11,14 @@ from bispinor import scenario
 from bispinor.correlations import COLUMNS
 from bispinor.errors import InvariantViolation, UsageError
 from bispinor.scenario import (CSV_HEADER, CSV_WRITE_ROWS, MAX_SAMPLES, ScenarioConfig,
-                               TrajectoryRecord, _check_block, death_runs,
-                               detect_features, emit_outputs, initial_state,
-                               load_config, parse_config_text, run_scenario,
-                               run_trajectory)
+                               _check_block, death_runs, detect_features,
+                               emit_outputs, initial_state, load_config,
+                               parse_config_text, run_scenario, run_trajectory)
 
 CAT_ENTRIES = "0.5,0,0,0.5," "0,0,0,0," "0,0,0,0," "0.5,0,0,0.5"
 
 
-def synthetic_record(negativities, dt=0.1, discord=0.2, config=None):
+def synthetic_record(negativities, dt=0.1, discord=0.2):
     """Given negativities at t = k dt; the other columns are those of a valid sample."""
     t = np.arange(len(negativities)) * dt
     n = len(t)
@@ -28,15 +27,12 @@ def synthetic_record(negativities, dt=0.1, discord=0.2, config=None):
                    purity=np.ones(n), min_eigenvalue=np.zeros(n),
                    trace_deviation=np.zeros(n))
     assert tuple(columns) == COLUMNS
-    return TrajectoryRecord(config=config or ScenarioConfig(), columns=columns,
-                            wall_time=0.0)
+    return columns
 
 
 def sine_trajectory(t_max=7.0, dt=0.01):
-    cfg = ScenarioConfig(t_max=t_max, dt=dt)
     n = int(round(t_max / dt))
-    return synthetic_record([abs(math.sin(k * dt)) for k in range(n + 1)], dt=dt,
-                            config=cfg)
+    return synthetic_record([abs(math.sin(k * dt)) for k in range(n + 1)], dt=dt)
 
 
 def test_initial_state_catalog():
@@ -112,7 +108,7 @@ def test_config_sample_cap():
 
 
 def test_check_sample_diagnostics():
-    good = synthetic_record([0.5] * 6, dt=0.5).columns  # t = 0, 0.5, ..., 2.5
+    good = synthetic_record([0.5] * 6, dt=0.5)  # t = 0, 0.5, ..., 2.5
     _check_block(good)  # no raise
 
     def block(k, **cells):
@@ -149,16 +145,16 @@ def test_check_sample_diagnostics():
 
 def test_run_trajectory_grid():
     cfg = ScenarioConfig(t_max=1.0, dt=0.3, gamma_over_p=0.5)
-    traj = run_trajectory(cfg)
-    assert all(values.shape == (4,) for values in traj.columns.values())
-    np.testing.assert_allclose(traj.columns["t"], [0.0, 0.3, 0.6, 0.9])
+    columns = run_trajectory(cfg)
+    assert all(values.shape == (4,) for values in columns.values())
+    np.testing.assert_allclose(columns["t"], [0.0, 0.3, 0.6, 0.9])
     cfg = ScenarioConfig(t_max=2.0, dt=0.1)
-    assert all(values.shape == (21,) for values in run_trajectory(cfg).columns.values())
+    assert all(values.shape == (21,) for values in run_trajectory(cfg).values())
 
 
 def test_run_trajectory_initial_row():
     cfg = ScenarioConfig(initial_state="cat", t_max=0.5, dt=0.5)
-    first = {name: values[0] for name, values in run_trajectory(cfg).columns.items()}
+    first = {name: values[0] for name, values in run_trajectory(cfg).items()}
     assert first["t"] == 0.0
     assert first["negativity"] == pytest.approx(1.0, abs=1e-12)
     assert first["discord_1"] == pytest.approx(0.5, abs=1e-12)
@@ -167,9 +163,7 @@ def test_run_trajectory_initial_row():
 
 def test_run_trajectory_deterministic():
     cfg = ScenarioConfig(initial_state="werner", t_max=1.0, dt=0.25)
-    first, second = run_trajectory(cfg), run_trajectory(cfg)
-    assert first != second  # records compare by identity, never elementwise
-    one, two = first.columns, second.columns
+    one, two = run_trajectory(cfg), run_trajectory(cfg)
     assert tuple(one) == tuple(two) == COLUMNS
     for name in COLUMNS:
         assert np.array_equal(one[name], two[name]), name
@@ -235,7 +229,7 @@ def test_emit_outputs_files(tmp_path):
     assert lines[0] == ("t,negativity,discord_1,discord_2,purity,"
                         "min_eigenvalue,trace_deviation")
     assert lines[0] == CSV_HEADER
-    assert len(lines) == 1 + len(traj.columns["t"])
+    assert len(lines) == 1 + len(traj["t"])
     first = lines[1].split(",")
     assert first[0] == "0" and len(first) == 7
 
@@ -252,7 +246,7 @@ def test_emit_outputs_files(tmp_path):
 def test_emit_outputs_formatting(tmp_path):
     # cells carry 12 significant digits
     cfg = ScenarioConfig(t_max=0.1, dt=0.1, outputs=str(tmp_path))
-    traj = synthetic_record([1.0 / 3.0, 0.25], config=cfg)
+    traj = synthetic_record([1.0 / 3.0, 0.25])
     emit_outputs(traj, detect_features(traj), cfg)
     lines = (tmp_path / "trajectory.csv").read_text().splitlines()
     assert lines[1].split(",")[1] == "0.333333333333"
@@ -264,10 +258,10 @@ def test_emit_outputs_streams_rows_in_blocks(tmp_path):
     n = CSV_WRITE_ROWS + 37
     cfg = ScenarioConfig(t_max=(n - 1) * 0.1, dt=0.1, outputs=str(tmp_path))
     rng = np.random.default_rng(3)
-    traj = synthetic_record(rng.random(n) / 3.0, config=cfg)
+    traj = synthetic_record(rng.random(n) / 3.0)
     emit_outputs(traj, detect_features(traj), cfg)
     row = ",".join(["%.12g"] * len(COLUMNS))
-    all_rows = zip(*(traj.columns[name].tolist() for name in COLUMNS))
+    all_rows = zip(*(traj[name].tolist() for name in COLUMNS))
     want = "\n".join([CSV_HEADER, *(row % r for r in all_rows)]) + "\n"
     assert (tmp_path / "trajectory.csv").read_text() == want
 
@@ -380,8 +374,9 @@ def test_parse_config_errors():
         parse_config_text("emit_plots = maybe")
     with pytest.raises(UsageError, match="16 entries"):
         parse_config_text("initial_state = custom\ncustom_state = 1,0,0")
-    with pytest.raises(UsageError, match="one or more numbers"):
-        parse_config_text("m_over_p = 1.0, x")
+    for line in ("m_over_p = 1.0, x", "m_over_p =", "m_over_p = 1.0,"):
+        with pytest.raises(UsageError, match="one or more numbers"):
+            parse_config_text(line)
     with pytest.raises(UsageError, match="'t_max' is given twice, on lines 1 and 3"):
         parse_config_text("t_max = 1.0\ndt = 0.1\nt_max = 2.0")
 
