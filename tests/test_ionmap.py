@@ -86,24 +86,32 @@ def test_forward_map_values():
     np.testing.assert_allclose(ion.omega2, (0.5 * ex / 2.0, 0.5 * ey / 2.0, 0.0))
 
 
-def test_assembly_beyond_the_forward_map():
-    """Ion settings dirac_to_ion never produces still give the direct H.
+def test_inverse_map_zero_tensor_channel():
+    """With the tensor channel off the field direction is the pseudotensor vector's.
 
-    A sideband coupling other than 1/2 lands in the effective momentum,
-    and with the tensor channel off the field direction is the
-    pseudotensor vector's.
+    dirac_to_ion never produces these ion settings; the Dirac parameters
+    they stand for are written out by hand: kappa = 0, mu = 1,
+    E = 2*|omega2| and theta its direction.
     """
-    cases = (
-        (IonParams(delta=0.5, eta_delta_omega=0.5,
-                   omega1=(0.0, 0.0, 0.0), omega2=(0.3, 0.4, 0.0)),
-         DiracParams(m=1.0, p=1.0, kappa=0.0, mu=1.0, E_field=1.0,
-                     theta=math.atan2(0.4, 0.3))),
-        (IonParams(delta=0.5, eta_delta_omega=0.8,
-                   omega1=(0.4, 0.3, 0.0), omega2=(0.0, 0.0, 0.0)),
-         DiracParams(m=1.0, p=1.6, kappa=1.0, mu=0.0, E_field=1.0,
-                     theta=math.atan2(0.3, 0.4))),
-    )
-    for ion, params in cases:
-        H0 = assemble_ion_hamiltonian(ion, 1.0)
-        H1 = build_dirac_hamiltonian(params)
-        assert np.max(np.abs(H0 - H1)) < 1e-12
+    ion = IonParams(delta=0.5, eta_delta_omega=0.5,
+                    omega1=(0.0, 0.0, 0.0), omega2=(0.3, 0.4, 0.0))
+    params = DiracParams(m=1.0, p=1.0, kappa=0.0, mu=1.0, E_field=1.0,
+                         theta=math.atan2(0.4, 0.3))
+    H0 = assemble_ion_hamiltonian(ion, 1.0)
+    H1 = build_dirac_hamiltonian(params)
+    assert np.max(np.abs(H0 - H1)) < 1e-12
+
+
+def test_inverse_map_rescaled_sideband():
+    """A sideband coupling other than 1/2 lands in the effective momentum.
+
+    eta*delta*Omega = 0.8 at p = 1 stands for the momentum p = 1.6 of the
+    direct builder, with the field carried by the tensor channel alone.
+    """
+    ion = IonParams(delta=0.5, eta_delta_omega=0.8,
+                    omega1=(0.4, 0.3, 0.0), omega2=(0.0, 0.0, 0.0))
+    params = DiracParams(m=1.0, p=1.6, kappa=1.0, mu=0.0, E_field=1.0,
+                         theta=math.atan2(0.3, 0.4))
+    H0 = assemble_ion_hamiltonian(ion, 1.0)
+    H1 = build_dirac_hamiltonian(params)
+    assert np.max(np.abs(H0 - H1)) < 1e-12
