@@ -29,10 +29,9 @@ from .dirac import (DiracParams, SpectralData, build_dirac_hamiltonian,
 from .errors import (DegenerateSpectrumError, InvariantViolation,
                      UnsupportedConfigurationError, UsageError)
 from .ionmap import IonParams, assemble_ion_hamiltonian, dirac_to_ion
-from .linalg import (evolution_operator, partial_transpose, tensor_product,
-                     top_eigenvalue_3x3)
+from .linalg import partial_transpose, tensor_product, top_eigenvalue_3x3
 from .noise import (NoiseParams, apply_channel, build_kraus_set, dephasing_mask,
-                    evolve_noiseless_stack, evolve_noisy_stack, validate_density_matrix)
+                    evolve_noisy_stack, validate_density_matrix)
 from .scenario import (FeatureReport, ScenarioConfig, detect_features, emit_outputs,
                        initial_state, load_config, parse_config_text, run_scenario,
                        run_trajectory)
@@ -62,8 +61,6 @@ __all__ = [
     "eigenprojectors",
     "eigenvalue_closed_form",
     "emit_outputs",
-    "evolution_operator",
-    "evolve_noiseless_stack",
     "evolve_noisy_stack",
     "geometric_discord",
     "initial_state",

@@ -8,9 +8,10 @@ and output determinism. The CLI `selftest` subcommand and the
 acceptance test module both run exactly these functions, so the shipped
 package can always re-verify itself.
 
-Criteria 1-5 evaluate their inputs as stacks: the 48 grid Hamiltonians,
-spectra and projectors as (48, ...) arrays, the channel check on all
-catalog states at once, the zero-rate check on all times at once. Each
+Criteria 1-6 and 10 evaluate their inputs as stacks: the 48 grid
+Hamiltonians, spectra and projectors as (48, ...) arrays, the channel
+check on all catalog states at once, the zero-rate check on all times at
+once and the measure anchors as one stack of states each. Each
 element gets the arithmetic a per-item loop would give it, so the worst
 deviations they report are the same bits.
 
@@ -35,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .correlations import geometric_discord, negativity
+from .correlations import sample_correlations_stack
 from .dirac import (DiracParams, build_dirac_hamiltonian, eigenprojectors,
                     eigenvalue_closed_form)
 from .ionmap import assemble_ion_hamiltonian, dirac_to_ion
@@ -140,8 +141,9 @@ def criterion_03(cache) -> tuple:
 def criterion_04(cache) -> tuple:
     """Kraus completeness, mask equals Kraus sum, physical diagnostics.
 
-    The elementwise dephasing_mask the engine runs must reproduce the
-    operator sum on every catalog state to 1e-12 on the (Gamma, t) grid,
+    The elementwise dephasing_mask, whose gamma(t) and coherence orders
+    the engine applies, must reproduce the operator sum on every catalog
+    state to 1e-12 on the (Gamma, t) grid,
     all six states as one stack per (Gamma, t); the trajectory
     diagnostics are read from every acceptance run.
     """
@@ -197,18 +199,18 @@ def criterion_05(cache) -> tuple:
 
 
 def criterion_06(cache) -> tuple:
-    """Anchor values of the correlation measures."""
+    """Anchor values of the correlation measures, all anchors as one stack."""
     bell = initial_state("cat")  # (|00> + |11>)/sqrt(2)
-    devs = [abs(negativity(bell) - 1.0), abs(geometric_discord(bell, 1) - 0.5)]
     v1 = np.array([math.cos(0.3), math.sin(0.3)], dtype=complex)
     v2 = np.array([math.cos(1.1), math.sin(1.1) * np.exp(0.4j)], dtype=complex)
     product = np.outer(np.kron(v1, v2), np.kron(v1, v2).conj())
-    for rho in (initial_state("a"), product, np.eye(4, dtype=complex) / 4.0):
-        devs.append(abs(negativity(rho)))
-        devs.append(abs(geometric_discord(rho, 1)))
-        devs.append(abs(geometric_discord(rho, 2)))
     iso = 0.5 * bell + 0.5 * np.eye(4) / 4.0
-    devs.append(abs(negativity(iso) - 0.25))
+    # bell, then three uncorrelated states, then the isotropic mixture
+    states = np.array([bell, initial_state("a"), product, np.eye(4, dtype=complex) / 4.0, iso])
+    c = sample_correlations_stack(states, np.zeros(len(states)))
+    neg, d1, d2 = c["negativity"], c["discord_1"], c["discord_2"]
+    devs = np.concatenate([[abs(neg[0] - 1.0), abs(d1[0] - 0.5), abs(neg[4] - 0.25)],
+                           np.abs(neg[1:4]), np.abs(d1[1:4]), np.abs(d2[1:4])])
     worst = np.max(devs)
     return worst <= 1e-10, f"worst anchor deviation {worst:.3g}"
 
@@ -255,16 +257,13 @@ def criterion_09(cache) -> tuple:
 
 def criterion_10(cache) -> tuple:
     """Schmidt-state closed forms: N = |sin 2chi|, D = sin^2(2chi)/2."""
-    worst = 0.0
-    for k in range(5):
-        chi = k * math.pi / 16.0
-        vec = np.zeros(4, dtype=complex)
-        vec[0] = math.cos(chi)
-        vec[3] = math.sin(chi)
-        rho = np.outer(vec, vec.conj())
-        worst = np.maximum(worst, abs(negativity(rho) - abs(math.sin(2.0 * chi))))
-        worst = np.maximum(worst, abs(geometric_discord(rho, 1)
-                                      - math.sin(2.0 * chi) ** 2 / 2.0))
+    chis = [k * math.pi / 16.0 for k in range(5)]
+    vecs = np.array([[math.cos(chi), 0.0, 0.0, math.sin(chi)] for chi in chis], dtype=complex)
+    c = sample_correlations_stack(vecs[:, :, None] * vecs.conj()[:, None, :],
+                                  np.zeros(len(chis)))
+    sin2 = np.array([math.sin(2.0 * chi) for chi in chis])
+    worst = np.max([np.max(np.abs(c["negativity"] - np.abs(sin2))),
+                    np.max(np.abs(c["discord_1"] - sin2 ** 2 / 2.0))])
     return worst <= 1e-10, f"worst closed-form deviation {worst:.3g}"
 
 

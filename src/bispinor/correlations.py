@@ -78,24 +78,32 @@ def _fano_stack(stack: np.ndarray) -> tuple:
 def _spectra(stack: np.ndarray) -> tuple:
     """Ascending eigenvalues of the states and of their qubit-1 partial transposes.
 
-    One LAPACK call on the (2B, 4, 4) concatenation. The partial
-    transpose permutes entries, so it is Hermitian whenever the state is.
+    One LAPACK call on a (2B, 4, 4) buffer holding the states, then their
+    partial transposes. The partial transpose permutes entries, so it is
+    Hermitian whenever the state is.
     """
-    eigs = np.linalg.eigvalsh(np.concatenate([stack, partial_transpose(stack, 1)]))
-    return eigs[:len(stack)], eigs[len(stack):]
+    n = len(stack)
+    both = np.empty((2 * n, 4, 4), dtype=complex)
+    both[:n] = stack
+    both[n:] = partial_transpose(stack, 1)
+    eigs = np.linalg.eigvalsh(both)
+    return eigs[:n], eigs[n:]
 
 
 def _negativity_stack(pt_eigs: np.ndarray) -> np.ndarray:
     return _clamp(np.sum(np.abs(pt_eigs), axis=1) - 1.0)
 
 
-def _discord_stack(fano: tuple, side: int) -> np.ndarray:
+def _discord_stacks(fano: tuple) -> tuple:
+    """Discord of each measured side, (D1, D2), sharing T^T and ||T||_F^2."""
     a1, a2, T = fano
-    a = a1 if side == 1 else a2
     Tt = np.swapaxes(T, 1, 2)
-    gram = T @ Tt if side == 1 else Tt @ T
-    k_max = top_eigenvalue_3x3(a[:, :, None] * a[:, None, :] + gram)
-    return _clamp(0.25 * (np.sum(a * a, axis=1) + np.sum(T * T, axis=(1, 2)) - k_max))
+    t_sq = np.sum(T * T, axis=(1, 2))
+    return tuple(
+        _clamp(0.25 * (np.sum(a * a, axis=1) + t_sq
+                       - top_eigenvalue_3x3(a[:, :, None] * a[:, None, :] + gram)))
+        for a, gram in ((a1, T @ Tt), (a2, Tt @ T))
+    )
 
 
 def _purity_stack(stack: np.ndarray) -> np.ndarray:
@@ -127,7 +135,7 @@ def geometric_discord(rho, side: int) -> float:
     """
     if side not in (1, 2):
         raise ValueError("side must be 1 or 2")
-    return float(_discord_stack(_fano_stack(_state_stack(rho, stacked=False)), side)[0])
+    return float(_discord_stacks(_fano_stack(_state_stack(rho, stacked=False)))[side - 1][0])
 
 
 def purity(rho) -> float:
@@ -148,13 +156,11 @@ def sample_correlations_stack(rhos, times) -> dict:
     times = np.asarray(times, dtype=float)
     if times.shape != stack.shape[:1]:
         raise ValueError(f"{stack.shape[0]} states but times of shape {times.shape}")
-    fano = _fano_stack(stack)
     state_eigs, pt_eigs = _spectra(stack)
     return dict(zip(COLUMNS, (
         times,
         _negativity_stack(pt_eigs),
-        _discord_stack(fano, 1),
-        _discord_stack(fano, 2),
+        *_discord_stacks(_fano_stack(stack)),
         _purity_stack(stack),
         state_eigs[:, 0],
         np.trace(stack, axis1=1, axis2=2).real - 1.0,

@@ -18,52 +18,47 @@ the four projectors come from one stacked (4, 4, 4) matrix product.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateSpectrumError, UnsupportedConfigurationError
 from .linalg import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, tensor_product
+from .values import ValueType
 
 #: below this, g2 or |lambda| counts as degenerate and the analytic
 #: projector construction is refused
 DEGENERACY_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class DiracParams:
+class DiracParams(ValueType):
     """Physical configuration (all energies in units of hbar = c = 1).
 
     m, p and E_field must be nonnegative and finite; theta defaults to
     pi/4, the configuration the closed-form spectrum was derived for.
     """
 
-    m: float
-    p: float
-    kappa: float
-    mu: float
-    E_field: float
-    theta: float = math.pi / 4
+    __slots__ = ("m", "p", "kappa", "mu", "E_field", "theta")
 
-    def __post_init__(self):
-        vals = (self.m, self.p, self.kappa, self.mu, self.E_field, self.theta)
-        if not all(math.isfinite(v) for v in vals):
+    def __init__(self, m: float, p: float, kappa: float, mu: float, E_field: float,
+                 theta: float = math.pi / 4):
+        super().__init__(m, p, kappa, mu, E_field, theta)
+        if not all(math.isfinite(v) for v in (m, p, kappa, mu, E_field, theta)):
             raise ValueError("all parameters must be finite")
-        if self.m < 0 or self.p < 0 or self.E_field < 0:
+        if m < 0 or p < 0 or E_field < 0:
             raise ValueError("m, p and E_field must be nonnegative")
 
 
-@dataclass(frozen=True)
-class SpectralData:
+class SpectralData(ValueType):
     """Closed-form spectrum: g2, the four lambda_(n,s) and their projectors.
 
     lambdas and projectors are keyed by (n, s) with n, s in {0, 1};
     lambda_(1,s) is exactly -lambda_(0,s).
     """
 
-    g2: float
-    lambdas: dict
-    projectors: dict
+    __slots__ = ("g2", "lambdas", "projectors")
+
+    def __init__(self, g2: float, lambdas: dict, projectors: dict):
+        super().__init__(g2, lambdas, projectors)
 
 
 # fixed two-qubit representation: beta = sz (x) I, alpha_i = sx (x) s_i,
@@ -165,7 +160,7 @@ def eigenprojectors(params: DiracParams) -> SpectralData:
 
     Raises DegenerateSpectrumError when g2 or any |lambda| falls below
     1e-12. The projectors are the closed-form check on the numeric
-    evolution (linalg.evolution_operator), which needs none.
+    evolution (noise.evolve_noisy_stack), which needs none.
     """
     H = build_dirac_hamiltonian(params)
     O = build_invariant_operator(params)

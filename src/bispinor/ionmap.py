@@ -11,17 +11,16 @@ is what pins down every sign convention below.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .dirac import DiracParams
+from .values import ValueType
 
 LEVELS = {"a": 0, "b": 1, "c": 2, "d": 3}
 
 
-@dataclass(frozen=True)
-class IonParams:
+class IonParams(ValueType):
     """Laser parameters of the four-level ion (hbar = 1).
 
     delta is the carrier detuning, eta_delta_omega the combined
@@ -30,18 +29,15 @@ class IonParams:
     Rabi frequencies of the tensor and pseudotensor channels.
     """
 
-    delta: float
-    eta_delta_omega: float
-    omega1: tuple
-    omega2: tuple
+    __slots__ = ("delta", "eta_delta_omega", "omega1", "omega2")
 
-    def __post_init__(self):
-        vals = (self.delta, self.eta_delta_omega, *self.omega1, *self.omega2)
-        if not all(math.isfinite(v) for v in vals):
+    def __init__(self, delta: float, eta_delta_omega: float, omega1: tuple, omega2: tuple):
+        super().__init__(delta, eta_delta_omega, omega1, omega2)
+        if not all(math.isfinite(v) for v in (delta, eta_delta_omega, *omega1, *omega2)):
             raise ValueError("all ion parameters must be finite")
-        if self.delta < 0:
+        if delta < 0:
             raise ValueError("delta must be nonnegative")
-        if len(self.omega1) != 3 or len(self.omega2) != 3:
+        if len(omega1) != 3 or len(omega2) != 3:
             raise ValueError("omega1 and omega2 must be 3-vectors")
 
 

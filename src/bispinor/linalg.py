@@ -1,14 +1,13 @@
 """Dense complex linear algebra for matrices up to 4x4.
 
-Everything the rest of the package needs is here: Kronecker products on
-qubit factors, partial transposition, the closed-form top eigenvalue of
-real symmetric 3x3 matrices and the spectral evolution operator, the
-only place the package takes eigenvectors (LAPACK ``eigh``).
+Kronecker products on qubit factors, partial transposition, the
+closed-form top eigenvalue of real symmetric 3x3 matrices and the
+package's one Hermiticity check. Eigenvectors are taken in one place
+only, the ``eigh`` of the Hamiltonian in noise.evolve_noisy_stack.
 Matrices are plain complex numpy arrays; partial transposition also
-takes (B, 4, 4) stacks, one matrix per trajectory sample, the top
-eigenvalue takes (B, 3, 3) stacks, and the evolution operator takes a
-1-D array of times. All operations are pure functions and never mutate
-their inputs.
+takes (B, 4, 4) stacks, one matrix per trajectory sample, and the top
+eigenvalue takes (B, 3, 3) stacks. All operations are pure functions
+and never mutate their inputs.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ IDENTITY_2 = np.eye(2, dtype=complex)
 PAULI = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
 
 
-def _as_square(M, dims=(2, 3, 4), stacked: bool = False) -> np.ndarray:
+def _as_square(M, dims: tuple, stacked: bool = False) -> np.ndarray:
     """Complex array of a square matrix, or of a (B, n, n) stack, shape-checked."""
     A = np.asarray(M, dtype=complex)
     if A.ndim != (3 if stacked else 2) or A.shape[-1] != A.shape[-2]:
@@ -88,16 +87,16 @@ def partial_transpose(rho, subsystem: int) -> np.ndarray:
     """
     A = np.asarray(rho)
     A = _as_square(A, dims=(4,), stacked=A.ndim == 3)
-    lead = A.shape[:-2]
-    # indices (..., i, k, j, l): row qubits, then column qubits
-    blocks = A.reshape(lead + (2, 2, 2, 2))
-    if subsystem == 1:
-        out = np.swapaxes(blocks, -4, -2)
-    elif subsystem == 2:
-        out = np.swapaxes(blocks, -3, -1)
-    else:
+    if subsystem not in (1, 2):
         raise ValueError("subsystem must be 1 or 2")
-    return out.reshape(lead + (4, 4)).copy()
+    # indices (..., i, k, j, l): row qubits, then column qubits
+    blocks = A.shape[:-2] + (2, 2, 2, 2)
+    axes = (-4, -2) if subsystem == 1 else (-3, -1)
+    # written through a view of one fresh C-ordered array: a reshape of the
+    # swapped view would copy, and a further copy would double the traffic
+    out = np.empty(A.shape, dtype=complex)
+    out.reshape(blocks)[...] = np.swapaxes(A.reshape(blocks), *axes)
+    return out
 
 
 def top_eigenvalue_3x3(K) -> np.ndarray:
@@ -159,37 +158,3 @@ def top_eigenvalue_3x3(K) -> np.ndarray:
                 + np.hypot(0.5 * (C[:, 0, 0] - C[:, 1, 1]), C[:, 1, 0]))
     return top
 
-
-def evolution_operator(H, times) -> np.ndarray:
-    """U(t) = exp(-i H t), as V diag(exp(-i lambda t)) V^dag from ``eigh`` of H.
-
-    The product does not depend on the phases of the eigenvector columns
-    V, so none is fixed.
-
-    Parameters
-    ----------
-    H : array_like, dim in {2, 3, 4}
-        Hermitian generator with finite entries.
-    times : float or 1-D array_like
-        Elapsed time(s); U(0) is the identity and U(t) U(-t) = I.
-
-    Returns
-    -------
-    numpy.ndarray
-        One n x n operator for a scalar time, a (B, n, n) stack for B times.
-
-    Raises
-    ------
-    ValueError
-        If H is not a finite Hermitian square matrix, or a time is not finite.
-    """
-    times = np.asarray(times, dtype=float)
-    if times.ndim > 1:
-        raise ValueError(f"times must be a scalar or a 1-D array, got shape {times.shape}")
-    if not np.all(np.isfinite(times)):
-        raise ValueError("time must be finite")
-    A = _as_square(H)
-    _require_hermitian(A, "evolution generator")
-    lam, V = np.linalg.eigh(A)
-    phases = np.exp(-1j * np.multiply.outer(times, lam))
-    return (V * phases[..., None, :]) @ V.conj().T

@@ -6,25 +6,32 @@ diagonal Kraus operators (products of per-qubit pairs); it is equivalent
 to an elementwise rescaling of the density-matrix entries: single
 coherences pick up gamma = exp(-Gamma t / 2), double coherences gamma^2,
 populations are untouched. The noisy state at time t is the channel
-output rotated by the coherent evolution operator.
+output rotated by the coherent evolution exp(-i H t).
 
-Trajectories are evaluated on a whole stack of times at once: the
-channel as a (B, 4, 4) coefficient mask and the rotation as a (B, 4, 4)
-stack of evolution operators from linalg.evolution_operator; one time
-is a one-row stack. The Kraus form (build_kraus_set, apply_channel) is
-the reference the elementwise form is checked against.
+H is time-independent, so the engine works in its fixed eigenbasis,
+H = V diag(lambda) V^dag, from the package's one LAPACK ``eigh``:
+
+    rho(t) = V [Phi(t) o (B_0 + gamma B_1 + gamma^2 B_2)] V^dag,
+
+with B_n = V^dag (F_n o rho0) V, F_n the entries whose coherence order is
+n, and Phi_kl(t) = exp(-i (lambda_k - lambda_l) t). The B_n are formed
+once per call; a stack of B times costs an elementwise product and one
+16 x 16 rotation per row. Gamma = 0 is the noiseless evolution. The
+Kraus form (build_kraus_set, apply_channel) and the elementwise
+dephasing_mask are the references the engine's channel is checked
+against.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .dirac import DiracParams, build_dirac_hamiltonian
 from .errors import InvariantViolation
-from .linalg import _require_hermitian, evolution_operator, tensor_product
+from .linalg import _require_hermitian, tensor_product
+from .values import ValueType
 
 #: DensityMatrix invariant tolerances (Hermiticity is linalg's one check)
 TRACE_TOL = 1e-10
@@ -38,16 +45,18 @@ _FLIPS = np.array([
     [1, 2, 0, 1],
     [2, 1, 1, 0],
 ])
+#: F_n, the 0/1 mask of the entries with _FLIPS == n, for n = 0, 1, 2
+_FLIP_MASKS = np.array([_FLIPS == n for n in range(3)], dtype=float)
 
 
-@dataclass(frozen=True)
-class NoiseParams:
+class NoiseParams(ValueType):
     """Phase relaxation rate Gamma, applied equally to both qubits."""
 
-    gamma_rate: float
+    __slots__ = ("gamma_rate",)
 
-    def __post_init__(self):
-        if not math.isfinite(self.gamma_rate) or self.gamma_rate < 0:
+    def __init__(self, gamma_rate: float):
+        super().__init__(gamma_rate)
+        if not math.isfinite(gamma_rate) or gamma_rate < 0:
             raise ValueError("gamma_rate must be finite and nonnegative")
 
 
@@ -75,15 +84,13 @@ def build_kraus_set(noise: NoiseParams, t: float) -> tuple:
     return tuple(f @ e for f in (f1, f2) for e in (e1, e2))
 
 
-def dephasing_mask(noise: NoiseParams, times) -> np.ndarray:
-    """Elementwise channel coefficients at B elapsed times, shape (B, 4, 4).
+def _coherence_factors(noise: NoiseParams, times) -> tuple:
+    """Validated 1-D times and gamma(t) = sqrt(exp(-Gamma t)) at each of them.
 
-    The channel maps rho_kl -> c_kl * rho_kl with c_kl = gamma ** n, where
-    n counts the qubits whose level differs between row k and column l.
-    times is a 1-D array of finite, nonnegative times. gamma(t) =
-    sqrt(exp(-Gamma t)) is computed exactly as build_kraus_set computes
-    it. Every mask is checked to leave the populations untouched (unit
-    diagonal to 1e-12), the elementwise form of Kraus completeness.
+    Times must be finite and nonnegative. gamma is computed exactly as
+    build_kraus_set computes it: math.exp, not np.exp, because the
+    vectorised exp differs from libm in the last bit on a few percent of
+    arguments.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
@@ -92,10 +99,22 @@ def dephasing_mask(noise: NoiseParams, times) -> np.ndarray:
         raise ValueError("time must be finite")
     if np.any(times < 0):
         raise ValueError("channel is defined forward in time only (t >= 0)")
-    # math.exp, not np.exp: the vectorised exp differs from libm in the last
-    # bit on a few percent of arguments, and gamma must match the Kraus set's
     rate = noise.gamma_rate
-    gamma = np.sqrt([math.exp(-rate * t) for t in times.tolist()])
+    decay = np.fromiter(map(math.exp, (-rate * times).tolist()), float, len(times))
+    return times, np.sqrt(decay)
+
+
+def dephasing_mask(noise: NoiseParams, times) -> np.ndarray:
+    """Elementwise channel coefficients at B elapsed times, shape (B, 4, 4).
+
+    The channel maps rho_kl -> c_kl * rho_kl with c_kl = gamma ** n, where
+    n counts the qubits whose level differs between row k and column l.
+    times is a 1-D array of finite, nonnegative times; gamma(t) is the
+    Kraus set's, bit for bit, and the one the engine uses. Every mask is
+    checked to leave the populations untouched (unit diagonal to 1e-12),
+    the elementwise form of Kraus completeness.
+    """
+    _, gamma = _coherence_factors(noise, times)
     mask = np.stack((np.ones_like(gamma), gamma, gamma * gamma), axis=-1)[..., _FLIPS]
     # stated as the condition that must hold, so a NaN fails it
     if not np.max(np.abs(np.diagonal(mask, axis1=-2, axis2=-1) - 1.0), initial=0.0) <= 1e-12:
@@ -154,25 +173,36 @@ def validate_density_matrix(rho, where: str = "density matrix") -> np.ndarray:
     return rho
 
 
-def evolve_noiseless_stack(rho0, params: DiracParams, times) -> np.ndarray:
-    """Coherent evolution U(t) rho0 U(t)^dag at each of B times, (B, 4, 4).
-
-    rho0 is one 4x4 state or a (B, 4, 4) stack, one state per time, and
-    times is a 1-D array. U(t) is linalg.evolution_operator of the
-    Hamiltonian built from params.
-    """
-    U = evolution_operator(build_dirac_hamiltonian(params), times)
-    return U @ np.asarray(rho0, dtype=complex) @ np.swapaxes(U.conj(), -1, -2)
-
-
 def evolve_noisy_stack(rho0, params: DiracParams, noise: NoiseParams,
                        times) -> np.ndarray:
     """Noisy states at each of B elapsed times: one-shot channel, then rotation.
 
-    rho(t) = U(t) [channel_t(rho0)] U(t)^dag with the channel applied as
-    the elementwise dephasing_mask. Returns a (B, 4, 4) stack.
-    """
-    times = np.asarray(times, dtype=float)
-    dephased = dephasing_mask(noise, times) * np.asarray(rho0, dtype=complex)
-    return evolve_noiseless_stack(dephased, params, times)
+    rho(t) = U(t) [channel_t(rho0)] U(t)^dag with U(t) = exp(-i H t) for
+    the Hamiltonian built from params, evaluated in H's eigenbasis (see
+    the module docstring). rho0 is one 4x4 state and times a 1-D array of
+    finite, nonnegative times. Returns a (B, 4, 4) stack whose rows do
+    not depend on the other times of the call, bit for bit: every
+    operation is elementwise or one product per row.
 
+    Raises ValueError if a time is refused or H is not finite and
+    Hermitian.
+    """
+    times, gamma = _coherence_factors(noise, times)
+    rho0 = np.asarray(rho0, dtype=complex)
+    if rho0.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 initial state, got shape {rho0.shape}")
+    H = build_dirac_hamiltonian(params)
+    _require_hermitian(H, "evolution generator")
+    lam, V = np.linalg.eigh(H)
+    Vh = V.conj().T
+    b0, b1, b2 = ((Vh @ (F * rho0)) @ V for F in _FLIP_MASKS)
+    # rho_ij = sum_kl V_ik Y_kl conj(V_jl), so T[(k, l), (i, j)] = V_ik conj(V_jl)
+    T = (V.T[:, None, :, None] * Vh[None, :, None, :]).reshape(16, 16)
+    p = np.exp(-1j * np.multiply.outer(times, lam))
+    # complex up front: numpy casts the float factor of each complex product
+    # to complex anyway, and more slowly, so the bits are the same
+    g = gamma.astype(complex)[:, None, None]
+    Y = p[:, :, None] * p.conj()[:, None, :] * (b0 + g * b1 + (g * g) * b2)
+    # one (1, 16) @ (16, 16) product per row: a flat (B, 16) product rounds
+    # differently with the number of rows
+    return (Y.reshape(-1, 1, 16) @ T).reshape(-1, 4, 4)

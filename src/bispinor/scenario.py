@@ -28,6 +28,7 @@ from .dirac import DiracParams
 from .errors import InvariantViolation, UsageError
 from .noise import (PSD_TOL, TRACE_TOL, NoiseParams, evolve_noisy_stack,
                     validate_density_matrix)
+from .values import ValueType
 
 STATE_NAMES = ("a", "b", "c", "d", "cat", "werner", "custom")
 
@@ -107,16 +108,20 @@ _CONFIG_KEYS = tuple(f.name for f in fields(ScenarioConfig))
 _FLOAT_KEYS = tuple(f.name for f in fields(ScenarioConfig) if f.type == "float")
 
 
-@dataclass(frozen=True)
-class FeatureReport:
-    """Sudden-death intervals and revival bookkeeping for one trajectory."""
+class FeatureReport(ValueType):
+    """Sudden-death intervals and revival bookkeeping for one trajectory.
 
-    death_intervals: tuple
-    revival_count: int
-    min_negativity: float
-    max_negativity: float
-    residual_discord_in_death: float  # None when no death interval exists
-    final_purity: float
+    residual_discord_in_death is None when no death interval exists.
+    """
+
+    __slots__ = ("death_intervals", "revival_count", "min_negativity",
+                 "max_negativity", "residual_discord_in_death", "final_purity")
+
+    def __init__(self, death_intervals: tuple, revival_count: int, min_negativity: float,
+                 max_negativity: float, residual_discord_in_death: float,
+                 final_purity: float):
+        super().__init__(death_intervals, revival_count, min_negativity, max_negativity,
+                         residual_discord_in_death, final_purity)
 
 
 def initial_state(name: str, custom=None) -> np.ndarray:

@@ -12,9 +12,6 @@ and are expected to fail; the printed detail carries the measured
 numbers.
 """
 
-import dataclasses
-import math
-
 import numpy as np
 import pytest
 
@@ -60,7 +57,7 @@ def test_criterion_02_catches_one_off_projector_entry(monkeypatch):
         projectors = dict(sd.projectors)
         projectors[(0, 1)] = projectors[(0, 1)].copy()
         projectors[(0, 1)][2, 1] += 1e-9
-        return dataclasses.replace(sd, projectors=projectors)
+        return dirac.SpectralData(g2=sd.g2, lambdas=sd.lambdas, projectors=projectors)
 
     monkeypatch.setattr(acceptance, "eigenprojectors", planted)
     ok, detail = acceptance.criterion_02(None)
@@ -89,12 +86,23 @@ def with_nan_entry(func):
     return planted
 
 
+def with_nan_in(column):
+    def plant(func):
+        def planted(rhos, times):
+            columns = func(rhos, times)
+            columns[column] = np.where(np.arange(len(times)) == 1, np.nan, columns[column])
+            return columns
+        return planted
+    return plant
+
+
 @pytest.mark.parametrize("number, name, plant", [
     (4, "apply_channel", with_nan_entry),
     (5, "evolve_noisy_stack", with_nan_entry),
-    (6, "geometric_discord",
-     lambda func: lambda rho, side: math.nan if side == 2 else func(rho, side)),
-    (10, "negativity", lambda func: lambda rho: math.nan),
+    pytest.param(6, "sample_correlations_stack", with_nan_in("discord_2"),
+                 id="6-sample_correlations_stack-discord_2"),
+    pytest.param(10, "sample_correlations_stack", with_nan_in("negativity"),
+                 id="10-sample_correlations_stack-negativity"),
 ])
 def test_a_nan_deviation_fails_its_criterion(cache, monkeypatch, number, name, plant):
     # Python's max(0.0, nan) is 0.0: a fold that drops the NaN would pass
@@ -134,14 +142,10 @@ def test_criterion_05_zero_rate_limit(cache):
 
 
 def test_criterion_05_catches_a_wrong_rotation(monkeypatch):
-    # the reference must not share the engine's rotation: running it
-    # backwards in time has to fail the check
-    forward = noise.evolve_noiseless_stack
-
-    def backward(rho0, params, times):
-        return forward(rho0, params, -np.asarray(times, dtype=float))
-
-    monkeypatch.setattr(noise, "evolve_noiseless_stack", backward)
+    # the reference must not share the engine's rotation: an engine that
+    # rotates backwards in time, exp(+i H t), has to fail the check
+    build = dirac.build_dirac_hamiltonian
+    monkeypatch.setattr(noise, "build_dirac_hamiltonian", lambda params: -build(params))
     ok, detail = acceptance.criterion_05(acceptance.AcceptanceCache())
     assert not ok, detail
 

@@ -3,16 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bispinor.linalg import (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z,
-                             evolution_operator, partial_transpose,
+from bispinor.linalg import (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, partial_transpose,
                              tensor_product, top_eigenvalue_3x3)
 
 RNG = np.random.default_rng(20260814)
-
-
-def random_hermitian(n):
-    G = RNG.normal(size=(n, n)) + 1j * RNG.normal(size=(n, n))
-    return G + G.conj().T
 
 
 def random_density(n=4):
@@ -137,67 +131,3 @@ def test_top_eigenvalue_rejects_bad_shapes():
         with pytest.raises(ValueError):
             top_eigenvalue_3x3(bad)
 
-
-def test_evolution_operator_properties():
-    H = random_hermitian(4)
-    np.testing.assert_allclose(evolution_operator(H, 0.0), np.eye(4),
-                               rtol=0, atol=1e-12)
-    U = evolution_operator(H, 0.73)
-    np.testing.assert_allclose(U @ U.conj().T, np.eye(4), rtol=0, atol=1e-12)
-    np.testing.assert_allclose(U @ evolution_operator(H, -0.73), np.eye(4),
-                               rtol=0, atol=1e-12)
-
-
-def test_evolution_operator_matches_reference_exponential():
-    # reference from the general eigensolver, V diag(exp(-i lambda t)) V^-1,
-    # which shares no code path with the Hermitian one under test
-    t = 1.37
-    for n in (2, 3, 4):
-        for _ in range(20):
-            H = random_hermitian(n)
-            lam, V = np.linalg.eig(H)
-            want = (V * np.exp(-1j * lam * t)) @ np.linalg.inv(V)
-            np.testing.assert_allclose(evolution_operator(H, t), want,
-                                       rtol=0, atol=1e-10)
-
-
-def test_evolution_operator_generator():
-    # d/dt at 0: (U(dt) - I)/dt -> -iH
-    H = random_hermitian(4)
-    dt = 1e-6
-    approx = (evolution_operator(H, dt) - np.eye(4)) / dt
-    np.testing.assert_allclose(approx, -1j * H, rtol=0, atol=1e-5 * np.max(np.abs(H)) * 10)
-
-
-def test_evolution_operator_takes_a_time_stack():
-    H = random_hermitian(4)
-    ts = np.array([0.0, 0.4, -1.1, 13.0])
-    stack = evolution_operator(H, ts)
-    assert stack.shape == (4, 4, 4)
-    for U, t in zip(stack, ts):
-        np.testing.assert_allclose(U, evolution_operator(H, t), rtol=0, atol=1e-14)
-    assert evolution_operator(H, []).shape == (0, 4, 4)
-
-
-def test_evolution_operator_input_validation():
-    with pytest.raises(ValueError, match="Hermitian"):
-        evolution_operator(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
-    with pytest.raises(ValueError, match="dimension"):
-        evolution_operator(np.eye(5), 1.0)
-    with pytest.raises(ValueError, match="square"):
-        evolution_operator(np.ones((2, 3)), 1.0)
-    # LAPACK cannot converge on non-finite entries; they are refused up front
-    for bad in (np.nan, np.inf):
-        H = np.eye(4, dtype=complex)
-        H[1, 1] = bad
-        with pytest.raises(ValueError, match="finite"):
-            evolution_operator(H, 1.0)
-
-
-def test_evolution_operator_rejects_nonfinite_time():
-    with pytest.raises(ValueError):
-        evolution_operator(np.eye(4), float("nan"))
-    with pytest.raises(ValueError, match="finite"):
-        evolution_operator(np.eye(4), [0.0, float("inf")])
-    with pytest.raises(ValueError, match="1-D"):
-        evolution_operator(np.eye(4), np.zeros((2, 2)))

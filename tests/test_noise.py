@@ -5,16 +5,23 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bispinor.dirac import DiracParams
+from bispinor import noise as noise_module
+from bispinor.dirac import DiracParams, build_dirac_hamiltonian
 from bispinor.errors import InvariantViolation
-from bispinor.linalg import evolution_operator
 from bispinor.noise import (NoiseParams, apply_channel, build_kraus_set,
-                            dephasing_mask, evolve_noiseless_stack, evolve_noisy_stack,
-                            validate_density_matrix)
+                            dephasing_mask, evolve_noisy_stack, validate_density_matrix)
 
 RNG = np.random.default_rng(3)
 
 PARAMS = DiracParams(m=1.0, p=1.0, kappa=1.0, mu=1.0, E_field=1.0)
+QUIET = NoiseParams(0.0)
+
+
+def reference_unitary(H, t):
+    """exp(-i H t) from the general eigensolver, V diag(exp(-i lambda t)) V^-1,
+    which shares no code path with the engine's Hermitian one."""
+    lam, V = np.linalg.eig(H)
+    return (V * np.exp(-1j * lam * t)) @ np.linalg.inv(V)
 
 
 def random_density():
@@ -197,14 +204,12 @@ def test_validate_density_matrix_diagnostics():
 
 
 def test_noiseless_evolution_matches_unitary_conjugation():
-    from bispinor.dirac import build_dirac_hamiltonian
-
     H = build_dirac_hamiltonian(PARAMS)
     for t in (0.0, 0.3, 2.0, 17.0):
-        U = evolution_operator(H, t)
+        U = reference_unitary(H, t)
         for rho in (bell_state(), random_density()):
             want = U @ rho @ U.conj().T
-            got = evolve_noiseless_stack(rho, PARAMS, [t])[0]
+            got = evolve_noisy_stack(rho, PARAMS, QUIET, [t])[0]
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
 
@@ -212,24 +217,27 @@ def test_noiseless_evolution_degenerate_fallback():
     # E = 0: degenerate spectrum, no analytic projectors; still unitary
     free = DiracParams(m=1.0, p=1.0, kappa=1.0, mu=1.0, E_field=0.0)
     rho = bell_state()
-    out = evolve_noiseless_stack(rho, free, [1.3])[0]
+    out = evolve_noisy_stack(rho, free, QUIET, [1.3])[0]
     assert abs(np.trace(out).real - 1.0) < 1e-12
     assert float(np.trace(out @ out).real) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_noiseless_preserves_purity():
     rho = bell_state()
-    out = evolve_noiseless_stack(rho, PARAMS, [5.0])[0]
+    out = evolve_noisy_stack(rho, PARAMS, QUIET, [5.0])[0]
     assert float(np.trace(out @ out).real) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_noisy_reduces_to_noiseless_at_zero_rate():
-    quiet = NoiseParams(0.0)
+    # only a positive rate moves the state off the unitary orbit
+    H = build_dirac_hamiltonian(PARAMS)
     for t in (0.5, 3.0):
         rho = random_density()
-        np.testing.assert_allclose(evolve_noisy_stack(rho, PARAMS, quiet, [t])[0],
-                                   evolve_noiseless_stack(rho, PARAMS, [t])[0],
-                                   rtol=0, atol=1e-12)
+        U = reference_unitary(H, t)
+        np.testing.assert_allclose(evolve_noisy_stack(rho, PARAMS, QUIET, [t])[0],
+                                   U @ rho @ U.conj().T, rtol=0, atol=1e-12)
+        noisy = evolve_noisy_stack(rho, PARAMS, NoiseParams(0.5), [t])[0]
+        assert np.max(np.abs(noisy - U @ rho @ U.conj().T)) > 1e-3
 
 
 def test_noisy_at_time_zero_is_identity():
@@ -238,15 +246,24 @@ def test_noisy_at_time_zero_is_identity():
                                rho, rtol=0, atol=1e-14)
 
 
+def test_noisy_generator_at_time_zero():
+    # d rho/dt at 0 = -i [H, rho0] + (d gamma^n / dt) o rho0, with
+    # d gamma^n / dt = -n Gamma / 2 at t = 0 for the n-th coherence order
+    rate, dt = 0.8, 1e-6
+    rho = random_density()
+    H = build_dirac_hamiltonian(PARAMS)
+    flips = np.array([[0, 1, 1, 2], [1, 0, 2, 1], [1, 2, 0, 1], [2, 1, 1, 0]])
+    want = -1j * (H @ rho - rho @ H) - 0.5 * rate * flips * rho
+    step = evolve_noisy_stack(rho, PARAMS, NoiseParams(rate), [dt])[0]
+    np.testing.assert_allclose((step - rho) / dt, want, rtol=0, atol=1e-5)
+
+
 def test_noisy_composition_order():
     """Channel first, rotation second; the reversed order differs."""
-    from bispinor.dirac import build_dirac_hamiltonian
-
     noise = NoiseParams(0.5)
     t = 1.7
     rho0 = bell_state()
-    H = build_dirac_hamiltonian(PARAMS)
-    U = evolution_operator(H, t)
+    U = reference_unitary(build_dirac_hamiltonian(PARAMS), t)
     ks = build_kraus_set(noise, t)
     want = U @ apply_channel(rho0, ks) @ U.conj().T
     got = evolve_noisy_stack(rho0, PARAMS, noise, [t])[0]
@@ -258,6 +275,31 @@ def test_noisy_composition_order():
 def test_noisy_rejects_negative_time():
     with pytest.raises(ValueError):
         evolve_noisy_stack(bell_state(), PARAMS, NoiseParams(0.5), [-1.0])
+
+
+def test_noisy_rejects_bad_times_and_states():
+    rho = bell_state()
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="time must be finite"):
+            evolve_noisy_stack(rho, PARAMS, NoiseParams(0.5), [0.5, bad])
+    for times in (0.5, [[0.5, 1.0]]):
+        with pytest.raises(ValueError, match="1-D"):
+            evolve_noisy_stack(rho, PARAMS, NoiseParams(0.5), times)
+    with pytest.raises(ValueError, match="4x4"):
+        evolve_noisy_stack(np.array([rho, rho]), PARAMS, NoiseParams(0.5), [0.5, 1.0])
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda H: H + np.triu(np.ones((4, 4)), 1), "Hermitian"),
+    (lambda H: np.where(np.eye(4) > 0, np.nan, H), "finite"),
+    (lambda H: np.where(np.eye(4) > 0, np.inf, H), "finite"),
+])
+def test_noisy_refuses_a_bad_generator(monkeypatch, corrupt, message):
+    # LAPACK cannot converge on non-finite entries; they are refused up front
+    monkeypatch.setattr(noise_module, "build_dirac_hamiltonian",
+                        lambda params: corrupt(build_dirac_hamiltonian(params)))
+    with pytest.raises(ValueError, match=f"evolution generator .*{message}"):
+        evolve_noisy_stack(bell_state(), PARAMS, NoiseParams(0.5), [1.0])
 
 
 def test_noisy_long_time_coherence_floor():
