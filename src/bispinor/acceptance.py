@@ -9,7 +9,8 @@ acceptance test module both run exactly these functions, so the shipped
 package can always re-verify itself.
 
 Criteria 1-6 and 10 evaluate their inputs as stacks: the 48 grid
-Hamiltonians, spectra and projectors as (48, ...) arrays, the channel
+Hamiltonians, spectra, projectors and ion assemblies come from the
+stacked builders of dirac and ionmap as (48, ...) arrays, the channel
 check on all catalog states at once, the zero-rate check on all times at
 once and the measure anchors as one stack of states each. Each
 element gets the arithmetic a per-item loop would give it, so the worst
@@ -37,9 +38,9 @@ from pathlib import Path
 import numpy as np
 
 from .correlations import sample_correlations_stack
-from .dirac import (DiracParams, build_dirac_hamiltonian, eigenprojectors,
+from .dirac import (DiracParams, _operator_stacks, _spectral_stacks, eigenprojectors,
                     eigenvalue_closed_form)
-from .ionmap import assemble_ion_hamiltonian, dirac_to_ion
+from .ionmap import _assemble_stack, dirac_to_ion
 from .noise import (NoiseParams, apply_channel, build_kraus_set, dephasing_mask,
                     evolve_noisy_stack)
 from .scenario import (STATE_NAMES, ScenarioConfig, death_runs, initial_state,
@@ -92,8 +93,7 @@ def criterion_01(cache) -> tuple:
     grid = _grid()
     closed = np.array([sorted(eigenvalue_closed_form(params, n, s)
                               for n in (0, 1) for s in (0, 1)) for params in grid])
-    numeric = np.linalg.eigvalsh(np.array([build_dirac_hamiltonian(params)
-                                           for params in grid]))
+    numeric = np.linalg.eigvalsh(_operator_stacks(grid)[0])
     worst = float(np.max(np.abs(closed - numeric) / np.abs(closed)))
     anchors_ok = True
     got0 = sorted(eigenvalue_closed_form(DiracParams(0.0, 1.0, 1.0, 1.0, 1.0), n, s)
@@ -111,12 +111,8 @@ def criterion_01(cache) -> tuple:
 
 def criterion_02(cache) -> tuple:
     """Projector completeness, orthogonality, idempotence, trace, eigenrelation."""
-    grid = _grid()
-    spectra = [eigenprojectors(params) for params in grid]
-    # (48, 4, 4, 4): grid point, projector (SpectralData key order), matrix
-    P = np.array([list(sd.projectors.values()) for sd in spectra])
-    lam = np.array([list(sd.lambdas.values()) for sd in spectra])
-    H = np.array([build_dirac_hamiltonian(params) for params in grid])
+    # P is (48, 4, 4, 4): grid point, projector (SPECTRAL_KEYS order), matrix
+    H, _, _, lam, P = _spectral_stacks(_grid())
     total = P[:, 0] + P[:, 1] + P[:, 2] + P[:, 3]
     # P_i P_j - delta_ij P_i
     products = P[:, :, None] @ P[:, None, :]
@@ -131,9 +127,9 @@ def criterion_02(cache) -> tuple:
 def criterion_03(cache) -> tuple:
     """Ion assembly equals the direct builder entrywise to 1e-12."""
     grid = _grid()
-    direct = np.array([build_dirac_hamiltonian(params) for params in grid])
-    mapped = np.array([assemble_ion_hamiltonian(dirac_to_ion(params), params.p)
-                       for params in grid])
+    direct = _operator_stacks(grid)[0]
+    mapped = _assemble_stack([dirac_to_ion(params) for params in grid],
+                             [params.p for params in grid])
     worst = float(np.max(np.abs(direct - mapped)))
     return worst <= 1e-12, f"worst entrywise deviation {worst:.3g}"
 

@@ -8,11 +8,11 @@ negative zeros.
 Every measure is evaluated on a (B, 4, 4) stack of states at once, with
 two LAPACK eigenvalue solves per state: one batched call on the states
 and their partial transposes together. The Fano data are one product of
-the flattened states with the 15 Pauli products, each discord side's
-top eigenvalue has a closed form (linalg.top_eigenvalue_3x3) and the
-purity is the sum of |rho_ij|^2. A trajectory stack is measured into the
-seven float64 columns named by COLUMNS; the single-state functions
-evaluate a one-state stack.
+the flattened states with the 15 Pauli products, the top eigenvalues of
+both discord sides come from one closed-form call on a (2B, 3, 3) stack
+(linalg.top_eigenvalue_3x3) and the purity is the sum of |rho_ij|^2. A
+trajectory stack is measured into the seven float64 columns named by
+COLUMNS; the single-state functions evaluate a one-state stack.
 """
 
 from __future__ import annotations
@@ -95,15 +95,23 @@ def _negativity_stack(pt_eigs: np.ndarray) -> np.ndarray:
 
 
 def _discord_stacks(fano: tuple) -> tuple:
-    """Discord of each measured side, (D1, D2), sharing T^T and ||T||_F^2."""
+    """Discord of each measured side, (D1, D2), from one closed-form call.
+
+    Both sides' K = a a^T + Gram share one (2B, 3, 3) stack, side 1 first,
+    and T^T and ||T||_F^2 are formed once; every step is per row, so each
+    value has the bits of a one-side evaluation.
+    """
     a1, a2, T = fano
+    n = len(T)
     Tt = np.swapaxes(T, 1, 2)
     t_sq = np.sum(T * T, axis=(1, 2))
-    return tuple(
-        _clamp(0.25 * (np.sum(a * a, axis=1) + t_sq
-                       - top_eigenvalue_3x3(a[:, :, None] * a[:, None, :] + gram)))
-        for a, gram in ((a1, T @ Tt), (a2, Tt @ T))
-    )
+    a = np.concatenate((a1, a2))
+    K = a[:, :, None] * a[:, None, :]
+    K[:n] += T @ Tt
+    K[n:] += Tt @ T
+    d = _clamp(0.25 * (np.sum(a * a, axis=1) + np.concatenate((t_sq, t_sq))
+                       - top_eigenvalue_3x3(K)))
+    return d[:n], d[n:]
 
 
 def _purity_stack(stack: np.ndarray) -> np.ndarray:
@@ -150,7 +158,8 @@ def sample_correlations_stack(rhos, times) -> dict:
     order and in stack order; the t column is the length-B array times.
     One batched LAPACK call gives the spectra of the states (for
     min_eigenvalue) and of their partial transposes (for negativity);
-    each discord's k_max is the closed-form top eigenvalue of its 3x3 K.
+    the k_max of both discord sides come from one closed-form call on
+    their 3x3 K matrices.
     """
     stack = _state_stack(rhos, stacked=True)
     times = np.asarray(times, dtype=float)

@@ -11,8 +11,11 @@ is an energy in units of p.
 The commuting invariant operator built here squares to a scalar g2, which
 yields a closed-form spectrum and four rank-1 analytic eigenprojectors;
 eigenprojectors returns g2 with them.
-Both operators are combinations of Pauli products built once at import;
-the four projectors come from one stacked (4, 4, 4) matrix product.
+Both operators are combinations of Pauli products built once at import.
+One builder makes them for a whole sequence of DiracParams as (N, 4, 4)
+stacks, and a second adds g2, the spectrum and the (N, 4, 4, 4)
+projectors; the acceptance grid is built that way, and the public
+one-point builders are one row of it, with the same bits.
 """
 
 from __future__ import annotations
@@ -28,6 +31,9 @@ from .values import ValueType
 #: below this, g2 or |lambda| counts as degenerate and the analytic
 #: projector construction is refused
 DEGENERACY_TOL = 1e-12
+
+#: the (n, s) order of the spectrum and projectors: s outer, n inner
+SPECTRAL_KEYS = ((0, 0), (1, 0), (0, 1), (1, 1))
 
 
 class DiracParams(ValueType):
@@ -80,20 +86,40 @@ _ZZ = tensor_product(SIGMA_Z, SIGMA_Z)
 _YZ = tensor_product(SIGMA_Y, SIGMA_Z)
 
 
+def _operator_stacks(grid) -> tuple:
+    """H and O of every point of a sequence of DiracParams, as (N, 4, 4) stacks.
+
+    The package's one builder of both operators. Row i gets the
+    arithmetic a one-point build of grid[i] would get, in the same order:
+    cos and sin are math.cos and math.sin per point (np.cos can differ
+    in the last bit), and every other step is elementwise.
+    """
+    fields = np.array([(q.m, q.p, q.kappa, q.mu, q.E_field, math.cos(q.theta),
+                        math.sin(q.theta)) for q in grid], dtype=float).reshape(-1, 7)
+    m, p, kappa, mu, E, cos, sin = (column[:, None, None] for column in fields.T)
+    ex = E * cos
+    ey = E * sin
+    H = m * BETA + p * ALPHA_X
+    # beta*Sigma_i = sz (x) s_i ; i*beta*alpha_i = -sy (x) s_i
+    H = H + kappa * (ex * _ZX + ey * _ZY)
+    H = H - mu * (ex * _YX + ey * _YY)
+    cross_z = p * E * sin
+    O = m * kappa * (ex * _IX + ey * _IY)
+    O = O + mu * cross_z * _ZZ
+    # -i*beta*alpha_z = sy (x) sz
+    O = O + kappa * cross_z * _YZ
+    return H, O
+
+
 def build_dirac_hamiltonian(params: DiracParams) -> np.ndarray:
     """Assemble the 4x4 generator for the given configuration.
 
     H = m*beta + p*alpha_x + kappa*(beta Sigma . E_vec)
         + i*mu*(beta alpha . E_vec)
     with E_vec = E*(cos theta, sin theta, 0) and momentum (p, 0, 0).
+    One row of the stacked builder.
     """
-    ex = params.E_field * math.cos(params.theta)
-    ey = params.E_field * math.sin(params.theta)
-    H = params.m * BETA + params.p * ALPHA_X
-    # beta*Sigma_i = sz (x) s_i ; i*beta*alpha_i = -sy (x) s_i
-    H = H + params.kappa * (ex * _ZX + ey * _ZY)
-    H = H - params.mu * (ex * _YX + ey * _YY)
-    return H
+    return _operator_stacks([params])[0][0]
 
 
 def build_invariant_operator(params: DiracParams) -> np.ndarray:
@@ -101,26 +127,9 @@ def build_invariant_operator(params: DiracParams) -> np.ndarray:
 
     O = m*kappa*(Sigma . E_vec) + mu*(beta Sigma . (p x E))
         - i*kappa*(beta alpha . (p x E)), where p x E = p*E*sin(theta) zhat.
+    One row of the stacked builder.
     """
-    ex = params.E_field * math.cos(params.theta)
-    ey = params.E_field * math.sin(params.theta)
-    cross_z = params.p * params.E_field * math.sin(params.theta)
-    O = params.m * params.kappa * (ex * _IX + ey * _IY)
-    O = O + params.mu * cross_z * _ZZ
-    # -i*beta*alpha_z = sy (x) sz
-    O = O + params.kappa * cross_z * _YZ
-    return O
-
-
-def _g2_of(H: np.ndarray) -> float:
-    """Scalar square of the invariant operator, from the trace formula.
-
-    Evaluates (1/16) Tr[(H^2 - Tr[H^2]/4 * I)^2] on a built Hamiltonian.
-    At theta = pi/4 this equals E^2 [m^2 kappa^2 + (mu^2 + kappa^2) p^2 / 2].
-    """
-    H2 = H @ H
-    traceless = H2 - (np.trace(H2).real / 4.0) * np.eye(4)
-    return float(np.trace(traceless @ traceless).real / 16.0)
+    return _operator_stacks([params])[1][0]
 
 
 def eigenvalue_closed_form(params: DiracParams, n: int, s: int) -> float:
@@ -145,6 +154,51 @@ def eigenvalue_closed_form(params: DiracParams, n: int, s: int) -> float:
     return (-1.0) ** n * math.sqrt(radicand)
 
 
+def _spectral_stacks(grid) -> tuple:
+    """Operators, closed-form spectrum and projectors of every point of grid.
+
+    Returns (H, O, g2, lambdas, projectors): the (N, 4, 4) operator
+    stacks of _operator_stacks, g2 of shape (N,), and the four lambda_(n,s)
+    of each point, (N, 4), with their projectors, (N, 4, 4, 4), both in
+    SPECTRAL_KEYS order. Every step is per point or elementwise, so row i
+    has the bits of a one-point call. Raises DegenerateSpectrumError for
+    the first point a one-point call refuses, with that call's message.
+    """
+    H, O = _operator_stacks(grid)
+    H2 = H @ H
+    q = np.trace(H2, axis1=-2, axis2=-1).real / 4.0
+    # g2 = (1/16) Tr[(H^2 - Tr[H^2]/4 * I)^2], the trace formula on the built H
+    traceless = H2 - q[:, None, None] * np.eye(4)
+    g2 = np.trace(traceless @ traceless, axis1=-2, axis2=-1).real / 16.0
+    # stated as the refusal of the one-point check, so a NaN g2 is not refused
+    g2_ok = ~(g2 <= DEGENERACY_TOL)
+    sqrt_g2 = np.sqrt(np.where(g2_ok, g2, 0.0))
+    # lambda_(0,s)^2 = Tr[H^2]/4 + 2 (-1)^s sqrt(g2), for s = 0, 1
+    radicand = q[:, None] + np.array([2.0, -2.0]) * sqrt_g2[:, None]
+    lam = np.sqrt(np.maximum(radicand, 0.0))
+    degenerate = ~g2_ok | np.any((radicand <= DEGENERACY_TOL ** 2)
+                                 | (lam <= DEGENERACY_TOL), axis=1)
+    if np.any(degenerate):
+        first = int(np.argmax(degenerate))
+        if not g2_ok[first]:
+            raise DegenerateSpectrumError(
+                f"g2 = {g2[first]:g} is degenerate; use numeric diagonalization"
+            )
+        raise DegenerateSpectrumError(
+            "an eigenvalue magnitude is ~0; use numeric diagonalization"
+        )
+    # SPECTRAL_KEYS order: lambda_(n,s) = (-1)^n lam_s and |lambda_(n,s)| = lam_s
+    signs = np.array([1.0, -1.0, 1.0, -1.0])
+    lam_s = lam[:, [0, 0, 1, 1]]
+    lambdas = lam_s * signs
+    h_coef = signs / lam_s
+    o_coef = np.array([1.0, 1.0, -1.0, -1.0]) / sqrt_g2[:, None]
+    eye = np.eye(4, dtype=complex)
+    left = eye + h_coef[..., None, None] * H[:, None]
+    right = eye + o_coef[..., None, None] * O[:, None]
+    return H, O, g2, lambdas, 0.25 * (left @ right)
+
+
 def eigenprojectors(params: DiracParams) -> SpectralData:
     """Build the four analytic rank-1 eigenprojectors.
 
@@ -154,38 +208,15 @@ def eigenprojectors(params: DiracParams) -> SpectralData:
     Works at any theta: the eigenvalues follow from
     lambda^2 = Tr[H^2]/4 + 2 (-1)^s sqrt(g2) since O^2 = g2 * I.
 
-    g2 comes from the same H, by the trace formula of _g2_of. The four
-    products are formed as one (4, 4, 4) stack in the key order of
-    lambdas; the dict values are views of it.
+    g2 comes from the same H, by the trace formula
+    (1/16) Tr[(H^2 - Tr[H^2]/4 * I)^2]. One row of the stacked builder:
+    the dict values are views of its (4, 4, 4) projector row, keyed in
+    SPECTRAL_KEYS order.
 
     Raises DegenerateSpectrumError when g2 or any |lambda| falls below
     1e-12. The projectors are the closed-form check on the numeric
     evolution (noise.evolve_noisy_stack), which needs none.
     """
-    H = build_dirac_hamiltonian(params)
-    O = build_invariant_operator(params)
-    g2 = _g2_of(H)
-    if g2 <= DEGENERACY_TOL:
-        raise DegenerateSpectrumError(
-            f"g2 = {g2:g} is degenerate; use numeric diagonalization"
-        )
-    q = float(np.trace(H @ H).real / 4.0)
-    sqrt_g2 = math.sqrt(g2)
-    lambdas = {}
-    for s in (0, 1):
-        radicand = q + 2.0 * (-1.0) ** s * sqrt_g2
-        if radicand <= DEGENERACY_TOL ** 2 or math.sqrt(radicand) <= DEGENERACY_TOL:
-            raise DegenerateSpectrumError(
-                "an eigenvalue magnitude is ~0; use numeric diagonalization"
-            )
-        lam = math.sqrt(radicand)
-        lambdas[(0, s)] = lam
-        lambdas[(1, s)] = -lam
-    eye = np.eye(4, dtype=complex)
-    keys = list(lambdas)
-    h_coef = np.array([(-1.0) ** n / abs(lambdas[n, s]) for n, s in keys])
-    o_coef = np.array([(-1.0) ** s / sqrt_g2 for _, s in keys])
-    left = eye + h_coef[:, None, None] * H
-    right = eye + o_coef[:, None, None] * O
-    projectors = dict(zip(keys, 0.25 * (left @ right)))
-    return SpectralData(g2=g2, lambdas=lambdas, projectors=projectors)
+    _, _, g2, lambdas, projectors = _spectral_stacks([params])
+    return SpectralData(g2=float(g2[0]), lambdas=dict(zip(SPECTRAL_KEYS, lambdas[0].tolist())),
+                        projectors=dict(zip(SPECTRAL_KEYS, projectors[0])))

@@ -4,8 +4,11 @@ A single ion with four internal levels (a, b, c, d) driven by carrier,
 red-sideband and blue-sideband lasers realizes the same 4x4 generator as
 the direct builder in `dirac`. This module maps Dirac parameters to
 laser parameters and assembles the ionic Hamiltonian from Pauli operators
-acting on level pairs. The two constructions must agree entrywise, which
-is what pins down every sign convention below.
+acting on level pairs, whose sums are built once at import; the assembly
+takes a whole sequence of points as one (N, 4, 4) stack, and
+assemble_ion_hamiltonian is its one-point row. The two constructions
+must agree entrywise, which is what pins down every sign convention
+below.
 """
 
 from __future__ import annotations
@@ -74,6 +77,39 @@ def dirac_to_ion(params: DiracParams) -> IonParams:
     )
 
 
+#: the level-pair sums the assembly combines, in coupling order: mass and
+#: kinetic on (a,d) and (b,c), the tensor channel's x, y, z on (a,b)
+#: against (c,d), and the pseudotensor channel's x, y, z. Their entries are
+#: exactly 0, +-1 or +-i, so sums built once give the same bits.
+_PAIR_SUMS = np.array([
+    pair_sigma("z", "a", "d") + pair_sigma("z", "b", "c"),
+    pair_sigma("x", "a", "d") + pair_sigma("x", "b", "c"),
+    pair_sigma("x", "a", "b") - pair_sigma("x", "c", "d"),
+    pair_sigma("y", "a", "b") - pair_sigma("y", "c", "d"),
+    pair_sigma("z", "a", "b") - pair_sigma("z", "c", "d"),
+    -pair_sigma("y", "a", "d") - pair_sigma("y", "b", "c"),
+    pair_sigma("x", "a", "d") - pair_sigma("x", "b", "c"),
+    pair_sigma("y", "b", "d") - pair_sigma("y", "a", "c"),
+])
+
+
+def _assemble_stack(ions, momenta) -> np.ndarray:
+    """Ionic Hamiltonians of paired sequences of IonParams and momenta, (N, 4, 4).
+
+    The package's one ion assembly: H = sum_k c_k S_k over _PAIR_SUMS
+    with c = 2 (delta, eta_delta_omega p, omega1, omega2), summed in that
+    order. Row i has the bits of a one-point assembly.
+    """
+    coef = np.array([(2.0 * ion.delta, 2.0 * ion.eta_delta_omega * p,
+                      *(2.0 * w for w in ion.omega1), *(2.0 * w for w in ion.omega2))
+                     for ion, p in zip(ions, momenta, strict=True)], dtype=float).reshape(-1, 8)
+    terms = coef.T[:, :, None, None] * _PAIR_SUMS[:, None]
+    H = terms[0]
+    for term in terms[1:]:
+        H = H + term
+    return H
+
+
 def assemble_ion_hamiltonian(ion: IonParams, p: float) -> np.ndarray:
     """Four-level ionic Hamiltonian from Pauli operators on level pairs.
 
@@ -81,19 +117,7 @@ def assemble_ion_hamiltonian(ion: IonParams, p: float) -> np.ndarray:
     channel couples (a,b) against (c,d); the pseudotensor channel acts
     back on (a,d), (b,c). The y pseudotensor term carries the pair order
     (a,d) minus (b,c): the opposite order fails the entrywise equality
-    with the direct builder (see the sign tests).
+    with the direct builder (see the sign tests). One row of the stacked
+    assembly.
     """
-    sx, sy, sz = (lambda j, k: pair_sigma("x", j, k)), \
-                 (lambda j, k: pair_sigma("y", j, k)), \
-                 (lambda j, k: pair_sigma("z", j, k))
-    w1x, w1y, w1z = ion.omega1
-    w2x, w2y, w2z = ion.omega2
-    H = 2.0 * ion.delta * (sz("a", "d") + sz("b", "c"))
-    H = H + 2.0 * ion.eta_delta_omega * p * (sx("a", "d") + sx("b", "c"))
-    H = H + 2.0 * w1x * (sx("a", "b") - sx("c", "d"))
-    H = H + 2.0 * w1y * (sy("a", "b") - sy("c", "d"))
-    H = H + 2.0 * w1z * (sz("a", "b") - sz("c", "d"))
-    H = H + 2.0 * w2x * (-sy("a", "d") - sy("b", "c"))
-    H = H + 2.0 * w2y * (sx("a", "d") - sx("b", "c"))
-    H = H + 2.0 * w2z * (sy("b", "d") - sy("a", "c"))
-    return H
+    return _assemble_stack([ion], [p])[0]

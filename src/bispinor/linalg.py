@@ -4,10 +4,13 @@ Kronecker products on qubit factors, partial transposition, the
 closed-form top eigenvalue of real symmetric 3x3 matrices and the
 package's one Hermiticity check. Eigenvectors are taken in one place
 only, the ``eigh`` of the Hamiltonian in noise.evolve_noisy_stack.
-Matrices are plain complex numpy arrays; partial transposition also
-takes (B, 4, 4) stacks, one matrix per trajectory sample, and the top
-eigenvalue takes (B, 3, 3) stacks. All operations are pure functions
-and never mutate their inputs.
+Matrices are plain complex numpy arrays; partial transposition and the
+Hermiticity check also take (B, 4, 4) stacks, one matrix per trajectory
+sample, and the top eigenvalue takes (B, 3, 3) stacks (both discord
+sides of a block in one call). The Hermiticity residual is read on the
+ten entries on and above the diagonal, and the top eigenvalue needs no
+floating-point error guard: a matrix with p = 0 is divided by 1. All
+operations are pure functions and never mutate their inputs.
 """
 
 from __future__ import annotations
@@ -33,19 +36,29 @@ def _as_square(M, dims: tuple, stacked: bool = False) -> np.ndarray:
     return A
 
 
+#: the ten entries (i, j) with i <= j of a 4x4 matrix, as index arrays
+_UPPER_4 = np.triu_indices(4)
+
+
 def _require_hermitian(A, what: str) -> None:
-    """The package's one Hermiticity check, on a matrix or every matrix of a stack.
+    """The package's one Hermiticity check, on a 4x4 matrix or every matrix of a stack.
 
     Entries must be finite and |A - A^dag| at most 1e-12 * max(1, max|A_ij|)
     entrywise, so a unit-trace state (entries of magnitude <= 1) is held to
     an absolute 1e-12. Raises ValueError naming `what`.
+
+    The residual is read on and above the diagonal only:
+    |A_ij - conj(A_ji)| is the same number at (j, i).
     """
+    if A.shape[-2:] != (4, 4):
+        raise ValueError(f"{what}: expected 4x4 matrices, got shape {A.shape}")
     # LAPACK cannot converge on non-finite entries, and NaN passes the
     # residual test below, so they are refused first
     if not np.all(np.isfinite(A)):
         raise ValueError(f"{what} entries must be finite")
     scale = np.maximum(1.0, np.max(np.abs(A), axis=(-2, -1)))
-    residual = np.max(np.abs(A - np.swapaxes(A.conj(), -1, -2)), axis=(-2, -1))
+    rows, cols = _UPPER_4
+    residual = np.max(np.abs(A[..., rows, cols] - A[..., cols, rows].conj()), axis=-1)
     if np.any(residual > 1e-12 * scale):
         raise ValueError(f"{what} must be Hermitian")
 
@@ -126,12 +139,14 @@ def top_eigenvalue_3x3(K) -> np.ndarray:
     k10, k20, k21 = K[:, 1, 0], K[:, 2, 0], K[:, 2, 1]
     p = np.sqrt((d0 * d0 + d1 * d1 + d2 * d2
                  + 2.0 * (k10 * k10 + k20 * k20 + k21 * k21)) / 6.0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        # the entries of (K - qI) / p; nan where p = 0, where any phi gives q
-        b0, b1, b2, b10, b20, b21 = (x / p for x in (d0, d1, d2, k10, k20, k21))
+    # the entries of (K - qI) / p. Where p = 0 they are 0, or so small that
+    # their squares underflow, and are divided by 1 instead: r is then 0 and
+    # the result q
+    scale = np.where(p == 0.0, 1.0, p)
+    b0, b1, b2, b10, b20, b21 = (x / scale for x in (d0, d1, d2, k10, k20, k21))
     r = 0.5 * (b0 * (b1 * b2 - b21 * b21) - b10 * (b10 * b2 - b21 * b20)
                + b20 * (b10 * b21 - b1 * b20))
-    phi = np.arccos(np.clip(np.nan_to_num(r), -1.0, 1.0)) / 3.0
+    phi = np.arccos(np.clip(r, -1.0, 1.0)) / 3.0
     top = q + 2.0 * p * np.cos(phi)
 
     low = np.flatnonzero(r < 0.0)

@@ -202,7 +202,15 @@ def evolve_noisy_stack(rho0, params: DiracParams, noise: NoiseParams,
     # complex up front: numpy casts the float factor of each complex product
     # to complex anyway, and more slowly, so the bits are the same
     g = gamma.astype(complex)[:, None, None]
-    Y = p[:, :, None] * p.conj()[:, None, :] * (b0 + g * b1 + (g * g) * b2)
+    # Y = Phi o (b0 + g b1 + g^2 b2), formed in place in two buffers. Complex
+    # sums commute bit for bit but complex products need not, so each
+    # product keeps its operand order
+    S = g * b1
+    S += b0
+    Y = np.multiply(g * g, b2)
+    S += Y
+    np.multiply(p[:, :, None], p.conj()[:, None, :], out=Y)
+    Y *= S
     # one (1, 16) @ (16, 16) product per row: a flat (B, 16) product rounds
     # differently with the number of rows
     return (Y.reshape(-1, 1, 16) @ T).reshape(-1, 4, 4)

@@ -18,7 +18,8 @@ import pytest
 from bispinor import acceptance, dirac, ionmap, noise
 
 #: one grid point, away from the first and last, where a fault is planted
-FAULT_POINT = acceptance._grid()[29]
+FAULT_INDEX = 29
+FAULT_POINT = acceptance._grid()[FAULT_INDEX]
 
 
 @pytest.fixture(scope="module")
@@ -50,30 +51,27 @@ def test_criterion_01_catches_one_off_eigenvalue(monkeypatch):
 
 
 def test_criterion_02_catches_one_off_projector_entry(monkeypatch):
-    def planted(params):
-        sd = dirac.eigenprojectors(params)
-        if params != FAULT_POINT:
-            return sd
-        projectors = dict(sd.projectors)
-        projectors[(0, 1)] = projectors[(0, 1)].copy()
-        projectors[(0, 1)][2, 1] += 1e-9
-        return dirac.SpectralData(g2=sd.g2, lambdas=sd.lambdas, projectors=projectors)
+    # one entry of projector (0, 1) at one grid point, off by 1e-9
+    def planted(grid):
+        assert grid[FAULT_INDEX] == FAULT_POINT
+        H, O, g2, lambdas, projectors = dirac._spectral_stacks(grid)
+        projectors[FAULT_INDEX, dirac.SPECTRAL_KEYS.index((0, 1)), 2, 1] += 1e-9
+        return H, O, g2, lambdas, projectors
 
-    monkeypatch.setattr(acceptance, "eigenprojectors", planted)
+    monkeypatch.setattr(acceptance, "_spectral_stacks", planted)
     ok, detail = acceptance.criterion_02(None)
     assert not ok, detail
 
 
 def test_criterion_03_catches_one_off_ion_entry(monkeypatch):
-    want_ion = ionmap.dirac_to_ion(FAULT_POINT)
-
-    def planted(ion, p):
-        H = ionmap.assemble_ion_hamiltonian(ion, p)
-        if ion == want_ion:
-            H[3, 0] += 1e-11
+    # one entry of the ion assembly at one grid point, off by 1e-11
+    def planted(ions, momenta):
+        assert ions[FAULT_INDEX] == ionmap.dirac_to_ion(FAULT_POINT)
+        H = ionmap._assemble_stack(ions, momenta)
+        H[FAULT_INDEX, 3, 0] += 1e-11
         return H
 
-    monkeypatch.setattr(acceptance, "assemble_ion_hamiltonian", planted)
+    monkeypatch.setattr(acceptance, "_assemble_stack", planted)
     ok, detail = acceptance.criterion_03(None)
     assert not ok, detail
 

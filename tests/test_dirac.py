@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bispinor.dirac import (ALPHA_X, BETA, DiracParams, build_dirac_hamiltonian,
+from bispinor.dirac import (ALPHA_X, BETA, SPECTRAL_KEYS, DiracParams, _operator_stacks,
+                            _spectral_stacks, build_dirac_hamiltonian,
                             build_invariant_operator, eigenprojectors,
                             eigenvalue_closed_form)
 from bispinor.errors import DegenerateSpectrumError, UnsupportedConfigurationError
@@ -258,3 +259,69 @@ def test_builders_match_the_tensor_product_formula_bitwise(params):
     assert list(sd.projectors) == list(want)
     for key, P in sd.projectors.items():
         assert same_bits(P, want[key]), key
+
+
+# ------------------------------------------- stacked builders against one point
+
+#: random points, with E = 0 and kappa = mu = 0 (degenerate spectra) among them
+stack_points = (
+    st.builds(DiracParams, m=energies, p=energies, kappa=couplings, mu=couplings,
+              E_field=energies, theta=angles)
+    | st.builds(DiracParams, m=energies, p=energies, kappa=couplings, mu=couplings,
+                E_field=st.just(0.0), theta=angles)
+    | st.builds(DiracParams, m=energies, p=energies, kappa=st.just(0.0), mu=st.just(0.0),
+                E_field=energies, theta=angles)
+)
+MIXED_GRID = [DiracParams(m=1.0, p=1.0, kappa=1.0, mu=1.0, E_field=1.0),
+              DiracParams(m=0.5, p=1.0, kappa=0.0, mu=0.0, E_field=2.0, theta=1.3),
+              DiracParams(m=2.0, p=0.7, kappa=-1.5, mu=0.4, E_field=0.8, theta=5.9),
+              DiracParams(m=1.0, p=1.0, kappa=1.0, mu=1.0, E_field=0.0)]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(stack_points, min_size=1, max_size=10))
+@example(MIXED_GRID)
+def test_stacked_builders_match_one_point_builds_bitwise(grid):
+    H, O = _operator_stacks(grid)
+    assert H.shape == O.shape == (len(grid), 4, 4)
+    spectra, refusal = [], None
+    for i, params in enumerate(grid):
+        assert same_bits(H[i], build_dirac_hamiltonian(params)), i
+        assert same_bits(O[i], build_invariant_operator(params)), i
+        try:
+            spectra.append((params, eigenprojectors(params)))
+        except DegenerateSpectrumError as exc:
+            refusal = refusal or str(exc)
+    if refusal is not None:
+        # the first refused point refuses the stack, with its one-point message
+        with pytest.raises(DegenerateSpectrumError) as info:
+            _spectral_stacks(grid)
+        assert str(info.value) == refusal
+    if not spectra:
+        return
+    # the points with a spectrum, as one stack: every row keeps its bits
+    H, O, g2, lambdas, projectors = _spectral_stacks([params for params, _ in spectra])
+    for i, (params, sd) in enumerate(spectra):
+        assert same_bits(H[i], build_dirac_hamiltonian(params))
+        assert same_bits(O[i], build_invariant_operator(params))
+        assert g2[i] == sd.g2 and type(sd.g2) is float
+        assert list(sd.lambdas) == list(sd.projectors) == list(SPECTRAL_KEYS)
+        assert lambdas[i].tolist() == list(sd.lambdas.values())
+        for k, P in enumerate(sd.projectors.values()):
+            assert same_bits(projectors[i, k], P), (i, k)
+
+
+def test_degenerate_refusals_keep_their_one_point_messages():
+    zero_field = DiracParams(m=1.0, p=1.0, kappa=1.0, mu=1.0, E_field=0.0)
+    with pytest.raises(DegenerateSpectrumError, match="^g2 = 0 is degenerate"):
+        eigenprojectors(zero_field)
+    with pytest.raises(DegenerateSpectrumError, match="^g2 = 0 is degenerate"):
+        _spectral_stacks(MIXED_GRID)
+    # at theta = 0, p = mu = 0: lambda^2 = (|m| -+ |kappa E|)^2, which is
+    # exactly 0 for m = kappa E = 1 while g2 = 1; the first refused point
+    # decides the message
+    zero_eigenvalue = DiracParams(m=1.0, p=0.0, kappa=1.0, mu=0.0, E_field=1.0, theta=0.0)
+    with pytest.raises(DegenerateSpectrumError, match="^an eigenvalue magnitude is ~0"):
+        eigenprojectors(zero_eigenvalue)
+    with pytest.raises(DegenerateSpectrumError, match="^an eigenvalue magnitude is ~0"):
+        _spectral_stacks([MIXED_GRID[0], zero_eigenvalue, zero_field])

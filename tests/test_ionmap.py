@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bispinor.dirac import DiracParams, build_dirac_hamiltonian
-from bispinor.ionmap import IonParams, assemble_ion_hamiltonian, dirac_to_ion, pair_sigma
+from bispinor.ionmap import (IonParams, _assemble_stack, assemble_ion_hamiltonian,
+                             dirac_to_ion, pair_sigma)
 
 RNG = np.random.default_rng(99)
 
@@ -115,3 +118,62 @@ def test_inverse_map_rescaled_sideband():
     H0 = assemble_ion_hamiltonian(ion, 1.0)
     H1 = build_dirac_hamiltonian(params)
     assert np.max(np.abs(H0 - H1)) < 1e-12
+
+
+# ------------------------------------------- stacked assembly against one point
+
+def formula_ion_hamiltonian(ion, p):
+    """The ion assembly term by term, every level-pair operator from pair_sigma."""
+    def sx(j, k):
+        return pair_sigma("x", j, k)
+
+    def sy(j, k):
+        return pair_sigma("y", j, k)
+
+    def sz(j, k):
+        return pair_sigma("z", j, k)
+
+    w1x, w1y, w1z = ion.omega1
+    w2x, w2y, w2z = ion.omega2
+    H = 2.0 * ion.delta * (sz("a", "d") + sz("b", "c"))
+    H = H + 2.0 * ion.eta_delta_omega * p * (sx("a", "d") + sx("b", "c"))
+    H = H + 2.0 * w1x * (sx("a", "b") - sx("c", "d"))
+    H = H + 2.0 * w1y * (sy("a", "b") - sy("c", "d"))
+    H = H + 2.0 * w1z * (sz("a", "b") - sz("c", "d"))
+    H = H + 2.0 * w2x * (-sy("a", "d") - sy("b", "c"))
+    H = H + 2.0 * w2y * (sx("a", "d") - sx("b", "c"))
+    return H + 2.0 * w2z * (sy("b", "d") - sy("a", "c"))
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+energies = st.floats(0.0, 5.0, allow_nan=False, allow_infinity=False)
+couplings = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+angles = st.floats(0.0, 2.0 * math.pi, allow_nan=False) | st.just(math.pi / 4)
+#: mapped points, with E = 0 and kappa = mu = 0 among them, and free ion settings
+mapped_points = st.builds(
+    lambda params: (dirac_to_ion(params), params.p),
+    st.builds(DiracParams, m=energies, p=energies, kappa=couplings, mu=couplings,
+              E_field=energies | st.just(0.0), theta=angles)
+    | st.builds(DiracParams, m=energies, p=energies, kappa=st.just(0.0), mu=st.just(0.0),
+                E_field=energies, theta=angles))
+free_points = st.tuples(
+    st.builds(IonParams, delta=energies, eta_delta_omega=couplings,
+              omega1=st.tuples(couplings, couplings, couplings),
+              omega2=st.tuples(couplings, couplings, couplings)),
+    energies)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(mapped_points | free_points, min_size=1, max_size=10))
+def test_stacked_assembly_matches_one_point_builds_bitwise(points):
+    ions, momenta = zip(*points)
+    stack = _assemble_stack(ions, momenta)
+    assert stack.shape == (len(points), 4, 4)
+    for i, (ion, p) in enumerate(points):
+        one = assemble_ion_hamiltonian(ion, p)
+        assert same_bits(stack[i], one), i
+        # the level-pair sums built once give the term-by-term bits
+        assert same_bits(one, formula_ion_hamiltonian(ion, p)), i

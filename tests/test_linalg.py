@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bispinor.linalg import (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, partial_transpose,
-                             tensor_product, top_eigenvalue_3x3)
+from bispinor.linalg import (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, _require_hermitian,
+                             partial_transpose, tensor_product, top_eigenvalue_3x3)
 
 RNG = np.random.default_rng(20260814)
 
@@ -76,6 +76,40 @@ def test_partial_transpose_bell_state():
 def test_partial_transpose_rejects_bad_subsystem():
     with pytest.raises(ValueError):
         partial_transpose(np.eye(4), 3)
+
+
+def test_require_hermitian_on_a_stack():
+    stack = np.array([random_density() for _ in range(5)])
+    _require_hermitian(stack, "state")
+    # a 1e-9 fault at any of the 16 positions of one matrix is caught, on
+    # or below the diagonal too, where the residual is not read
+    for i in range(4):
+        for j in range(4):
+            faults = [1e-9j] + ([1e-9] if i != j else [])
+            for fault in faults:
+                bad = stack.copy()
+                bad[2, i, j] += fault
+                with pytest.raises(ValueError, match=r"^state must be Hermitian$"):
+                    _require_hermitian(bad, "state")
+            bad = stack.copy()
+            bad[2, i, j] = np.nan
+            with pytest.raises(ValueError, match=r"^state entries must be finite$"):
+                _require_hermitian(bad, "state")
+
+
+def test_require_hermitian_scales_with_the_largest_entry():
+    # entries above 1 in magnitude: the tolerance is 1e-12 * max|A_ij| per matrix
+    stack = 300.0 * np.array([random_density() for _ in range(3)])
+    scale = np.max(np.abs(stack[1]))
+    assert scale > 1.0
+    _require_hermitian(stack, "generator")
+    near = stack.copy()
+    near[1, 0, 3] += 0.5e-12 * scale
+    _require_hermitian(near, "generator")
+    far = stack.copy()
+    far[1, 3, 0] += 2e-12 * scale
+    with pytest.raises(ValueError, match=r"^generator must be Hermitian$"):
+        _require_hermitian(far, "generator")
 
 
 # closed form against LAPACK: |error| <= TOP_TOL * max(1, max|K_ij|), fixed
