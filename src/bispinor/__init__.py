@@ -30,8 +30,8 @@ from .errors import (DegenerateSpectrumError, InvariantViolation,
                      UnsupportedConfigurationError, UsageError)
 from .ionmap import IonParams, assemble_ion_hamiltonian, dirac_to_ion
 from .linalg import partial_transpose, tensor_product, top_eigenvalue_3x3
-from .noise import (NoiseParams, apply_channel, build_kraus_set, dephasing_mask,
-                    evolve_noisy_stack, validate_density_matrix)
+from .noise import (NoiseParams, apply_channel, build_kraus_set, evolve_noisy_stack,
+                    validate_density_matrix)
 from .scenario import (FeatureReport, ScenarioConfig, detect_features, emit_outputs,
                        initial_state, load_config, parse_config_text, run_scenario,
                        run_trajectory)
@@ -55,7 +55,6 @@ __all__ = [
     "build_dirac_hamiltonian",
     "build_invariant_operator",
     "build_kraus_set",
-    "dephasing_mask",
     "detect_features",
     "dirac_to_ion",
     "eigenprojectors",

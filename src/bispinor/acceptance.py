@@ -11,8 +11,8 @@ package can always re-verify itself.
 Criteria 1-6 and 10 evaluate their inputs as stacks: the 48 grid
 Hamiltonians, spectra, projectors and ion assemblies come from the
 stacked builders of dirac and ionmap as (48, ...) arrays, the channel
-check on all catalog states at once, the zero-rate check on all times at
-once and the measure anchors as one stack of states each. Each
+and zero-rate checks evolve all their times in one engine call and the
+measure anchors are one stack of states each. Each
 element gets the arithmetic a per-item loop would give it, so the worst
 deviations they report are the same bits.
 
@@ -41,10 +41,8 @@ from .correlations import sample_correlations_stack
 from .dirac import (DiracParams, _operator_stacks, _spectral_stacks, eigenprojectors,
                     eigenvalue_closed_form)
 from .ionmap import _assemble_stack, dirac_to_ion
-from .noise import (NoiseParams, apply_channel, build_kraus_set, dephasing_mask,
-                    evolve_noisy_stack)
-from .scenario import (STATE_NAMES, ScenarioConfig, death_runs, initial_state,
-                       run_scenario, run_trajectory)
+from .noise import NoiseParams, apply_channel, build_kraus_set, evolve_noisy_stack
+from .scenario import ScenarioConfig, death_runs, initial_state, run_scenario, run_trajectory
 
 GRID_M = (0.0, 0.5, 1.0, 10.0)
 GRID_E = (0.5, 1.0, 2.0)
@@ -53,6 +51,17 @@ GRID_COUPLING = (0.5, 1.0)
 #: the figure configuration: E/p = 1, kappa = mu = 1, Gamma/p = 1/2
 FIG_KWARGS = dict(E_over_p=1.0, kappa=1.0, mu=1.0, gamma_over_p=0.5,
                   t_max=20.0, dt=0.01)
+
+#: no Hamiltonian: eigh of the zero matrix returns V = I, so the engine
+#: applies the channel alone
+NO_HAMILTONIAN = DiracParams(m=0.0, p=0.0, kappa=0.0, mu=0.0, E_field=0.0)
+
+
+def _product_state() -> np.ndarray:
+    """A pure product state whose 16 entries are all nonzero, some complex."""
+    v1 = np.array([math.cos(0.3), math.sin(0.3)], dtype=complex)
+    v2 = np.array([math.cos(1.1), math.sin(1.1) * np.exp(0.4j)], dtype=complex)
+    return np.outer(np.kron(v1, v2), np.kron(v1, v2).conj())
 
 
 def _grid() -> list:
@@ -135,36 +144,37 @@ def criterion_03(cache) -> tuple:
 
 
 def criterion_04(cache) -> tuple:
-    """Kraus completeness, mask equals Kraus sum, physical diagnostics.
+    """Kraus completeness, engine channel equals Kraus sum, physical diagnostics.
 
-    The elementwise dephasing_mask, whose gamma(t) and coherence orders
-    the engine applies, must reproduce the operator sum on every catalog
-    state to 1e-12 on the (Gamma, t) grid,
-    all six states as one stack per (Gamma, t); the trajectory
+    With NO_HAMILTONIAN the engine, evolve_noisy_stack, applies its
+    channel alone. Fed a product state whose 16 entries are all nonzero,
+    all four times of a rate in one call, it must reproduce the operator
+    sum to 1e-12 on the (Gamma, t) grid, so a wrong coherence factor and
+    a transposed or conjugated output each fail. The trajectory
     diagnostics are read from every acceptance run.
     """
     worst_kraus = 0.0
-    worst_mask = 0.0
+    worst_engine = 0.0
     eye = np.eye(4)
     times = (0.0, 0.7, 5.0, 50.0)
-    states = np.array([initial_state(name) for name in STATE_NAMES if name != "custom"])
+    state = _product_state()
     for gamma in (0.0, 0.5, 2.0):
         noise = NoiseParams(gamma)
-        masks = dephasing_mask(noise, times)
-        for t, mask in zip(times, masks):
+        outs = evolve_noisy_stack(state, NO_HAMILTONIAN, noise, times)
+        for t, out in zip(times, outs):
             ks = build_kraus_set(noise, t)
             total = sum(K.conj().T @ K for K in ks)
             worst_kraus = np.maximum(worst_kraus, np.max(np.abs(total - eye)))
-            dev = np.max(np.abs(mask * states - apply_channel(states, ks)))
-            worst_mask = np.maximum(worst_mask, dev)
+            dev = np.max(np.abs(out - apply_channel(state, ks)))
+            worst_engine = np.maximum(worst_engine, dev)
     worst_trace = float(np.max(np.abs(cache.column("trace_deviation")), initial=0.0))
     worst_eig = float(np.min(cache.column("min_eigenvalue"), initial=0.0))
     purity = cache.column("purity")
     pur_lo = float(np.min(purity, initial=1.0))
     pur_hi = float(np.max(purity, initial=0.0))
-    ok = (worst_kraus <= 1e-12 and worst_mask <= 1e-12 and worst_trace <= 1e-10
+    ok = (worst_kraus <= 1e-12 and worst_engine <= 1e-12 and worst_trace <= 1e-10
           and worst_eig >= -1e-9 and 0.25 - 1e-9 <= pur_lo and pur_hi <= 1.0 + 1e-9)
-    return ok, (f"kraus dev {worst_kraus:.3g}, mask vs kraus dev {worst_mask:.3g}, "
+    return ok, (f"kraus dev {worst_kraus:.3g}, engine vs kraus dev {worst_engine:.3g}, "
                 f"trace dev {worst_trace:.3g}, "
                 f"min eig {worst_eig:.3g}, purity in [{pur_lo:.6g}, {pur_hi:.6g}]")
 
@@ -197,9 +207,7 @@ def criterion_05(cache) -> tuple:
 def criterion_06(cache) -> tuple:
     """Anchor values of the correlation measures, all anchors as one stack."""
     bell = initial_state("cat")  # (|00> + |11>)/sqrt(2)
-    v1 = np.array([math.cos(0.3), math.sin(0.3)], dtype=complex)
-    v2 = np.array([math.cos(1.1), math.sin(1.1) * np.exp(0.4j)], dtype=complex)
-    product = np.outer(np.kron(v1, v2), np.kron(v1, v2).conj())
+    product = _product_state()
     iso = 0.5 * bell + 0.5 * np.eye(4) / 4.0
     # bell, then three uncorrelated states, then the isotropic mixture
     states = np.array([bell, initial_state("a"), product, np.eye(4, dtype=complex) / 4.0, iso])

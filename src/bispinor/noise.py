@@ -16,10 +16,10 @@ H = V diag(lambda) V^dag, from the package's one LAPACK ``eigh``:
 with B_n = V^dag (F_n o rho0) V, F_n the entries whose coherence order is
 n, and Phi_kl(t) = exp(-i (lambda_k - lambda_l) t). The B_n are formed
 once per call; a stack of B times costs an elementwise product and one
-16 x 16 rotation per row. Gamma = 0 is the noiseless evolution. The
-Kraus form (build_kraus_set, apply_channel) and the elementwise
-dephasing_mask are the references the engine's channel is checked
-against.
+16 x 16 rotation per row. Gamma = 0 is the noiseless evolution, and
+H = 0 (all-zero DiracParams, whose eigh returns V = I) the channel
+alone. The Kraus form (build_kraus_set, apply_channel) is the reference
+the engine's channel is checked against.
 """
 
 from __future__ import annotations
@@ -102,24 +102,6 @@ def _coherence_factors(noise: NoiseParams, times) -> tuple:
     rate = noise.gamma_rate
     decay = np.fromiter(map(math.exp, (-rate * times).tolist()), float, len(times))
     return times, np.sqrt(decay)
-
-
-def dephasing_mask(noise: NoiseParams, times) -> np.ndarray:
-    """Elementwise channel coefficients at B elapsed times, shape (B, 4, 4).
-
-    The channel maps rho_kl -> c_kl * rho_kl with c_kl = gamma ** n, where
-    n counts the qubits whose level differs between row k and column l.
-    times is a 1-D array of finite, nonnegative times; gamma(t) is the
-    Kraus set's, bit for bit, and the one the engine uses. Every mask is
-    checked to leave the populations untouched (unit diagonal to 1e-12),
-    the elementwise form of Kraus completeness.
-    """
-    _, gamma = _coherence_factors(noise, times)
-    mask = np.stack((np.ones_like(gamma), gamma, gamma * gamma), axis=-1)[..., _FLIPS]
-    # stated as the condition that must hold, so a NaN fails it
-    if not np.max(np.abs(np.diagonal(mask, axis1=-2, axis2=-1) - 1.0), initial=0.0) <= 1e-12:
-        raise ValueError("dephasing mask failed the completeness check")
-    return mask
 
 
 def apply_channel(rho, ks: tuple) -> np.ndarray:

@@ -37,14 +37,12 @@ DEFAULT_EPS_ALIVE = 1e-2
 
 #: largest number of samples one trajectory may ask for (t_max / dt + 1)
 MAX_SAMPLES = 1_000_000
-#: samples evolved and measured together as one (B, 4, 4) stack; bounds
-#: the working set of a long trajectory. Fewer, larger blocks pay numpy's
-#: per-call overhead less often; 2048 would add about 9% to the peak RSS
-#: of a selftest run.
+#: samples evolved and measured together as one (B, 4, 4) stack, and
+#: trajectory.csv rows formatted and written together; bounds the working
+#: set and the text held of a long trajectory. Fewer, larger blocks pay
+#: numpy's per-call overhead less often; 2048 would add about 9% to the
+#: peak RSS of a selftest run.
 BLOCK_SAMPLES = 1024
-#: trajectory.csv rows formatted and written together; bounds the text
-#: held in memory however long the trajectory is
-CSV_WRITE_ROWS = 4096
 
 _NONNEGATIVE_KEYS = ("m_over_p", "E_over_p", "gamma_over_p", "eps_dead", "eps_alive")
 
@@ -277,7 +275,7 @@ def emit_outputs(columns: dict, report: FeatureReport,
     columns is run_trajectory's dict; the files go to config.outputs.
     Returns the list of written paths. Cells carry 12 significant digits;
     identical configs reproduce the files byte for byte. The CSV is
-    written CSV_WRITE_ROWS rows at a time, so only one block of rows is
+    written BLOCK_SAMPLES rows at a time, so only one block of rows is
     ever held as text.
     """
     out_dir = Path(config.outputs)
@@ -289,8 +287,8 @@ def emit_outputs(columns: dict, report: FeatureReport,
     n_rows = len(columns["t"])
     with csv_path.open("w") as fh:
         fh.write(CSV_HEADER + "\n")
-        for start in range(0, n_rows, CSV_WRITE_ROWS):
-            rows = zip(*(columns[name][start:start + CSV_WRITE_ROWS].tolist()
+        for start in range(0, n_rows, BLOCK_SAMPLES):
+            rows = zip(*(columns[name][start:start + BLOCK_SAMPLES].tolist()
                          for name in COLUMNS))
             fh.write("".join([row % r for r in rows]))
     written.append(csv_path)

@@ -124,12 +124,23 @@ def test_criterion_04_channel_physicality(cache):
     assert ok, detail
 
 
-def test_criterion_04_catches_a_wrong_mask(cache, monkeypatch):
-    # the channel the engine runs is checked, not only the Kraus set:
-    # a mask with the wrong coherence powers has to fail
-    mask = noise.dephasing_mask
-    monkeypatch.setattr(acceptance, "dephasing_mask",
-                        lambda noise_params, times: np.sqrt(mask(noise_params, times)))
+@pytest.mark.parametrize("wrong_masks", [
+    # single coherences get gamma^2 and double ones gamma
+    pytest.param(lambda F: F[[0, 2, 1]], id="orders-swapped"),
+    # double coherences get gamma
+    pytest.param(lambda F: np.array([F[0], F[1] + F[2], np.zeros((4, 4))]),
+                 id="double-gets-gamma"),
+    # single coherences get gamma^2: no catalog start has any, so no
+    # trajectory output shows this one
+    pytest.param(lambda F: np.array([F[0], np.zeros((4, 4)), F[1] + F[2]]),
+                 id="single-gets-gamma-squared"),
+])
+def test_criterion_04_catches_a_wrong_engine_channel(cache, monkeypatch, wrong_masks):
+    # the channel the engine runs is checked, not only the Kraus set. The
+    # shared trajectories are computed before the fault is planted, so
+    # only the channel check can see it
+    list(cache.all_trajectories())
+    monkeypatch.setattr(noise, "_FLIP_MASKS", wrong_masks(noise._FLIP_MASKS))
     ok, detail = acceptance.criterion_04(cache)
     assert not ok, detail
 

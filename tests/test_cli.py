@@ -202,7 +202,7 @@ def test_public_names_are_consistent():
     assert not {"hermitian_eigensystem", "EigenSystem"} & set(names)
     for name in ("TrajectoryRecord", "KrausSet", "evolve_noiseless", "evolve_noisy",
                  "compute_g2", "ion_to_dirac", "evolution_operator",
-                 "evolve_noiseless_stack"):
+                 "evolve_noiseless_stack", "dephasing_mask"):
         assert name not in names and not hasattr(bispinor, name), name
     star = {}
     exec("from bispinor import *", star)

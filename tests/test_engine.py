@@ -22,12 +22,13 @@ from bispinor.correlations import (COLUMNS, geometric_discord, negativity, purit
 from bispinor.dirac import DiracParams, build_dirac_hamiltonian, eigenprojectors
 from bispinor.errors import InvariantViolation
 from bispinor.linalg import IDENTITY_2, PAULI, partial_transpose
-from bispinor.noise import (NoiseParams, apply_channel, build_kraus_set,
-                            dephasing_mask, evolve_noisy_stack)
+from bispinor.noise import NoiseParams, apply_channel, build_kraus_set, evolve_noisy_stack
 from bispinor.scenario import ScenarioConfig, initial_state, run_trajectory
 
 TOL = 1e-12
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+#: H = 0: the engine applies the dephasing channel alone
+NO_HAMILTONIAN = DiracParams(m=0.0, p=0.0, kappa=0.0, mu=0.0, E_field=0.0)
 FIELDS = ("negativity", "discord_1", "discord_2", "purity", "min_eigenvalue",
           "trace_deviation")
 
@@ -171,8 +172,10 @@ def test_scalar_evolution_is_one_row_of_the_stack(rho0, params, rate, ts):
 @PROPERTY
 @given(rates, st.lists(times, min_size=1, max_size=8))
 def test_dephasing_mask_equals_kraus_coefficients(rate, ts):
+    # at H = 0 the engine applies the channel alone, and on the all-ones
+    # matrix it returns the channel's elementwise coefficients
     noise = NoiseParams(rate)
-    masks = dephasing_mask(noise, ts)
+    masks = evolve_noisy_stack(np.ones((4, 4)), NO_HAMILTONIAN, noise, ts)
     for mask, t in zip(masks, ts):
         # gamma is computed the same way, so the two forms agree bit for bit
         g = build_kraus_set(noise, t)[0][1, 1].real
@@ -184,7 +187,7 @@ def test_dephasing_mask_equals_kraus_coefficients(rate, ts):
 
 def test_dephasing_mask_rejects_negative_time():
     with pytest.raises(ValueError, match="forward in time"):
-        dephasing_mask(NoiseParams(0.5), [0.0, 1.0, -0.01])
+        evolve_noisy_stack(np.ones((4, 4)), NO_HAMILTONIAN, NoiseParams(0.5), [0.0, 1.0, -0.01])
 
 
 # ------------------------------------------------------------- measures

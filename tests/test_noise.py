@@ -8,13 +8,15 @@ from hypothesis import strategies as st
 from bispinor import noise as noise_module
 from bispinor.dirac import DiracParams, build_dirac_hamiltonian
 from bispinor.errors import InvariantViolation
-from bispinor.noise import (NoiseParams, apply_channel, build_kraus_set,
-                            dephasing_mask, evolve_noisy_stack, validate_density_matrix)
+from bispinor.noise import (NoiseParams, apply_channel, build_kraus_set, evolve_noisy_stack,
+                            validate_density_matrix)
 
 RNG = np.random.default_rng(3)
 
 PARAMS = DiracParams(m=1.0, p=1.0, kappa=1.0, mu=1.0, E_field=1.0)
 QUIET = NoiseParams(0.0)
+#: H = 0: the engine applies the dephasing channel alone
+NO_HAMILTONIAN = DiracParams(m=0.0, p=0.0, kappa=0.0, mu=0.0, E_field=0.0)
 
 
 def reference_unitary(H, t):
@@ -81,19 +83,20 @@ def test_kraus_rejects_negative_time():
 
 
 def test_channel_matches_elementwise_form():
-    """Operator-sum route equals the elementwise dephasing-mask route."""
+    """Operator-sum route equals the engine's elementwise route at H = 0."""
     for _ in range(10):
         rho = random_density()
         for gamma, t in ((0.5, 1.0), (2.0, 0.3), (0.1, 10.0)):
             noise = NoiseParams(gamma)
             out = apply_channel(rho, build_kraus_set(noise, t))
-            np.testing.assert_allclose(out, dephasing_mask(noise, [t])[0] * rho,
-                                       rtol=0, atol=1e-14)
+            engine = evolve_noisy_stack(rho, NO_HAMILTONIAN, noise, [t])[0]
+            np.testing.assert_allclose(out, engine, rtol=0, atol=1e-14)
 
 
 def test_dephasing_mask_shape():
+    # on the all-ones matrix the H = 0 engine returns its coefficients
     g = build_kraus_set(NoiseParams(1.0), 1.0)[0][1, 1].real  # gamma
-    c = dephasing_mask(NoiseParams(1.0), [1.0])[0]
+    c = evolve_noisy_stack(np.ones((4, 4)), NO_HAMILTONIAN, NoiseParams(1.0), [1.0])[0]
     assert np.array_equal(np.diag(c), np.ones(4))
     assert c[0, 3] == pytest.approx(g * g)
     assert c[0, 1] == c[1, 0] == pytest.approx(g)
@@ -139,7 +142,7 @@ def test_channel_rejects_non_finite_input():
         with pytest.raises(ValueError, match="time must be finite"):
             build_kraus_set(NoiseParams(0.5), bad)
         with pytest.raises(ValueError, match="time must be finite"):
-            dephasing_mask(NoiseParams(0.5), [0.5, bad])
+            evolve_noisy_stack(bell_state(), NO_HAMILTONIAN, NoiseParams(0.5), [0.5, bad])
     ks = build_kraus_set(NoiseParams(0.5), 1.0)
     poisoned = (np.full((4, 4), np.nan),) + ks[1:]
     with pytest.raises(ValueError, match="completeness"):
@@ -149,7 +152,7 @@ def test_channel_rejects_non_finite_input():
 def test_dephasing_mask_requires_1d_times():
     for times in (0.5, [[0.5, 1.0]]):
         with pytest.raises(ValueError, match="1-D"):
-            dephasing_mask(NoiseParams(0.5), times)
+            evolve_noisy_stack(bell_state(), NO_HAMILTONIAN, NoiseParams(0.5), times)
 
 
 unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)

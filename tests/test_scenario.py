@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from bispinor import scenario
 from bispinor.correlations import COLUMNS
 from bispinor.errors import InvariantViolation, UsageError
-from bispinor.scenario import (CSV_HEADER, CSV_WRITE_ROWS, MAX_SAMPLES, ScenarioConfig,
+from bispinor.scenario import (BLOCK_SAMPLES, CSV_HEADER, MAX_SAMPLES, ScenarioConfig,
                                _check_block, death_runs, detect_features,
                                emit_outputs, initial_state, load_config,
                                parse_config_text, run_scenario, run_trajectory)
@@ -255,7 +255,7 @@ def test_emit_outputs_formatting(tmp_path):
 
 def test_emit_outputs_streams_rows_in_blocks(tmp_path):
     # one full write block, a partial one, and cells that need all 12 digits
-    n = CSV_WRITE_ROWS + 37
+    n = BLOCK_SAMPLES + 37
     cfg = ScenarioConfig(t_max=(n - 1) * 0.1, dt=0.1, outputs=str(tmp_path))
     rng = np.random.default_rng(3)
     traj = synthetic_record(rng.random(n) / 3.0)
