@@ -30,8 +30,7 @@ from .errors import (DegenerateSpectrumError, InvariantViolation,
                      UnsupportedConfigurationError, UsageError)
 from .ionmap import IonParams, assemble_ion_hamiltonian, dirac_to_ion
 from .linalg import partial_transpose, tensor_product, top_eigenvalue_3x3
-from .noise import (NoiseParams, apply_channel, build_kraus_set, evolve_noisy_stack,
-                    validate_density_matrix)
+from .noise import NoiseParams, apply_channel, build_kraus_set, evolve_noisy_stack
 from .scenario import (FeatureReport, ScenarioConfig, detect_features, emit_outputs,
                        initial_state, load_config, parse_config_text, run_scenario,
                        run_trajectory)
@@ -73,5 +72,4 @@ __all__ = [
     "sample_correlations_stack",
     "tensor_product",
     "top_eigenvalue_3x3",
-    "validate_density_matrix",
 ]

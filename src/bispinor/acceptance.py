@@ -9,12 +9,12 @@ acceptance test module both run exactly these functions, so the shipped
 package can always re-verify itself.
 
 Criteria 1-6 and 10 evaluate their inputs as stacks: the 48 grid
-Hamiltonians, spectra, projectors and ion assemblies come from the
-stacked builders of dirac and ionmap as (48, ...) arrays, the channel
-and zero-rate checks evolve all their times in one engine call and the
-measure anchors are one stack of states each. Each
-element gets the arithmetic a per-item loop would give it, so the worst
-deviations they report are the same bits.
+Hamiltonians, spectra, projectors and ion assemblies, and the paper's
+closed-form spectrum, come from the stacked builders of dirac and
+ionmap as (48, ...) arrays, the channel and zero-rate checks evolve
+all their times in one engine call and the measure anchors are one
+stack of states each. Each element gets the arithmetic a per-item loop
+would give it, so the worst deviations they report are the same bits.
 
 Deviations are folded with numpy's max, which keeps a NaN (Python's
 max(0.0, nan) is 0.0), so a NaN anywhere fails its criterion.
@@ -38,11 +38,12 @@ from pathlib import Path
 import numpy as np
 
 from .correlations import sample_correlations_stack
-from .dirac import (DiracParams, _operator_stacks, _spectral_stacks, eigenprojectors,
-                    eigenvalue_closed_form)
+from .dirac import (DiracParams, _closed_form_stack, _operator_stacks, _spectral_stacks,
+                    eigenprojectors)
 from .ionmap import _assemble_stack, dirac_to_ion
 from .noise import NoiseParams, apply_channel, build_kraus_set, evolve_noisy_stack
-from .scenario import ScenarioConfig, death_runs, initial_state, run_scenario, run_trajectory
+from .scenario import (PSD_TOL, TRACE_TOL, ScenarioConfig, death_runs, initial_state,
+                       run_scenario, run_trajectory)
 
 GRID_M = (0.0, 0.5, 1.0, 10.0)
 GRID_E = (0.5, 1.0, 2.0)
@@ -98,22 +99,20 @@ class AcceptanceCache:
 
 
 def criterion_01(cache) -> tuple:
-    """Closed-form eigenvalues match numeric LAPACK diagonalization (rel 1e-10)."""
+    """Closed-form eigenvalues match numeric LAPACK diagonalization (rel 1e-10).
+
+    The closed form is one stack over the grid and two anchors.
+    """
     grid = _grid()
-    closed = np.array([sorted(eigenvalue_closed_form(params, n, s)
-                              for n in (0, 1) for s in (0, 1)) for params in grid])
+    anchors = [DiracParams(m, 1.0, 1.0, 1.0, 1.0) for m in (0.0, 1.0)]
+    lam = np.sqrt(_closed_form_stack(grid + anchors))
+    closed = np.sort(np.concatenate((lam, -lam), axis=1))
     numeric = np.linalg.eigvalsh(_operator_stacks(grid)[0])
-    worst = float(np.max(np.abs(closed - numeric) / np.abs(closed)))
-    anchors_ok = True
-    got0 = sorted(eigenvalue_closed_form(DiracParams(0.0, 1.0, 1.0, 1.0, 1.0), n, s)
-                  for n in (0, 1) for s in (0, 1))
-    want0 = [-math.sqrt(5.0), -1.0, 1.0, math.sqrt(5.0)]
-    got1 = sorted(eigenvalue_closed_form(DiracParams(1.0, 1.0, 1.0, 1.0, 1.0), n, s)
-                  for n in (0, 1) for s in (0, 1))
-    want1 = sorted(sgn * math.sqrt(4.0 + pm * 2.0 * math.sqrt(2.0))
-                   for sgn in (1.0, -1.0) for pm in (1.0, -1.0))
-    for got, want in ((got0, want0), (got1, want1)):
-        anchors_ok &= all(abs(g - w) <= 1e-10 * abs(w) for g, w in zip(got, want))
+    worst = float(np.max(np.abs(closed[:-2] - numeric) / np.abs(closed[:-2])))
+    want = np.array([[-math.sqrt(5.0), -1.0, 1.0, math.sqrt(5.0)],
+                     sorted(sgn * math.sqrt(4.0 + pm * 2.0 * math.sqrt(2.0))
+                            for sgn in (1.0, -1.0) for pm in (1.0, -1.0))])
+    anchors_ok = bool(np.all(np.abs(closed[-2:] - want) <= 1e-10 * np.abs(want)))
     ok = worst <= 1e-10 and anchors_ok
     return ok, f"worst relative deviation {worst:.3g} over 48 grid points, anchors ok: {anchors_ok}"
 
@@ -172,8 +171,8 @@ def criterion_04(cache) -> tuple:
     purity = cache.column("purity")
     pur_lo = float(np.min(purity, initial=1.0))
     pur_hi = float(np.max(purity, initial=0.0))
-    ok = (worst_kraus <= 1e-12 and worst_engine <= 1e-12 and worst_trace <= 1e-10
-          and worst_eig >= -1e-9 and 0.25 - 1e-9 <= pur_lo and pur_hi <= 1.0 + 1e-9)
+    ok = (worst_kraus <= 1e-12 and worst_engine <= 1e-12 and worst_trace <= TRACE_TOL
+          and worst_eig >= -PSD_TOL and 0.25 - PSD_TOL <= pur_lo and pur_hi <= 1.0 + PSD_TOL)
     return ok, (f"kraus dev {worst_kraus:.3g}, engine vs kraus dev {worst_engine:.3g}, "
                 f"trace dev {worst_trace:.3g}, "
                 f"min eig {worst_eig:.3g}, purity in [{pur_lo:.6g}, {pur_hi:.6g}]")

@@ -15,7 +15,8 @@ Both operators are combinations of Pauli products built once at import.
 One builder makes them for a whole sequence of DiracParams as (N, 4, 4)
 stacks, and a second adds g2, the spectrum and the (N, 4, 4, 4)
 projectors; the acceptance grid is built that way, and the public
-one-point builders are one row of it, with the same bits.
+one-point builders are one row of it, with the same bits. So is the
+closed-form spectrum, which reads the parameters alone.
 """
 
 from __future__ import annotations
@@ -132,12 +133,28 @@ def build_invariant_operator(params: DiracParams) -> np.ndarray:
     return _operator_stacks([params])[1][0]
 
 
+def _closed_form_stack(grid) -> np.ndarray:
+    """lambda_(0,s)^2 for s = 0, 1 at every point of grid, as an (N, 2) array.
+
+    The radicands of eigenvalue_closed_form, the paper's theta = pi/4
+    formula, from the parameters alone: H is never read, so the closed
+    form stays an independent route to the spectrum. Row i has the bits
+    of a one-point evaluation.
+    """
+    m, p, k, mu, E = np.array([(q.m, q.p, q.kappa, q.mu, q.E_field) for q in grid],
+                              dtype=float).reshape(-1, 5).T[..., None]
+    inner = m * m * k * k + 0.5 * (mu * mu + k * k) * p * p
+    return p * p + m * m + (k * k + mu * mu) * E * E \
+        + np.array([2.0, -2.0]) * E * np.sqrt(inner)
+
+
 def eigenvalue_closed_form(params: DiracParams, n: int, s: int) -> float:
     """Closed-form eigenvalue lambda_(n,s) for the theta = pi/4 configuration.
 
     lambda_(n,s) = (-1)^n sqrt(p^2 + m^2 + (kappa^2 + mu^2) E^2
                                + 2 (-1)^s E sqrt(m^2 kappa^2
-                                                 + (mu^2 + kappa^2) p^2 / 2))
+                                                 + (mu^2 + kappa^2) p^2 / 2)),
+    one row of the stacked closed form.
     """
     if n not in (0, 1) or s not in (0, 1):
         raise ValueError("indices n, s must be 0 or 1")
@@ -145,10 +162,7 @@ def eigenvalue_closed_form(params: DiracParams, n: int, s: int) -> float:
         raise UnsupportedConfigurationError(
             "closed-form spectrum requires theta = pi/4; use the numeric path"
         )
-    m, p, k, mu, E = params.m, params.p, params.kappa, params.mu, params.E_field
-    inner = m * m * k * k + 0.5 * (mu * mu + k * k) * p * p
-    radicand = p * p + m * m + (k * k + mu * mu) * E * E \
-        + 2.0 * (-1.0) ** s * E * math.sqrt(inner)
+    radicand = float(_closed_form_stack([params])[0, s])
     if radicand < 0.0:
         raise ValueError(f"negative radicand {radicand:g} in closed-form eigenvalue")
     return (-1.0) ** n * math.sqrt(radicand)

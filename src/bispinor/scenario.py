@@ -26,8 +26,8 @@ import numpy as np
 from .correlations import COLUMNS, sample_correlations_stack
 from .dirac import DiracParams
 from .errors import InvariantViolation, UsageError
-from .noise import (PSD_TOL, TRACE_TOL, NoiseParams, evolve_noisy_stack,
-                    validate_density_matrix)
+from .linalg import _require_hermitian
+from .noise import NoiseParams, evolve_noisy_stack
 from .values import ValueType
 
 STATE_NAMES = ("a", "b", "c", "d", "cat", "werner", "custom")
@@ -126,8 +126,9 @@ def initial_state(name: str, custom=None) -> np.ndarray:
     """Density matrix of a catalog state.
 
     a, b, c, d are the four basis levels; cat is (|a> + |d>)/sqrt(2),
-    werner is (|b> + |c>)/sqrt(2). A custom 4x4 matrix must pass the
-    density-matrix validation.
+    werner is (|b> + |c>)/sqrt(2). A custom matrix is its run's t = 0
+    sample, measured and checked as a one-row block before anything
+    evolves; a failure raises InvariantViolation, "custom state ...".
     """
     if name not in STATE_NAMES:
         raise UsageError(
@@ -136,9 +137,15 @@ def initial_state(name: str, custom=None) -> np.ndarray:
     if name == "custom":
         if custom is None:
             raise UsageError("custom initial state requires a matrix")
-        return validate_density_matrix(
-            np.asarray(custom, dtype=complex).reshape(4, 4), where="custom state"
-        )
+        try:
+            rho = np.asarray(custom, dtype=complex).reshape(4, 4)
+            _require_hermitian(rho, "custom state")
+            _check_block(sample_correlations_stack(rho[None], [0.0]))
+        except ValueError as exc:
+            message = str(exc)
+            raise InvariantViolation(message if message.startswith("custom state")
+                                     else f"custom state: {message}") from None
+        return rho
     vec = np.zeros(4, dtype=complex)
     if name in ("a", "b", "c", "d"):
         vec["abcd".index(name)] = 1.0
@@ -147,6 +154,11 @@ def initial_state(name: str, custom=None) -> np.ndarray:
     else:  # werner
         vec[1] = vec[2] = 1.0 / math.sqrt(2.0)
     return np.outer(vec, vec.conj())
+
+
+#: tolerances every sample is held to (Hermiticity is linalg's one check)
+TRACE_TOL = 1e-10
+PSD_TOL = 1e-9
 
 
 def _check_block(c: dict) -> None:

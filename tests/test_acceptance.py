@@ -40,12 +40,15 @@ def test_criterion_01_closed_form_spectrum(cache):
 
 
 def test_criterion_01_catches_one_off_eigenvalue(monkeypatch):
-    # one closed-form eigenvalue at one grid point, off by 1e-9 relative
-    def planted(params, n, s):
-        value = dirac.eigenvalue_closed_form(params, n, s)
-        return value * (1.0 + 1e-9) if (params, n, s) == (FAULT_POINT, 1, 0) else value
+    # lambda_(0,0)^2 at one grid point off by 2e-9, so lambda_(0,0) and
+    # lambda_(1,0) are off by 1e-9 relative
+    def planted(grid):
+        assert grid[FAULT_INDEX] == FAULT_POINT
+        radicands = dirac._closed_form_stack(grid)
+        radicands[FAULT_INDEX, 0] *= 1.0 + 2e-9
+        return radicands
 
-    monkeypatch.setattr(acceptance, "eigenvalue_closed_form", planted)
+    monkeypatch.setattr(acceptance, "_closed_form_stack", planted)
     ok, detail = acceptance.criterion_01(None)
     assert not ok, detail
 

@@ -5,9 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bispinor
+from bispinor import scenario
 from bispinor.cli import main
 
 BASE_CONFIG = """
@@ -86,18 +88,38 @@ def test_invalid_state_matrix_exits_two(tmp_path, capsys):
     assert "invariant violation" in capsys.readouterr().err
 
 
-def test_non_hermitian_custom_state_exits_two(tmp_path, capsys):
+def custom_state(diagonal, entries=()):
+    """custom_state value of diag(diagonal) with each ((row, column), value) of entries set."""
+    rho = np.diag(np.array(diagonal, dtype=complex))
+    for (row, column), value in entries:
+        rho[row, column] = value
+    return ",".join(map(repr, rho.ravel().tolist()))
+
+
+@pytest.mark.parametrize("entries, message", [
     # the cat state with 5e-11 added to one off-diagonal imaginary part
-    entries = ["0"] * 16
-    entries[0] = entries[15] = entries[12] = "0.5"
-    entries[3] = "0.5+5e-11j"
+    pytest.param(custom_state([0.5, 0, 0, 0.5], [((0, 3), 0.5 + 5e-11j), ((3, 0), 0.5)]),
+                 "custom state must be Hermitian", id="non-hermitian"),
+    pytest.param(custom_state([1, 0.5, 0.5, 0]), "custom state: trace", id="trace-2"),
+    pytest.param(custom_state([0.7, 0.5, -0.1, -0.1]), "custom state: positivity",
+                 id="negative-eigenvalue"),
+    # Hermitian to 1e-12 of its own scale, but a Pauli trace keeps 5e-7 imaginary
+    pytest.param(custom_state([1e6, 0, 0, 0], [((0, 1), 1e5), ((1, 0), 1e5 + 5e-7j)]),
+                 "custom state: Pauli trace", id="imaginary-pauli-trace"),
+])
+def test_non_hermitian_custom_state_exits_two(tmp_path, capsys, monkeypatch, entries, message):
+    def no_evolution(*args):
+        raise AssertionError("a refused custom state was evolved")
+
+    monkeypatch.setattr(scenario, "evolve_noisy_stack", no_evolution)
     cfg = write_config(tmp_path, (f"initial_state = custom\n"
-                                  f"custom_state = {','.join(entries)}\n"
+                                  f"custom_state = {entries}\n"
                                   f"t_max = 1.0\ndt = 0.5\n"
                                   f"outputs = {tmp_path / 'x'}\n"))
     assert main(["simulate", "--config", str(cfg)]) == 2
-    assert ("invariant violation: custom state must be Hermitian"
-            in capsys.readouterr().err)
+    err = capsys.readouterr().err
+    assert err.startswith("invariant violation: custom state"), err
+    assert message in err
     assert not (tmp_path / "x").exists()
 
 
@@ -202,7 +224,7 @@ def test_public_names_are_consistent():
     assert not {"hermitian_eigensystem", "EigenSystem"} & set(names)
     for name in ("TrajectoryRecord", "KrausSet", "evolve_noiseless", "evolve_noisy",
                  "compute_g2", "ion_to_dirac", "evolution_operator",
-                 "evolve_noiseless_stack", "dephasing_mask"):
+                 "evolve_noiseless_stack", "dephasing_mask", "validate_density_matrix"):
         assert name not in names and not hasattr(bispinor, name), name
     star = {}
     exec("from bispinor import *", star)

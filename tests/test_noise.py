@@ -2,14 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 
 from bispinor import noise as noise_module
 from bispinor.dirac import DiracParams, build_dirac_hamiltonian
-from bispinor.errors import InvariantViolation
-from bispinor.noise import (NoiseParams, apply_channel, build_kraus_set, evolve_noisy_stack,
-                            validate_density_matrix)
+from bispinor.noise import NoiseParams, apply_channel, build_kraus_set, evolve_noisy_stack
 
 RNG = np.random.default_rng(3)
 
@@ -141,69 +137,17 @@ def test_channel_rejects_non_finite_input():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="time must be finite"):
             build_kraus_set(NoiseParams(0.5), bad)
-        with pytest.raises(ValueError, match="time must be finite"):
-            evolve_noisy_stack(bell_state(), NO_HAMILTONIAN, NoiseParams(0.5), [0.5, bad])
     ks = build_kraus_set(NoiseParams(0.5), 1.0)
     poisoned = (np.full((4, 4), np.nan),) + ks[1:]
     with pytest.raises(ValueError, match="completeness"):
         apply_channel(np.eye(4) / 4.0, poisoned)
 
 
-def test_dephasing_mask_requires_1d_times():
-    for times in (0.5, [[0.5, 1.0]]):
-        with pytest.raises(ValueError, match="1-D"):
-            evolve_noisy_stack(bell_state(), NO_HAMILTONIAN, NoiseParams(0.5), times)
-
-
-unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
-
-
-@st.composite
-def density_stacks(draw):
-    batch = draw(st.integers(1, 6))
-    entries = np.array(draw(st.lists(unit, min_size=32 * batch, max_size=32 * batch)))
-    G = (entries[:16 * batch] + 1j * entries[16 * batch:]).reshape(batch, 4, 4)
-    rho = G @ np.swapaxes(G.conj(), -1, -2)
-    trace = np.trace(rho, axis1=-2, axis2=-1).real
-    assume(np.all(trace > 1e-3))
-    return rho / trace[:, None, None]
-
-
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(density_stacks(), st.floats(0.0, 2.0), st.floats(0.0, 20.0))
-def test_stacked_channel_matches_per_state_loop_bitwise(rhos, rate, t):
-    ks = build_kraus_set(NoiseParams(rate), t)
-    got = apply_channel(rhos, ks)
-    assert got.shape == rhos.shape
-    for rho, out in zip(rhos, got):
-        assert out.tobytes() == apply_channel(rho, ks).tobytes()
-
-
-def test_validate_density_matrix_passes_good_states():
-    for rho in (np.eye(4) / 4.0, bell_state(), random_density()):
-        out = validate_density_matrix(rho)
-        assert np.array_equal(out, np.asarray(rho, dtype=complex))
-
-
-def test_validate_density_matrix_diagnostics():
-    with pytest.raises(InvariantViolation, match="shape"):
-        validate_density_matrix(np.eye(3) / 3.0)
-    bad = np.eye(4, dtype=complex) / 4.0
-    bad[0, 1] = 0.2  # not Hermitian
-    with pytest.raises(InvariantViolation, match="Hermitian"):
-        validate_density_matrix(bad)
-    slightly = bell_state()
-    slightly[0, 3] += 5e-11j  # Hermitian to 1e-10, not to 1e-12
-    with pytest.raises(InvariantViolation, match="^custom state must be Hermitian$"):
-        validate_density_matrix(slightly, where="custom state")
-    nonfinite = bell_state()
-    nonfinite[1, 1] = np.nan
-    with pytest.raises(InvariantViolation, match="finite"):
-        validate_density_matrix(nonfinite)
-    with pytest.raises(InvariantViolation, match="trace"):
-        validate_density_matrix(np.eye(4, dtype=complex) / 2.0)
-    with pytest.raises(InvariantViolation, match="eigenvalue"):
-        validate_density_matrix(np.diag([0.7, 0.5, -0.1, -0.1]).astype(complex))
+def test_channel_refuses_a_stack():
+    # the Kraus sum is the one-state reference; stacks go through the engine
+    ks = build_kraus_set(NoiseParams(0.5), 1.0)
+    with pytest.raises(ValueError, match="4x4 state"):
+        apply_channel(np.array([bell_state(), bell_state()]), ks)
 
 
 def test_noiseless_evolution_matches_unitary_conjugation():
@@ -276,20 +220,25 @@ def test_noisy_composition_order():
 
 
 def test_noisy_rejects_negative_time():
-    with pytest.raises(ValueError):
-        evolve_noisy_stack(bell_state(), PARAMS, NoiseParams(0.5), [-1.0])
+    # with and without a Hamiltonian: the times are refused before H is built
+    for params in (PARAMS, NO_HAMILTONIAN):
+        with pytest.raises(ValueError):
+            evolve_noisy_stack(bell_state(), params, NoiseParams(0.5), [-1.0])
+        with pytest.raises(ValueError, match="forward in time"):
+            evolve_noisy_stack(bell_state(), params, NoiseParams(0.5), [0.0, 1.0, -0.01])
 
 
 def test_noisy_rejects_bad_times_and_states():
     rho = bell_state()
-    for bad in (float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="time must be finite"):
-            evolve_noisy_stack(rho, PARAMS, NoiseParams(0.5), [0.5, bad])
-    for times in (0.5, [[0.5, 1.0]]):
-        with pytest.raises(ValueError, match="1-D"):
-            evolve_noisy_stack(rho, PARAMS, NoiseParams(0.5), times)
-    with pytest.raises(ValueError, match="4x4"):
-        evolve_noisy_stack(np.array([rho, rho]), PARAMS, NoiseParams(0.5), [0.5, 1.0])
+    for params in (PARAMS, NO_HAMILTONIAN):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="time must be finite"):
+                evolve_noisy_stack(rho, params, NoiseParams(0.5), [0.5, bad])
+        for times in (0.5, [[0.5, 1.0]]):
+            with pytest.raises(ValueError, match="1-D"):
+                evolve_noisy_stack(rho, params, NoiseParams(0.5), times)
+        with pytest.raises(ValueError, match="4x4"):
+            evolve_noisy_stack(np.array([rho, rho]), params, NoiseParams(0.5), [0.5, 1.0])
 
 
 @pytest.mark.parametrize("corrupt, message", [

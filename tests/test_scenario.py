@@ -61,6 +61,41 @@ def test_initial_state_custom():
         initial_state("nope")
 
 
+def random_density(rng):
+    G = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho = G @ G.conj().T
+    return rho / np.trace(rho).real
+
+
+def test_custom_state_passes_good_states():
+    rng = np.random.default_rng(3)
+    for rho in (np.eye(4) / 4.0, initial_state("cat"), random_density(rng)):
+        out = initial_state("custom", rho)
+        assert np.array_equal(out, np.asarray(rho, dtype=complex))
+
+
+def test_custom_state_diagnostics():
+    # the start is checked as the t = 0 sample of its run
+    with pytest.raises(InvariantViolation, match="^custom state: .*shape"):
+        initial_state("custom", np.eye(3) / 3.0)
+    bad = np.eye(4, dtype=complex) / 4.0
+    bad[0, 1] = 0.2  # not Hermitian
+    with pytest.raises(InvariantViolation, match="^custom state .*Hermitian"):
+        initial_state("custom", bad)
+    slightly = initial_state("cat")
+    slightly[0, 3] += 5e-11j  # Hermitian to 1e-10, not to 1e-12
+    with pytest.raises(InvariantViolation, match="^custom state must be Hermitian$"):
+        initial_state("custom", slightly)
+    nonfinite = initial_state("cat")
+    nonfinite[1, 1] = np.nan
+    with pytest.raises(InvariantViolation, match="^custom state .*finite"):
+        initial_state("custom", nonfinite)
+    with pytest.raises(InvariantViolation, match="^custom state: trace"):
+        initial_state("custom", np.eye(4, dtype=complex) / 2.0)
+    with pytest.raises(InvariantViolation, match="^custom state: positivity"):
+        initial_state("custom", np.diag([0.7, 0.5, -0.1, -0.1]).astype(complex))
+
+
 def test_config_validation():
     with pytest.raises(UsageError):
         ScenarioConfig(t_max=0.0)
