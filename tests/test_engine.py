@@ -185,6 +185,11 @@ def test_dephasing_mask_equals_kraus_coefficients(rate, ts):
         np.testing.assert_array_equal(np.diag(mask), np.ones(4))
 
 
+def test_dephasing_mask_rejects_negative_time():
+    with pytest.raises(ValueError, match="forward in time"):
+        evolve_noisy_stack(np.ones((4, 4)), NO_HAMILTONIAN, NoiseParams(0.5), [0.0, 1.0, -0.01])
+
+
 # ------------------------------------------------------------- measures
 
 @PROPERTY

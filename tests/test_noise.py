@@ -143,6 +143,12 @@ def test_channel_rejects_non_finite_input():
         apply_channel(np.eye(4) / 4.0, poisoned)
 
 
+def test_dephasing_mask_requires_1d_times():
+    for times in (0.5, [[0.5, 1.0]]):
+        with pytest.raises(ValueError, match="1-D"):
+            evolve_noisy_stack(bell_state(), NO_HAMILTONIAN, NoiseParams(0.5), times)
+
+
 def test_channel_refuses_a_stack():
     # the Kraus sum is the one-state reference; stacks go through the engine
     ks = build_kraus_set(NoiseParams(0.5), 1.0)
