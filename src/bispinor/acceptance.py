@@ -273,12 +273,9 @@ def criterion_10(cache) -> tuple:
 def criterion_11(cache) -> tuple:
     """Byte-identical reruns, lossless report round-trip, selftest under 60 s."""
     with tempfile.TemporaryDirectory() as tmp:
-        cfgs = []
-        for sub in ("one", "two"):
-            cfgs.append(ScenarioConfig(m_over_p=1.0, initial_state="a",
-                                       E_over_p=1.0, kappa=1.0, mu=1.0,
-                                       gamma_over_p=0.5, t_max=5.0, dt=0.01,
-                                       outputs=str(Path(tmp) / sub)))
+        cfgs = [ScenarioConfig(initial_state="a", outputs=str(Path(tmp) / sub),
+                               **dict(FIG_KWARGS, t_max=5.0))
+                for sub in ("one", "two")]
         (cfg1, report, _), (cfg2, _, _) = run_scenario([cfgs[0]])[0], run_scenario([cfgs[1]])[0]
         identical = filecmp.cmp(Path(cfg1.outputs) / "trajectory.csv",
                                 Path(cfg2.outputs) / "trajectory.csv", shallow=False)

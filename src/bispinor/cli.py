@@ -17,11 +17,10 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
-from dataclasses import replace
 
 from .errors import UsageError
 from .ionmap import dirac_to_ion
-from .scenario import load_config, run_scenario, scenario_params
+from .scenario import ScenarioConfig, load_config, run_scenario, scenario_params
 
 
 class _Parser(argparse.ArgumentParser):
@@ -50,9 +49,9 @@ def _build_parser() -> _Parser:
 def _cmd_simulate(args) -> int:
     configs = load_config(args.config)
     if args.out is not None:
-        configs = [replace(c, outputs=args.out) for c in configs]
+        configs = [ScenarioConfig(**dict(c._asdict(), outputs=args.out)) for c in configs]
     if args.plots:
-        configs = [replace(c, emit_plots=True) for c in configs]
+        configs = [ScenarioConfig(**dict(c._asdict(), emit_plots=True)) for c in configs]
     results = run_scenario(configs)
     for cfg, report, out_dir in results:
         print(f"m_over_p={cfg.m_over_p:g} initial={cfg.initial_state} -> {out_dir}")

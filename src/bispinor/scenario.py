@@ -3,7 +3,9 @@
 A scenario fixes the physical ratios (everything is expressed in units of
 the momentum p, which is set to 1 internally), an initial state from the
 catalog, a sampling grid and output options. Configs are flat key=value
-text files. Multiple comma-separated m_over_p values turn a run into a
+text files over one schema, _CONFIG_DEFAULTS: every key with its default,
+whose type is the key's type. A ScenarioConfig, a values.ValueType, holds
+one resolved point; a comma-separated m_over_p list turns a run into a
 sweep writing one subdirectory per grid point plus an index file.
 
 The trajectory runner walks its time axis in blocks of BLOCK_SAMPLES
@@ -18,7 +20,6 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -44,29 +45,39 @@ MAX_SAMPLES = 1_000_000
 #: peak RSS of a selftest run.
 BLOCK_SAMPLES = 1024
 
+#: the config schema: every config key in order, with the default a config
+#: leaving it out takes. A key parses as the type of its default (bool, float
+#: or str); m_over_p (a comma list) and custom_state (16 complex numbers) aside
+_CONFIG_DEFAULTS = {
+    "m_over_p": 1.0,
+    "E_over_p": 1.0,
+    "kappa": 1.0,
+    "mu": 1.0,
+    "theta": math.pi / 4,
+    "gamma_over_p": 0.5,
+    "initial_state": "a",
+    "custom_state": None,
+    "t_max": 20.0,
+    "dt": 0.01,
+    "outputs": "./out",
+    "emit_plots": False,
+    "eps_dead": DEFAULT_EPS_DEAD,
+    "eps_alive": DEFAULT_EPS_ALIVE,
+}
+_FLOAT_KEYS = [key for key, default in _CONFIG_DEFAULTS.items() if type(default) is float]
 _NONNEGATIVE_KEYS = ("m_over_p", "E_over_p", "gamma_over_p", "eps_dead", "eps_alive")
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """One resolved grid point of a run (ratios are in units of p)."""
+class ScenarioConfig(ValueType):
+    """One resolved grid point of a run (ratios are in units of p); keywords only."""
 
-    m_over_p: float = 1.0
-    E_over_p: float = 1.0
-    kappa: float = 1.0
-    mu: float = 1.0
-    theta: float = math.pi / 4
-    gamma_over_p: float = 0.5
-    initial_state: str = "a"
-    custom_state: tuple = None
-    t_max: float = 20.0
-    dt: float = 0.01
-    outputs: str = "./out"
-    emit_plots: bool = False
-    eps_dead: float = DEFAULT_EPS_DEAD
-    eps_alive: float = DEFAULT_EPS_ALIVE
+    __slots__ = tuple(_CONFIG_DEFAULTS)
 
-    def __post_init__(self):
+    def __init__(self, **values):
+        unknown = values.keys() - _CONFIG_DEFAULTS.keys()
+        if unknown:
+            raise TypeError(f"ScenarioConfig got unexpected keywords {sorted(unknown)}")
+        super().__init__(*dict(_CONFIG_DEFAULTS, **values).values())
         for key in _FLOAT_KEYS:
             value = getattr(self, key)
             if not math.isfinite(value):
@@ -93,17 +104,14 @@ class ScenarioConfig:
         if self.custom_state is not None and not all(
                 cmath.isfinite(z) for z in self.custom_state):
             raise UsageError("custom_state entries must be finite")
+        # an empty path would write into the working directory
+        if not self.outputs:
+            raise UsageError("outputs must name a directory")
 
     @property
     def n_samples(self) -> int:
         """Samples on the grid {0, dt, ..., t_max}; at most MAX_SAMPLES."""
         return int(math.floor(self.t_max / self.dt + 1e-9)) + 1
-
-
-#: the config schema: every ScenarioConfig field is a config key, parsed
-#: by its declared type (a string, as annotations are not evaluated here)
-_CONFIG_KEYS = tuple(f.name for f in fields(ScenarioConfig))
-_FLOAT_KEYS = tuple(f.name for f in fields(ScenarioConfig) if f.type == "float")
 
 
 class FeatureReport(ValueType):
@@ -269,8 +277,8 @@ def detect_features(columns: dict,
 
 
 def config_echo(config: ScenarioConfig) -> dict:
-    """Every config field in declaration order; custom entries as [re, im] pairs."""
-    echo = asdict(config)
+    """Every config field in schema order; custom entries as [re, im] pairs."""
+    echo = config._asdict()
     if config.custom_state is not None:
         echo["custom_state"] = [[complex(z).real, complex(z).imag]
                                 for z in config.custom_state]
@@ -306,15 +314,7 @@ def emit_outputs(columns: dict, report: FeatureReport,
     written.append(csv_path)
 
     report_path = out_dir / "report.json"
-    payload = {
-        "death_intervals": [[a, b] for a, b in report.death_intervals],
-        "revival_count": report.revival_count,
-        "min_negativity": report.min_negativity,
-        "max_negativity": report.max_negativity,
-        "residual_discord_in_death": report.residual_discord_in_death,
-        "final_purity": report.final_purity,
-        "config": config_echo(config),
-    }
+    payload = dict(report._asdict(), config=config_echo(config))
     report_path.write_text(json.dumps(payload, indent=2) + "\n")
     written.append(report_path)
 
@@ -413,7 +413,7 @@ def parse_config_text(text: str) -> list:
             raise UsageError(f"config line {lineno} is not key=value: '{stripped}'")
         key, _, value = stripped.partition("=")
         key = key.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _CONFIG_DEFAULTS:
             raise UsageError(f"unknown config key '{key}' on line {lineno}")
         if key in raw:
             raise UsageError(f"config key '{key}' is given twice, "
@@ -422,23 +422,17 @@ def parse_config_text(text: str) -> list:
         first_line[key] = lineno
 
     kwargs = {}
-    m_values = [1.0]
+    m_values = [_CONFIG_DEFAULTS["m_over_p"]]
     if "m_over_p" in raw:
         try:
             m_values = [float(tok) for tok in raw["m_over_p"].split(",")]
         except ValueError:
-            raise UsageError(
-                f"m_over_p expects one or more numbers, got '{raw['m_over_p']}'"
-            ) from None
-    for f in fields(ScenarioConfig):
-        if f.name not in raw or f.name in ("m_over_p", "custom_state"):
-            continue
-        if f.type == "float":
-            kwargs[f.name] = _parse_float(raw[f.name], f.name)
-        elif f.type == "bool":
-            kwargs[f.name] = _parse_bool(raw[f.name], f.name)
-        else:
-            kwargs[f.name] = raw[f.name]
+            raise UsageError(f"m_over_p expects one or more numbers, "
+                             f"got '{raw['m_over_p']}'") from None
+    parsers = {float: _parse_float, bool: _parse_bool, str: lambda value, key: value}
+    for key, default in _CONFIG_DEFAULTS.items():
+        if key in raw and key not in ("m_over_p", "custom_state"):
+            kwargs[key] = parsers[type(default)](raw[key], key)
     if "custom_state" in raw:
         tokens = [tok.strip() for tok in raw["custom_state"].split(",")]
         if len(tokens) != 16:
@@ -494,7 +488,8 @@ def run_scenario(configs: list) -> list:
     results = []
     for cfg in configs:
         if sweep:
-            cfg = replace(cfg, outputs=str(root / _point_dir_name(cfg.m_over_p)))
+            cfg = ScenarioConfig(**dict(cfg._asdict(),
+                                        outputs=str(root / _point_dir_name(cfg.m_over_p))))
         columns = run_trajectory(cfg)
         report = detect_features(columns, cfg.eps_dead, cfg.eps_alive)
         emit_outputs(columns, report, cfg)

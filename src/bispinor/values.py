@@ -3,8 +3,8 @@
 A subclass lists its fields in __slots__, stores them by calling
 ValueType.__init__ with the values in slot order and validates them in
 its own __init__. Instances compare, hash and print by their field
-values, and refuse assignment once built, as frozen dataclasses do;
-defining them costs no generated code at import.
+values, copy and pickle, and refuse assignment once built, as frozen
+dataclasses do; defining them costs no generated code at import.
 """
 
 
@@ -18,6 +18,9 @@ class ValueType:
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
 
+    def _asdict(self) -> dict:
+        return dict(zip(self.__slots__, self._fields()))
+
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
@@ -27,9 +30,15 @@ class ValueType:
         return hash(self._fields())
 
     def __repr__(self):
-        args = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__,
-                                                                     self._fields()))
+        args = ", ".join(f"{name}={value!r}" for name, value in self._asdict().items())
         return f"{type(self).__name__}({args})"
+
+    # copy and pickle keep the fields by name and restore them past __setattr__
+    __getstate__ = _asdict
+
+    def __setstate__(self, state):
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")

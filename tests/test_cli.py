@@ -133,14 +133,26 @@ def test_non_hermitian_custom_state_exits_two(tmp_path, capsys, monkeypatch, ent
     "m_over_p = 1.0, 1.0",
     "t_max = 2.0",         # a key given twice
     "# caf\udce9",         # written as the lone byte 0xe9: not valid UTF-8
+    "outputs =",           # would write into the working directory
 ])
-def test_malformed_config_values_exit_one(tmp_path, capsys, line):
-    text = BASE_CONFIG + f"{line}\noutputs = {tmp_path / 'out'}\n"
+def test_malformed_config_values_exit_one(tmp_path, capsys, monkeypatch, line):
+    monkeypatch.chdir(tmp_path)
+    text = BASE_CONFIG + f"{line}\n"
+    if not line.startswith("outputs"):
+        text += f"outputs = {tmp_path / 'out'}\n"
     cfg = tmp_path / "run.cfg"
     cfg.write_bytes(text.encode("utf-8", "surrogateescape"))
     assert main(["simulate", "--config", str(cfg)]) == 1
     assert "usage error" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_empty_out_override_exits_one(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, BASE_CONFIG + f"outputs = {tmp_path / 'out'}\n")
+    assert main(["simulate", "--config", str(cfg), "--out", ""]) == 1
+    assert capsys.readouterr().err == "usage error: outputs must name a directory\n"
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 def test_unwritable_output_exits_three(tmp_path, capsys):
@@ -211,6 +223,11 @@ def test_import_loads_blas_with_one_thread():
                         'os.environ.get("OPENBLAS_NUM_THREADS"))') == ["1", "None"]
 
 
+def test_import_leaves_dataclasses_unloaded():
+    assert import_probe('import sys, bispinor.cli, bispinor.acceptance\n'
+                        'print("dataclasses" in sys.modules)') == ["False"]
+
+
 def test_import_keeps_the_callers_blas_thread_count():
     assert import_probe('print(os.environ["OPENBLAS_NUM_THREADS"])',
                         OPENBLAS_NUM_THREADS="2") == ["2"]
@@ -236,6 +253,13 @@ def test_readme_python_example_runs(capsys):
     (example,) = re.findall(r"^```python\n(.*?)^```$", readme, re.DOTALL | re.MULTILINE)
     exec(compile(example, "README.md", "exec"), {})
     assert capsys.readouterr().out.splitlines()[-1].startswith("True [")
+
+
+def test_readme_config_table_lists_the_schema():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("### Config keys", 1)[1].split("\n\n", 2)[1]
+    keys = re.findall(r"^\| `(\w+)`", table, re.MULTILINE)
+    assert keys == list(scenario._CONFIG_DEFAULTS)
 
 
 FREEZE_PROBE = """

@@ -109,6 +109,21 @@ def test_config_validation():
         ScenarioConfig(initial_state="custom")  # no matrix given
     with pytest.raises(UsageError):
         ScenarioConfig(initial_state="a", custom_state=(1.0,) * 16)
+    with pytest.raises(UsageError, match="outputs"):
+        ScenarioConfig(outputs="")
+    with pytest.raises(UsageError, match="t_max"):
+        ScenarioConfig(**dict(ScenarioConfig()._asdict(), t_max=0.0))  # a rebuilt copy
+    with pytest.raises(TypeError, match="flux"):
+        ScenarioConfig(flux=1.21)
+    with pytest.raises(TypeError):
+        ScenarioConfig(1.0)  # keywords only
+
+
+def test_config_rebuild_changes_only_its_overrides():
+    cfg = ScenarioConfig(m_over_p=2.5, initial_state="cat", emit_plots=True)
+    moved = ScenarioConfig(**dict(cfg._asdict(), outputs="elsewhere"))
+    changed = [key for key in cfg.__slots__ if getattr(moved, key) != getattr(cfg, key)]
+    assert changed == ["outputs"] and moved.outputs == "elsewhere"
 
 
 @pytest.mark.parametrize("key, value", [
