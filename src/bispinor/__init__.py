@@ -22,8 +22,7 @@ if "OPENBLAS_NUM_THREADS" not in _os.environ:
     finally:
         del _os.environ["OPENBLAS_NUM_THREADS"]
 
-from .correlations import (COLUMNS, geometric_discord, negativity, purity,
-                           sample_correlations_stack)
+from .correlations import COLUMNS, sample_correlations_stack
 from .dirac import (DiracParams, SpectralData, build_dirac_hamiltonian,
                     build_invariant_operator, eigenprojectors, eigenvalue_closed_form)
 from .errors import (DegenerateSpectrumError, InvariantViolation,
@@ -60,13 +59,10 @@ __all__ = [
     "eigenvalue_closed_form",
     "emit_outputs",
     "evolve_noisy_stack",
-    "geometric_discord",
     "initial_state",
     "load_config",
-    "negativity",
     "parse_config_text",
     "partial_transpose",
-    "purity",
     "run_scenario",
     "run_trajectory",
     "sample_correlations_stack",

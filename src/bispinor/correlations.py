@@ -11,8 +11,8 @@ and their partial transposes together. The Fano data are one product of
 the flattened states with the 15 Pauli products, the top eigenvalues of
 both discord sides come from one closed-form call on a (2B, 3, 3) stack
 (linalg.top_eigenvalue_3x3) and the purity is the sum of |rho_ij|^2. A
-trajectory stack is measured into the seven float64 columns named by
-COLUMNS; the single-state functions evaluate a one-state stack.
+trajectory stack, or one state as a one-row stack rho[None], is measured
+into the seven float64 columns named by COLUMNS.
 """
 
 from __future__ import annotations
@@ -42,16 +42,11 @@ _FANO_BASIS = np.array(
 _FANO_TRACE = np.ascontiguousarray(_FANO_BASIS.transpose(0, 2, 1).reshape(15, 16).T)
 
 
-def _state_stack(rho, stacked: bool) -> np.ndarray:
-    """Validated (B, 4, 4) stack: finite and Hermitian (linalg's check) state by state.
-
-    A single 4x4 state (stacked=False) becomes a one-state stack.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != (3 if stacked else 2) or rho.shape[-2:] != (4, 4):
-        want = "a (B, 4, 4) stack" if stacked else "a 4x4 state"
-        raise ValueError(f"expected {want}, got shape {rho.shape}")
-    stack = rho if stacked else rho[None]
+def _state_stack(rhos) -> np.ndarray:
+    """Validated (B, 4, 4) stack: finite and Hermitian (linalg's check) state by state."""
+    stack = np.asarray(rhos, dtype=complex)
+    if stack.ndim != 3 or stack.shape[1:] != (4, 4):
+        raise ValueError(f"expected a (B, 4, 4) stack, got shape {stack.shape}")
     _require_hermitian(stack, "state")
     return stack
 
@@ -91,15 +86,20 @@ def _spectra(stack: np.ndarray) -> tuple:
 
 
 def _negativity_stack(pt_eigs: np.ndarray) -> np.ndarray:
+    # the transposed side is immaterial for two qubits: the two partial
+    # transposes are related by a full transpose
     return _clamp(np.sum(np.abs(pt_eigs), axis=1) - 1.0)
 
 
 def _discord_stacks(fano: tuple) -> tuple:
-    """Discord of each measured side, (D1, D2), from one closed-form call.
+    """Distance-based discord of each measured side, (D1, D2).
 
-    Both sides' K = a a^T + Gram share one (2B, 3, 3) stack, side 1 first,
-    and T^T and ||T||_F^2 are formed once; every step is per row, so each
-    value has the bits of a one-side evaluation.
+    D = (||a_side||^2 + ||T||_F^2 - k_max) / 4 with k_max the top
+    eigenvalue of K = a1 a1^T + T T^T (side 1) or a2 a2^T + T^T T (side
+    2); the transposed Gram matrix keeps side 2 invariant under local
+    unitaries, which T T^T would break. Both sides' K share one
+    (2B, 3, 3) stack, side 1 first; every step is per row, so each value
+    has the bits of a one-side evaluation.
     """
     a1, a2, T = fano
     n = len(T)
@@ -120,37 +120,6 @@ def _purity_stack(stack: np.ndarray) -> np.ndarray:
     return np.sum(flat.real ** 2 + flat.imag ** 2, axis=1)
 
 
-def negativity(rho) -> float:
-    """Trace norm of the qubit-1 partial transpose, minus one.
-
-    Side choice is immaterial for two qubits (the two partial transposes
-    are related by a full transpose). Values within 1e-12 of zero clamp
-    to exactly 0.
-    """
-    stack = _state_stack(rho, stacked=False)
-    return float(_negativity_stack(_spectra(stack)[1])[0])
-
-
-def geometric_discord(rho, side: int) -> float:
-    """Distance-based discord of the measured qubit (side 1 or 2).
-
-    D = (||a_side||^2 + ||T||_F^2 - k_max) / 4 where k_max is the top
-    eigenvalue of K = a1 a1^T + T T^T for side 1 and of a2 a2^T + T^T T
-    for side 2, from the closed form of linalg.top_eigenvalue_3x3 rather
-    than a LAPACK solve. The transposed Gram matrix on side 2 keeps the
-    measure invariant under local unitaries, which the naive T T^T would
-    break.
-    """
-    if side not in (1, 2):
-        raise ValueError("side must be 1 or 2")
-    return float(_discord_stacks(_fano_stack(_state_stack(rho, stacked=False)))[side - 1][0])
-
-
-def purity(rho) -> float:
-    """Tr[rho^2], between 1/4 (maximally mixed) and 1 (pure)."""
-    return float(_purity_stack(_state_stack(rho, stacked=False))[0])
-
-
 def sample_correlations_stack(rhos, times) -> dict:
     """All measures and diagnostics of a (B, 4, 4) stack of trajectory states.
 
@@ -161,7 +130,7 @@ def sample_correlations_stack(rhos, times) -> dict:
     the k_max of both discord sides come from one closed-form call on
     their 3x3 K matrices.
     """
-    stack = _state_stack(rhos, stacked=True)
+    stack = _state_stack(rhos)
     times = np.asarray(times, dtype=float)
     if times.shape != stack.shape[:1]:
         raise ValueError(f"{stack.shape[0]} states but times of shape {times.shape}")

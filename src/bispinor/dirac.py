@@ -72,8 +72,6 @@ class SpectralData(ValueType):
 # Sigma_i = I (x) s_i
 BETA = tensor_product(SIGMA_Z, IDENTITY_2)
 ALPHA_X = tensor_product(SIGMA_X, SIGMA_X)
-ALPHA_Y = tensor_product(SIGMA_X, SIGMA_Y)
-ALPHA_Z = tensor_product(SIGMA_X, SIGMA_Z)
 
 # the remaining Pauli products the builders combine; their entries are
 # exactly 0, +-1 or +-i, so products built once give the same H and O bits

@@ -162,6 +162,20 @@ def test_criterion_05_catches_a_wrong_rotation(monkeypatch):
     assert not ok, detail
 
 
+def test_criterion_05_catches_rotation_before_the_channel(monkeypatch):
+    # Phi_t(U rho0 U^dag) agrees with the engine at Gamma = 0 only, so a
+    # check of the noiseless limit alone passes it
+    def rotate_first(rho0, params, noise_params, times):
+        rotated = noise.evolve_noisy_stack(rho0, params, noise.NoiseParams(0.0), times)
+        return np.array([noise.evolve_noisy_stack(rho, acceptance.NO_HAMILTONIAN,
+                                                  noise_params, [t])[0]
+                         for rho, t in zip(rotated, times)])
+
+    monkeypatch.setattr(acceptance, "evolve_noisy_stack", rotate_first)
+    ok, detail = acceptance.criterion_05(None)
+    assert not ok, detail
+
+
 def test_criterion_06_measure_anchors(cache):
     ok, detail = run_criterion(6, cache)
     assert ok, detail

@@ -241,7 +241,8 @@ def test_public_names_are_consistent():
     assert not {"hermitian_eigensystem", "EigenSystem"} & set(names)
     for name in ("TrajectoryRecord", "KrausSet", "evolve_noiseless", "evolve_noisy",
                  "compute_g2", "ion_to_dirac", "evolution_operator",
-                 "evolve_noiseless_stack", "dephasing_mask", "validate_density_matrix"):
+                 "evolve_noiseless_stack", "dephasing_mask", "validate_density_matrix",
+                 "negativity", "geometric_discord", "purity"):
         assert name not in names and not hasattr(bispinor, name), name
     star = {}
     exec("from bispinor import *", star)

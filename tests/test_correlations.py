@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bispinor.correlations import (COLUMNS, _fano_stack, _state_stack, geometric_discord,
-                                   negativity, purity, sample_correlations_stack)
+from bispinor.correlations import COLUMNS, _fano_stack, _state_stack, sample_correlations_stack
 from bispinor.linalg import partial_transpose
 
 RNG = np.random.default_rng(17)
@@ -36,9 +35,15 @@ def isotropic(q):
     return q * schmidt_state(math.pi / 4) + (1.0 - q) * np.eye(4) / 4.0
 
 
+def measures(rho):
+    """The seven columns of one state, measured as a one-row stack."""
+    return {name: values[0] for name, values in
+            sample_correlations_stack(rho[None], [0.0]).items()}
+
+
 def fano_data(rho):
-    """a1, a2 and T of one state, through the validated one-state stack."""
-    a1, a2, T = _fano_stack(_state_stack(rho, stacked=False))
+    """a1, a2 and T of one state, through the validated one-row stack."""
+    a1, a2, T = _fano_stack(_state_stack(rho[None]))
     assert a1.shape == a2.shape == (1, 3) and T.shape == (1, 3, 3)
     return a1[0], a2[0], T[0]
 
@@ -82,22 +87,22 @@ def test_fano_rejects_non_hermitian():
 
 
 def test_negativity_anchors():
-    assert negativity(schmidt_state(math.pi / 4)) == pytest.approx(1.0, abs=1e-12)
-    assert negativity(np.eye(4, dtype=complex) / 4.0) == 0.0
+    assert measures(schmidt_state(math.pi / 4))["negativity"] == pytest.approx(1.0, abs=1e-12)
+    assert measures(np.eye(4, dtype=complex) / 4.0)["negativity"] == 0.0
     v = np.kron([1.0, 0.0], [0.0, 1.0]).astype(complex)
-    assert negativity(np.outer(v, v)) == 0.0
+    assert measures(np.outer(v, v))["negativity"] == 0.0
 
 
 def test_negativity_isotropic_family():
     # max(0, (3q - 1)/2), entangled only above q = 1/3
     for q in (0.0, 0.2, 1.0 / 3.0, 0.5, 0.8, 1.0):
         want = max(0.0, (3.0 * q - 1.0) / 2.0)
-        assert negativity(isotropic(q)) == pytest.approx(want, abs=1e-12)
+        assert measures(isotropic(q))["negativity"] == pytest.approx(want, abs=1e-12)
 
 
 def test_negativity_schmidt_closed_form():
     for chi in (0.0, 0.1, math.pi / 8, 0.6, math.pi / 4):
-        assert negativity(schmidt_state(chi)) == pytest.approx(
+        assert measures(schmidt_state(chi))["negativity"] == pytest.approx(
             abs(math.sin(2.0 * chi)), abs=1e-12)
 
 
@@ -106,24 +111,26 @@ def test_negativity_side_symmetry():
     for _ in range(5):
         rho = random_density()
         n2 = np.sum(np.abs(np.linalg.eigvalsh(partial_transpose(rho, 2)))) - 1.0
-        assert negativity(rho) == pytest.approx(max(n2, 0.0), abs=1e-10)
+        assert measures(rho)["negativity"] == pytest.approx(max(n2, 0.0), abs=1e-10)
 
 
 def test_discord_anchors():
-    bell = schmidt_state(math.pi / 4)
-    assert geometric_discord(bell, 1) == pytest.approx(0.5, abs=1e-12)
-    assert geometric_discord(bell, 2) == pytest.approx(0.5, abs=1e-12)
-    assert geometric_discord(np.eye(4, dtype=complex) / 4.0, 1) == 0.0
+    bell = measures(schmidt_state(math.pi / 4))
+    assert bell["discord_1"] == pytest.approx(0.5, abs=1e-12)
+    assert bell["discord_2"] == pytest.approx(0.5, abs=1e-12)
+    assert measures(np.eye(4, dtype=complex) / 4.0)["discord_1"] == 0.0
     v = np.kron([0.6, 0.8], [1.0, 0.0]).astype(complex)
-    assert geometric_discord(np.outer(v, v), 1) == pytest.approx(0.0, abs=1e-12)
-    assert geometric_discord(np.outer(v, v), 2) == pytest.approx(0.0, abs=1e-12)
+    product = measures(np.outer(v, v))
+    assert product["discord_1"] == pytest.approx(0.0, abs=1e-12)
+    assert product["discord_2"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_discord_schmidt_closed_form():
     for chi in (0.0, math.pi / 16, math.pi / 8, 3 * math.pi / 16, math.pi / 4):
         want = math.sin(2.0 * chi) ** 2 / 2.0
-        assert geometric_discord(schmidt_state(chi), 1) == pytest.approx(want, abs=1e-12)
-        assert geometric_discord(schmidt_state(chi), 2) == pytest.approx(want, abs=1e-12)
+        got = measures(schmidt_state(chi))
+        assert got["discord_1"] == pytest.approx(want, abs=1e-12)
+        assert got["discord_2"] == pytest.approx(want, abs=1e-12)
 
 
 def test_discord_local_unitary_invariance():
@@ -132,43 +139,35 @@ def test_discord_local_unitary_invariance():
         rho = random_density()
         U1, U2 = random_local_unitaries()
         U = np.kron(U1, U2)
-        rotated = U @ rho @ U.conj().T
-        for side in (1, 2):
-            assert geometric_discord(rotated, side) == pytest.approx(
-                geometric_discord(rho, side), abs=1e-10)
-
-
-def test_discord_rejects_bad_side():
-    with pytest.raises(ValueError):
-        geometric_discord(np.eye(4, dtype=complex) / 4.0, 0)
+        rotated = measures(U @ rho @ U.conj().T)
+        original = measures(rho)
+        for side in ("discord_1", "discord_2"):
+            assert rotated[side] == pytest.approx(original[side], abs=1e-10)
 
 
 def test_discord_nonnegative_and_bounded():
     for _ in range(20):
-        rho = random_density()
-        for side in (1, 2):
-            d = geometric_discord(rho, side)
-            assert 0.0 <= d <= 0.5 + 1e-12
+        got = measures(random_density())
+        for side in ("discord_1", "discord_2"):
+            assert 0.0 <= got[side] <= 0.5 + 1e-12
 
 
 def test_hierarchy_on_random_states():
     # squared half-negativity never exceeds side-1 discord
     for _ in range(50):
-        rho = random_density()
-        n = negativity(rho)
-        assert (n / 2.0) ** 2 <= geometric_discord(rho, 1) + 1e-12
+        got = measures(random_density())
+        assert (got["negativity"] / 2.0) ** 2 <= got["discord_1"] + 1e-12
 
 
 def test_purity_values():
-    assert purity(schmidt_state(0.3)) == pytest.approx(1.0, abs=1e-12)
-    assert purity(np.eye(4, dtype=complex) / 4.0) == pytest.approx(0.25, abs=1e-14)
-    # refused like negativity and geometric_discord refuse them
+    assert measures(schmidt_state(0.3))["purity"] == pytest.approx(1.0, abs=1e-12)
+    assert measures(np.eye(4, dtype=complex) / 4.0)["purity"] == pytest.approx(0.25, abs=1e-14)
+    # a state that is not Hermitian, not finite or not 4x4 is refused
     non_hermitian = np.eye(4, dtype=complex) / 4.0
     non_hermitian[0, 1] = 0.3
     for bad in (non_hermitian, np.full((4, 4), np.nan), np.eye(3)):
-        for measure in (purity, negativity, lambda rho: geometric_discord(rho, 1)):
-            with pytest.raises(ValueError):
-                measure(bad)
+        with pytest.raises(ValueError):
+            measures(bad)
 
 
 def test_sample_correlations_fields():

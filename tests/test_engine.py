@@ -17,8 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bispinor import scenario
-from bispinor.correlations import (COLUMNS, geometric_discord, negativity, purity,
-                                   sample_correlations_stack)
+from bispinor.correlations import COLUMNS, sample_correlations_stack
 from bispinor.dirac import DiracParams, build_dirac_hamiltonian, eigenprojectors
 from bispinor.errors import InvariantViolation
 from bispinor.linalg import IDENTITY_2, PAULI, partial_transpose
@@ -204,15 +203,27 @@ def test_correlation_stack_matches_loop_reference(states):
         assert_matches_reference(columns, k, rho, t)
 
 
+def assert_rows_are_one_row_calls(states):
+    """Row k of the stack's columns has the bits of a one-row call on state k."""
+    ts = 0.1 * np.arange(len(states))
+    columns = sample_correlations_stack(states, ts)
+    for k in range(len(states)):
+        row = {name: values[k:k + 1] for name, values in columns.items()}
+        assert_same_columns(row, sample_correlations_stack(states[k:k + 1], ts[k:k + 1]))
+
+
 @PROPERTY
-@given(density_matrices())
-def test_scalar_measures_are_one_row_of_the_stack(rho):
-    row = sample_correlations_stack(rho[None], [1.5])
-    assert row["t"].tolist() == [1.5]
-    assert negativity(rho) == row["negativity"][0]
-    assert geometric_discord(rho, 1) == row["discord_1"][0]
-    assert geometric_discord(rho, 2) == row["discord_2"][0]
-    assert purity(rho) == row["purity"][0]
+@given(st.lists(density_matrices(), min_size=1, max_size=5))
+def test_stack_rows_equal_one_row_calls(states):
+    # one state is measured as a one-row stack, with the bits of its row
+    assert_rows_are_one_row_calls(np.array(states))
+
+
+def test_block_sized_stack_rows_equal_one_row_calls():
+    rng = np.random.default_rng(5)
+    G = rng.normal(size=(scenario.BLOCK_SAMPLES + 37, 4, 4, 2)) @ np.array([1.0, 1j])
+    rhos = G @ np.swapaxes(G.conj(), 1, 2)
+    assert_rows_are_one_row_calls(rhos / np.trace(rhos, axis1=1, axis2=2).real[:, None, None])
 
 
 def test_stack_checks_every_state():
