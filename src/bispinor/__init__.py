@@ -23,11 +23,11 @@ if "OPENBLAS_NUM_THREADS" not in _os.environ:
         del _os.environ["OPENBLAS_NUM_THREADS"]
 
 from .correlations import COLUMNS, sample_correlations_stack
-from .dirac import (DiracParams, SpectralData, build_dirac_hamiltonian,
-                    build_invariant_operator, eigenprojectors, eigenvalue_closed_form)
+from .dirac import (SPECTRAL_KEYS, DiracParams, closed_form_spectrum, operator_stacks,
+                    spectral_stacks)
 from .errors import (DegenerateSpectrumError, InvariantViolation,
                      UnsupportedConfigurationError, UsageError)
-from .ionmap import IonParams, assemble_ion_hamiltonian, dirac_to_ion
+from .ionmap import IonParams, assemble_ion_stack, dirac_to_ion
 from .linalg import partial_transpose, tensor_product, top_eigenvalue_3x3
 from .noise import NoiseParams, apply_channel, build_kraus_set, evolve_noisy_stack
 from .scenario import (FeatureReport, ScenarioConfig, detect_features, emit_outputs,
@@ -44,28 +44,27 @@ __all__ = [
     "InvariantViolation",
     "IonParams",
     "NoiseParams",
+    "SPECTRAL_KEYS",
     "ScenarioConfig",
-    "SpectralData",
     "UnsupportedConfigurationError",
     "UsageError",
     "apply_channel",
-    "assemble_ion_hamiltonian",
-    "build_dirac_hamiltonian",
-    "build_invariant_operator",
+    "assemble_ion_stack",
     "build_kraus_set",
+    "closed_form_spectrum",
     "detect_features",
     "dirac_to_ion",
-    "eigenprojectors",
-    "eigenvalue_closed_form",
     "emit_outputs",
     "evolve_noisy_stack",
     "initial_state",
     "load_config",
+    "operator_stacks",
     "parse_config_text",
     "partial_transpose",
     "run_scenario",
     "run_trajectory",
     "sample_correlations_stack",
+    "spectral_stacks",
     "tensor_product",
     "top_eigenvalue_3x3",
 ]

@@ -6,16 +6,17 @@ channel composed with the rotation, correlation-measure anchors,
 trajectory features for the catalog scenarios, the measure hierarchy,
 pure-state closed forms and output determinism. The CLI `selftest`
 subcommand and the acceptance test module both run exactly these
-functions, so the shipped package can always re-verify itself.
+functions, so the shipped package can always re-verify itself. They
+import no underscore name from the other modules, so they check what a
+user can call.
 
 Criteria 1-6 and 10 evaluate their inputs as stacks: the 48 grid
 Hamiltonians, spectra, projectors and ion assemblies, and the paper's
-closed-form spectrum, come from the stacked builders of dirac and
-ionmap as (48, ...) arrays, the channel and composition checks evolve
-all times of a start and rate in one engine call and the measure
-anchors are one stack of states each. Each element gets the arithmetic
-a per-item loop would give it, so the worst deviations they report are
-the same bits.
+closed-form spectrum, come from the builders of dirac and ionmap as
+(48, ...) arrays, the channel and composition checks evolve all times
+of a start and rate in one engine call and the measure anchors are one
+stack of states each. Each element gets the arithmetic a per-item loop
+would give it, so the worst deviations they report are the same bits.
 
 Deviations are folded with numpy's max, which keeps a NaN (Python's
 max(0.0, nan) is 0.0), so a NaN anywhere fails its criterion.
@@ -39,8 +40,8 @@ from pathlib import Path
 import numpy as np
 
 from .correlations import sample_correlations_stack
-from .dirac import DiracParams, _closed_form_stack, _operator_stacks, _spectral_stacks
-from .ionmap import _assemble_stack, dirac_to_ion
+from .dirac import DiracParams, closed_form_spectrum, operator_stacks, spectral_stacks
+from .ionmap import assemble_ion_stack, dirac_to_ion
 from .noise import NoiseParams, apply_channel, build_kraus_set, evolve_noisy_stack
 from .scenario import (PSD_TOL, TRACE_TOL, ScenarioConfig, death_runs, initial_state,
                        run_scenario, run_trajectory)
@@ -105,9 +106,8 @@ def criterion_01(cache) -> tuple:
     """
     grid = _grid()
     anchors = [DiracParams(m, 1.0, 1.0, 1.0, 1.0) for m in (0.0, 1.0)]
-    lam = np.sqrt(_closed_form_stack(grid + anchors))
-    closed = np.sort(np.concatenate((lam, -lam), axis=1))
-    numeric = np.linalg.eigvalsh(_operator_stacks(grid)[0])
+    closed = np.sort(closed_form_spectrum(grid + anchors))
+    numeric = np.linalg.eigvalsh(operator_stacks(grid)[0])
     worst = float(np.max(np.abs(closed[:-2] - numeric) / np.abs(closed[:-2])))
     want = np.array([[-math.sqrt(5.0), -1.0, 1.0, math.sqrt(5.0)],
                      sorted(sgn * math.sqrt(4.0 + pm * 2.0 * math.sqrt(2.0))
@@ -120,7 +120,7 @@ def criterion_01(cache) -> tuple:
 def criterion_02(cache) -> tuple:
     """Projector completeness, orthogonality, idempotence, trace, eigenrelation."""
     # P is (48, 4, 4, 4): grid point, projector (SPECTRAL_KEYS order), matrix
-    H, _, _, lam, P = _spectral_stacks(_grid())
+    H, _, _, lam, P = spectral_stacks(_grid())
     total = P[:, 0] + P[:, 1] + P[:, 2] + P[:, 3]
     # P_i P_j - delta_ij P_i
     products = P[:, :, None] @ P[:, None, :]
@@ -135,9 +135,9 @@ def criterion_02(cache) -> tuple:
 def criterion_03(cache) -> tuple:
     """Ion assembly equals the direct builder entrywise to 1e-12."""
     grid = _grid()
-    direct = _operator_stacks(grid)[0]
-    mapped = _assemble_stack([dirac_to_ion(params) for params in grid],
-                             [params.p for params in grid])
+    direct = operator_stacks(grid)[0]
+    mapped = assemble_ion_stack([dirac_to_ion(params) for params in grid],
+                                [params.p for params in grid])
     worst = float(np.max(np.abs(direct - mapped)))
     return worst <= 1e-12, f"worst entrywise deviation {worst:.3g}"
 
@@ -187,7 +187,7 @@ def criterion_05(cache) -> tuple:
     Gamma = 0 (Kraus set {I, 0, 0, 0}) is the noiseless limit.
     """
     params = DiracParams(m=1.0, p=1.0, kappa=1.0, mu=1.0, E_field=1.0)
-    _, _, _, lambdas, P = _spectral_stacks([params])
+    _, _, _, lambdas, P = spectral_stacks([params])
     times = np.array([0.5, 1.0, 5.0, 20.0])
     terms = np.exp(-1j * np.multiply.outer(times, lambdas[0]))[..., None, None] * P[0]
     U = terms[:, 0] + terms[:, 1] + terms[:, 2] + terms[:, 3]

@@ -5,10 +5,9 @@ red-sideband and blue-sideband lasers realizes the same 4x4 generator as
 the direct builder in `dirac`. This module maps Dirac parameters to
 laser parameters and assembles the ionic Hamiltonian from Pauli operators
 acting on level pairs, whose sums are built once at import; the assembly
-takes a whole sequence of points as one (N, 4, 4) stack, and
-assemble_ion_hamiltonian is its one-point row. The two constructions
-must agree entrywise, which is what pins down every sign convention
-below.
+takes a whole sequence of points as one (N, 4, 4) stack, and one point
+is a one-row call. The two constructions must agree entrywise, which is
+what pins down every sign convention below.
 """
 
 from __future__ import annotations
@@ -93,12 +92,18 @@ _PAIR_SUMS = np.array([
 ])
 
 
-def _assemble_stack(ions, momenta) -> np.ndarray:
+def assemble_ion_stack(ions, momenta) -> np.ndarray:
     """Ionic Hamiltonians of paired sequences of IonParams and momenta, (N, 4, 4).
 
-    The package's one ion assembly: H = sum_k c_k S_k over _PAIR_SUMS
-    with c = 2 (delta, eta_delta_omega p, omega1, omega2), summed in that
-    order. Row i has the bits of a one-point assembly.
+    The package's one ion assembly, from Pauli operators on level pairs:
+    H = sum_k c_k S_k over _PAIR_SUMS with
+    c = 2 (delta, eta_delta_omega p, omega1, omega2), summed in that
+    order. Mass and kinetic parts act on the (a,d) and (b,c) pairs; the
+    tensor channel couples (a,b) against (c,d); the pseudotensor channel
+    acts back on (a,d), (b,c). The y pseudotensor term carries the pair
+    order (a,d) minus (b,c): the opposite order fails the entrywise
+    equality with the direct builder (see the sign tests). Row i does
+    not depend on the other rows, bit for bit.
     """
     coef = np.array([(2.0 * ion.delta, 2.0 * ion.eta_delta_omega * p,
                       *(2.0 * w for w in ion.omega1), *(2.0 * w for w in ion.omega2))
@@ -108,16 +113,3 @@ def _assemble_stack(ions, momenta) -> np.ndarray:
     for term in terms[1:]:
         H = H + term
     return H
-
-
-def assemble_ion_hamiltonian(ion: IonParams, p: float) -> np.ndarray:
-    """Four-level ionic Hamiltonian from Pauli operators on level pairs.
-
-    Mass and kinetic parts act on the (a,d) and (b,c) pairs; the tensor
-    channel couples (a,b) against (c,d); the pseudotensor channel acts
-    back on (a,d), (b,c). The y pseudotensor term carries the pair order
-    (a,d) minus (b,c): the opposite order fails the entrywise equality
-    with the direct builder (see the sign tests). One row of the stacked
-    assembly.
-    """
-    return _assemble_stack([ion], [p])[0]

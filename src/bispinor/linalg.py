@@ -4,13 +4,14 @@ Kronecker products on qubit factors, partial transposition, the
 closed-form top eigenvalue of real symmetric 3x3 matrices and the
 package's one Hermiticity check. Eigenvectors are taken in one place
 only, the ``eigh`` of the Hamiltonian in noise.evolve_noisy_stack.
-Matrices are plain complex numpy arrays; partial transposition and the
-Hermiticity check also take (B, 4, 4) stacks, one matrix per trajectory
-sample, and the top eigenvalue takes (B, 3, 3) stacks (both discord
-sides of a block in one call). The Hermiticity residual is read on the
-ten entries on and above the diagonal, and the top eigenvalue needs no
-floating-point error guard: a matrix with p = 0 is divided by 1. All
-operations are pure functions and never mutate their inputs.
+Matrices are plain complex numpy arrays. Partial transposition takes
+(B, 4, 4) stacks only, one matrix per trajectory sample (one matrix is a
+one-row stack); the Hermiticity check takes a matrix or a stack, and the
+top eigenvalue takes (B, 3, 3) stacks (both discord sides of a block in
+one call). The Hermiticity residual is read on the ten entries on and
+above the diagonal, and the top eigenvalue needs no floating-point error
+guard: a matrix with p = 0 is divided by 1. All operations are pure
+functions and never mutate their inputs.
 """
 
 from __future__ import annotations
@@ -25,14 +26,11 @@ IDENTITY_2 = np.eye(2, dtype=complex)
 PAULI = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
 
 
-def _as_square(M, dims: tuple, stacked: bool = False) -> np.ndarray:
-    """Complex array of a square matrix, or of a (B, n, n) stack, shape-checked."""
+def _as_2x2(M) -> np.ndarray:
+    """Complex array of a 2x2 matrix, shape-checked."""
     A = np.asarray(M, dtype=complex)
-    if A.ndim != (3 if stacked else 2) or A.shape[-1] != A.shape[-2]:
-        raise ValueError(f"expected a square matrix{' stack' if stacked else ''}, "
-                         f"got shape {A.shape}")
-    if A.shape[-1] not in dims:
-        raise ValueError(f"unsupported dimension {A.shape[-1]}, expected one of {dims}")
+    if A.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 matrix, got shape {A.shape}")
     return A
 
 
@@ -76,19 +74,19 @@ def tensor_product(A, B) -> np.ndarray:
     numpy.ndarray
         The 4x4 product with (A (x) B)[2i+k, 2j+l] = A[i,j] B[k,l].
     """
-    A = _as_square(A, dims=(2,))
-    B = _as_square(B, dims=(2,))
+    A = _as_2x2(A)
+    B = _as_2x2(B)
     # np.kron's elementwise products, without its generic-shape overhead
     return (A[:, None, :, None] * B[None, :, None, :]).reshape(4, 4)
 
 
 def partial_transpose(rho, subsystem: int) -> np.ndarray:
-    """Transpose one qubit factor of a 4x4 two-qubit operator.
+    """Transpose one qubit factor of every two-qubit operator of a stack.
 
     Parameters
     ----------
-    rho : array_like, shape (4, 4) or (B, 4, 4)
-        One operator, or a stack transposed matrix by matrix.
+    rho : array_like, shape (B, 4, 4)
+        A stack of operators, transposed matrix by matrix.
     subsystem : int
         1 transposes the first qubit's indices, 2 the second's.
 
@@ -98,8 +96,9 @@ def partial_transpose(rho, subsystem: int) -> np.ndarray:
         Entry permutation only, so trace and Hermiticity survive exactly;
         applying the same transpose twice returns the input.
     """
-    A = np.asarray(rho)
-    A = _as_square(A, dims=(4,), stacked=A.ndim == 3)
+    A = np.asarray(rho, dtype=complex)
+    if A.ndim != 3 or A.shape[1:] != (4, 4):
+        raise ValueError(f"expected a (B, 4, 4) stack, got shape {A.shape}")
     if subsystem not in (1, 2):
         raise ValueError("subsystem must be 1 or 2")
     # indices (..., i, k, j, l): row qubits, then column qubits

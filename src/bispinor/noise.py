@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .dirac import DiracParams, build_dirac_hamiltonian
+from .dirac import DiracParams, operator_stacks
 from .linalg import _require_hermitian, tensor_product
 from .values import ValueType
 
@@ -135,7 +135,7 @@ def evolve_noisy_stack(rho0, params: DiracParams, noise: NoiseParams,
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (4, 4):
         raise ValueError(f"expected a 4x4 initial state, got shape {rho0.shape}")
-    H = build_dirac_hamiltonian(params)
+    H = operator_stacks([params])[0][0]
     _require_hermitian(H, "evolution generator")
     lam, V = np.linalg.eigh(H)
     Vh = V.conj().T

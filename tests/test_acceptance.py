@@ -40,15 +40,14 @@ def test_criterion_01_closed_form_spectrum(cache):
 
 
 def test_criterion_01_catches_one_off_eigenvalue(monkeypatch):
-    # lambda_(0,0)^2 at one grid point off by 2e-9, so lambda_(0,0) and
-    # lambda_(1,0) are off by 1e-9 relative
+    # lambda_(0,0) at one grid point off by 1e-9 relative
     def planted(grid):
         assert grid[FAULT_INDEX] == FAULT_POINT
-        radicands = dirac._closed_form_stack(grid)
-        radicands[FAULT_INDEX, 0] *= 1.0 + 2e-9
-        return radicands
+        lambdas = dirac.closed_form_spectrum(grid)
+        lambdas[FAULT_INDEX, dirac.SPECTRAL_KEYS.index((0, 0))] *= 1.0 + 1e-9
+        return lambdas
 
-    monkeypatch.setattr(acceptance, "_closed_form_stack", planted)
+    monkeypatch.setattr(acceptance, "closed_form_spectrum", planted)
     ok, detail = acceptance.criterion_01(None)
     assert not ok, detail
 
@@ -57,11 +56,11 @@ def test_criterion_02_catches_one_off_projector_entry(monkeypatch):
     # one entry of projector (0, 1) at one grid point, off by 1e-9
     def planted(grid):
         assert grid[FAULT_INDEX] == FAULT_POINT
-        H, O, g2, lambdas, projectors = dirac._spectral_stacks(grid)
+        H, O, g2, lambdas, projectors = dirac.spectral_stacks(grid)
         projectors[FAULT_INDEX, dirac.SPECTRAL_KEYS.index((0, 1)), 2, 1] += 1e-9
         return H, O, g2, lambdas, projectors
 
-    monkeypatch.setattr(acceptance, "_spectral_stacks", planted)
+    monkeypatch.setattr(acceptance, "spectral_stacks", planted)
     ok, detail = acceptance.criterion_02(None)
     assert not ok, detail
 
@@ -70,11 +69,11 @@ def test_criterion_03_catches_one_off_ion_entry(monkeypatch):
     # one entry of the ion assembly at one grid point, off by 1e-11
     def planted(ions, momenta):
         assert ions[FAULT_INDEX] == ionmap.dirac_to_ion(FAULT_POINT)
-        H = ionmap._assemble_stack(ions, momenta)
+        H = ionmap.assemble_ion_stack(ions, momenta)
         H[FAULT_INDEX, 3, 0] += 1e-11
         return H
 
-    monkeypatch.setattr(acceptance, "_assemble_stack", planted)
+    monkeypatch.setattr(acceptance, "assemble_ion_stack", planted)
     ok, detail = acceptance.criterion_03(None)
     assert not ok, detail
 
@@ -156,8 +155,11 @@ def test_criterion_05_zero_rate_limit(cache):
 def test_criterion_05_catches_a_wrong_rotation(monkeypatch):
     # the reference must not share the engine's rotation: an engine that
     # rotates backwards in time, exp(+i H t), has to fail the check
-    build = dirac.build_dirac_hamiltonian
-    monkeypatch.setattr(noise, "build_dirac_hamiltonian", lambda params: -build(params))
+    def backwards(grid):
+        H, O = dirac.operator_stacks(grid)
+        return -H, O
+
+    monkeypatch.setattr(noise, "operator_stacks", backwards)
     ok, detail = acceptance.criterion_05(acceptance.AcceptanceCache())
     assert not ok, detail
 

@@ -110,7 +110,7 @@ def test_negativity_side_symmetry():
     # transposing the other side gives the same trace norm
     for _ in range(5):
         rho = random_density()
-        n2 = np.sum(np.abs(np.linalg.eigvalsh(partial_transpose(rho, 2)))) - 1.0
+        n2 = np.sum(np.abs(np.linalg.eigvalsh(partial_transpose(rho[None], 2)[0]))) - 1.0
         assert measures(rho)["negativity"] == pytest.approx(max(n2, 0.0), abs=1e-10)
 
 

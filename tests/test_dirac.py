@@ -5,10 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bispinor.dirac import (ALPHA_X, BETA, SPECTRAL_KEYS, DiracParams, _closed_form_stack,
-                            _operator_stacks, _spectral_stacks, build_dirac_hamiltonian,
-                            build_invariant_operator, eigenprojectors,
-                            eigenvalue_closed_form)
+from bispinor.dirac import (ALPHA_X, BETA, SPECTRAL_KEYS, DiracParams, closed_form_spectrum,
+                            operator_stacks, spectral_stacks)
 from bispinor.errors import DegenerateSpectrumError, UnsupportedConfigurationError
 from bispinor.linalg import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, tensor_product
 
@@ -22,6 +20,20 @@ def random_params(theta=math.pi / 4):
                        E_field=float(RNG.uniform(0.1, 3.0)), theta=theta)
 
 
+def hamiltonian(params):
+    return operator_stacks([params])[0][0]
+
+
+def invariant(params):
+    return operator_stacks([params])[1][0]
+
+
+def spectrum(params):
+    """g2, the four lambda_(n,s) and their projectors of one point, SPECTRAL_KEYS order."""
+    _, _, g2, lambdas, projectors = spectral_stacks([params])
+    return g2[0], lambdas[0], projectors[0]
+
+
 def test_representation_blocks():
     # beta = sz (x) I, alpha_x = sx (x) sx in the (a,b,c,d) level order
     assert np.array_equal(BETA, np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex))
@@ -33,7 +45,7 @@ def test_representation_blocks():
 def test_hamiltonian_explicit_entries():
     """Free case plus both couplings, checked entry by entry."""
     params = DiracParams(m=2.0, p=3.0, kappa=0.0, mu=0.0, E_field=0.0)
-    H = build_dirac_hamiltonian(params)
+    H = hamiltonian(params)
     want = 2.0 * np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
     want[0, 3] = want[1, 2] = want[2, 1] = want[3, 0] = 3.0
     assert np.array_equal(H, want)
@@ -41,14 +53,14 @@ def test_hamiltonian_explicit_entries():
     # theta = 0 puts the field on x; tensor block is sz (x) sx,
     # pseudotensor block is -sy (x) sx
     params = DiracParams(m=0.0, p=0.0, kappa=1.0, mu=0.0, E_field=1.0, theta=0.0)
-    H = build_dirac_hamiltonian(params)
+    H = hamiltonian(params)
     want = np.zeros((4, 4), dtype=complex)
     want[0, 1] = want[1, 0] = 1.0
     want[2, 3] = want[3, 2] = -1.0
     assert np.allclose(H, want)
 
     params = DiracParams(m=0.0, p=0.0, kappa=0.0, mu=1.0, E_field=1.0, theta=0.0)
-    H = build_dirac_hamiltonian(params)
+    H = hamiltonian(params)
     want = np.zeros((4, 4), dtype=complex)
     want[0, 3] = want[1, 2] = 1.0j
     want[3, 0] = want[2, 1] = -1.0j
@@ -58,7 +70,7 @@ def test_hamiltonian_explicit_entries():
 def test_hamiltonian_is_hermitian_and_traceless():
     for _ in range(20):
         params = random_params(theta=float(RNG.uniform(0.0, 2.0 * math.pi)))
-        H = build_dirac_hamiltonian(params)
+        H = hamiltonian(params)
         assert np.max(np.abs(H - H.conj().T)) < 1e-14
         assert abs(np.trace(H)) < 1e-14
 
@@ -77,16 +89,16 @@ def test_invariant_commutes_and_squares_to_scalar():
     for theta in (0.0, 0.3, math.pi / 4, 1.9, math.pi):
         for _ in range(5):
             params = random_params(theta=theta)
-            H = build_dirac_hamiltonian(params)
-            O = build_invariant_operator(params)
+            H = hamiltonian(params)
+            O = invariant(params)
             assert np.max(np.abs(H @ O - O @ H)) < 1e-12
-            g2 = eigenprojectors(params).g2
+            g2 = spectrum(params)[0]
             assert np.max(np.abs(O @ O - g2 * np.eye(4))) < 1e-10
     # degenerate spectra have no projectors; g2 is then the trace formula's
     for params in (DiracParams(m=1.0, p=1.0, kappa=1.0, mu=1.0, E_field=0.0),
                    DiracParams(m=1.0, p=1.0, kappa=0.0, mu=0.0, E_field=1.0)):
-        g2 = trace_formula_g2(build_dirac_hamiltonian(params))
-        O = build_invariant_operator(params)
+        g2 = trace_formula_g2(hamiltonian(params))
+        O = invariant(params)
         assert np.max(np.abs(O @ O - g2 * np.eye(4))) < 1e-10
 
 
@@ -94,8 +106,8 @@ def test_invariant_equals_shifted_hamiltonian_square():
     # O = (H^2 - Tr[H^2]/4 * I) / 2
     for _ in range(10):
         params = random_params(theta=float(RNG.uniform(0.0, 2.0 * math.pi)))
-        H = build_dirac_hamiltonian(params)
-        O = build_invariant_operator(params)
+        H = hamiltonian(params)
+        O = invariant(params)
         H2 = H @ H
         want = (H2 - np.trace(H2).real / 4.0 * np.eye(4)) / 2.0
         assert np.max(np.abs(O - want)) < 1e-12
@@ -106,19 +118,19 @@ def test_g2_closed_form_at_quarter_pi():
         params = random_params()
         m, p, k, mu, E = params.m, params.p, params.kappa, params.mu, params.E_field
         want = E * E * (m * m * k * k + 0.5 * (mu * mu + k * k) * p * p)
-        assert eigenprojectors(params).g2 == pytest.approx(want, abs=1e-10)
+        assert spectrum(params)[0] == pytest.approx(want, abs=1e-10)
 
 
 def test_closed_form_anchor_massless():
     params = DiracParams(m=0.0, p=1.0, kappa=1.0, mu=1.0, E_field=1.0)
-    got = sorted(eigenvalue_closed_form(params, n, s) for n in (0, 1) for s in (0, 1))
+    got = np.sort(closed_form_spectrum([params])[0])
     np.testing.assert_allclose(got, [-math.sqrt(5.0), -1.0, 1.0, math.sqrt(5.0)],
                                rtol=1e-15, atol=0)
 
 
 def test_closed_form_anchor_unit_mass():
     params = DiracParams(m=1.0, p=1.0, kappa=1.0, mu=1.0, E_field=1.0)
-    got = sorted(eigenvalue_closed_form(params, n, s) for n in (0, 1) for s in (0, 1))
+    got = np.sort(closed_form_spectrum([params])[0])
     want = sorted(sgn * math.sqrt(4.0 + pm * 2.0 * math.sqrt(2.0))
                   for sgn in (1, -1) for pm in (1, -1))
     np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
@@ -127,68 +139,79 @@ def test_closed_form_anchor_unit_mass():
 def test_closed_form_matches_numeric():
     for _ in range(20):
         params = random_params()
-        closed = sorted(eigenvalue_closed_form(params, n, s)
-                        for n in (0, 1) for s in (0, 1))
-        numeric = np.linalg.eigvalsh(build_dirac_hamiltonian(params))
+        closed = np.sort(closed_form_spectrum([params])[0])
+        numeric = np.linalg.eigvalsh(hamiltonian(params))
         np.testing.assert_allclose(closed, numeric, rtol=0, atol=1e-10)
 
 
 def test_closed_form_index_and_theta_guards():
+    # the lambdas come keyed in SPECTRAL_KEYS order, and one point off the
+    # theta = pi/4 line refuses the whole stack
     params = DiracParams(m=1.0, p=1.0, kappa=1.0, mu=1.0, E_field=1.0)
-    with pytest.raises(ValueError):
-        eigenvalue_closed_form(params, 2, 0)
-    with pytest.raises(ValueError):
-        eigenvalue_closed_form(params, 0, -1)
+    lam = closed_form_spectrum([params])[0]
+    assert lam.shape == (4,)
+    assert lam[SPECTRAL_KEYS.index((1, 0))] == -lam[SPECTRAL_KEYS.index((0, 0))] < 0.0
+    assert lam[SPECTRAL_KEYS.index((1, 1))] == -lam[SPECTRAL_KEYS.index((0, 1))] < 0.0
+    assert lam[SPECTRAL_KEYS.index((0, 0))] > lam[SPECTRAL_KEYS.index((0, 1))]
     tilted = DiracParams(m=1.0, p=1.0, kappa=1.0, mu=1.0, E_field=1.0, theta=0.3)
-    with pytest.raises(UnsupportedConfigurationError):
-        eigenvalue_closed_form(tilted, 0, 0)
+    with pytest.raises(UnsupportedConfigurationError, match="requires theta = pi/4"):
+        closed_form_spectrum([params, tilted])
+
+
+def test_closed_form_reads_a_rounded_negative_radicand_as_zero():
+    # p = mu = 0 and m = kappa E: lambda_(0,1) = |m - kappa E| = 0 exactly,
+    # and numeric eigvalsh agrees to 1e-16, but the radicand rounds to -8.9e-16
+    m, kappa = 1.910885061964363, 0.8823814699152238
+    params = DiracParams(m=m, p=0.0, kappa=kappa, mu=0.0, E_field=m / kappa)
+    lam = closed_form_spectrum([params])[0]
+    assert lam[SPECTRAL_KEYS.index((0, 1))] == lam[SPECTRAL_KEYS.index((1, 1))] == 0.0
+    numeric = np.linalg.eigvalsh(hamiltonian(params))
+    np.testing.assert_allclose(np.sort(lam), numeric, rtol=0, atol=1e-12)
 
 
 def test_projectors_resolve_the_hamiltonian():
     """Completeness, orthogonality, idempotence, rank 1 and H P = lambda P."""
     for _ in range(10):
         params = random_params()
-        sd = eigenprojectors(params)
-        H = build_dirac_hamiltonian(params)
-        total = sum(sd.projectors.values())
+        _, lambdas, projectors = spectrum(params)
+        H = hamiltonian(params)
+        total = sum(projectors)
         assert np.max(np.abs(total - np.eye(4))) < 1e-12
-        for key, P in sd.projectors.items():
-            lam = sd.lambdas[key]
+        for k, (lam, P) in enumerate(zip(lambdas, projectors)):
             assert abs(np.trace(P) - 1.0) < 1e-12
             assert np.max(np.abs(P @ P - P)) < 1e-12
             assert np.max(np.abs(P - P.conj().T)) < 1e-12
             assert np.max(np.abs(H @ P - lam * P)) < 1e-10
-            for other, Q in sd.projectors.items():
-                if other != key:
+            for other, Q in enumerate(projectors):
+                if other != k:
                     assert np.max(np.abs(P @ Q)) < 1e-12
 
 
 def test_projector_eigenvalues_match_closed_form():
     params = DiracParams(m=0.5, p=1.0, kappa=1.2, mu=0.7, E_field=0.9)
-    sd = eigenprojectors(params)
-    for n in (0, 1):
-        for s in (0, 1):
-            want = eigenvalue_closed_form(params, n, s)
-            assert sd.lambdas[(n, s)] == pytest.approx(want, abs=1e-12)
-    assert sd.lambdas[(1, 0)] == -sd.lambdas[(0, 0)]
-    assert sd.lambdas[(1, 1)] == -sd.lambdas[(0, 1)]
+    lambdas = dict(zip(SPECTRAL_KEYS, spectrum(params)[1]))
+    closed = dict(zip(SPECTRAL_KEYS, closed_form_spectrum([params])[0]))
+    for key, want in closed.items():
+        assert lambdas[key] == pytest.approx(want, abs=1e-12)
+    assert lambdas[(1, 0)] == -lambdas[(0, 0)]
+    assert lambdas[(1, 1)] == -lambdas[(0, 1)]
 
 
 def test_projectors_work_off_the_quarter_pi_line():
     # no closed-form eigenvalues here, but the projector identities hold
     params = DiracParams(m=0.8, p=1.0, kappa=1.0, mu=0.4, E_field=1.1, theta=0.77)
-    sd = eigenprojectors(params)
-    H = build_dirac_hamiltonian(params)
-    for key, P in sd.projectors.items():
-        assert np.max(np.abs(H @ P - sd.lambdas[key] * P)) < 1e-10
+    _, lambdas, projectors = spectrum(params)
+    H = hamiltonian(params)
+    for lam, P in zip(lambdas, projectors):
+        assert np.max(np.abs(H @ P - lam * P)) < 1e-10
 
 
 def test_degenerate_field_refused():
     with pytest.raises(DegenerateSpectrumError):
-        eigenprojectors(DiracParams(m=1.0, p=1.0, kappa=1.0, mu=1.0, E_field=0.0))
+        spectral_stacks([DiracParams(m=1.0, p=1.0, kappa=1.0, mu=1.0, E_field=0.0)])
     # kappa = 0 with mu = 0 kills the invariant the same way
     with pytest.raises(DegenerateSpectrumError):
-        eigenprojectors(DiracParams(m=1.0, p=1.0, kappa=0.0, mu=0.0, E_field=1.0))
+        spectral_stacks([DiracParams(m=1.0, p=1.0, kappa=0.0, mu=0.0, E_field=1.0)])
 
 
 # ------------------------------------------- builders against their formulas
@@ -224,11 +247,11 @@ def trace_formula_g2(H):
 
 
 def loop_projectors(H, O, g2, lambdas):
-    """The four projectors one 4x4 product at a time."""
+    """The four projectors one 4x4 product at a time, in SPECTRAL_KEYS order."""
     eye = np.eye(4, dtype=complex)
-    return {(n, s): 0.25 * ((eye + ((-1.0) ** n / abs(lam)) * H)
-                            @ (eye + ((-1.0) ** s / math.sqrt(g2)) * O))
-            for (n, s), lam in lambdas.items()}
+    return [0.25 * ((eye + ((-1.0) ** n / abs(lam)) * H)
+                    @ (eye + ((-1.0) ** s / math.sqrt(g2)) * O))
+            for (n, s), lam in zip(SPECTRAL_KEYS, lambdas)]
 
 
 def formula_radicand(params, s):
@@ -251,21 +274,20 @@ angles = st.floats(0.0, 2.0 * math.pi, allow_nan=False) | st.just(math.pi / 4)
 @given(st.builds(DiracParams, m=energies, p=energies, kappa=couplings, mu=couplings,
                  E_field=energies, theta=angles))
 def test_builders_match_the_tensor_product_formula_bitwise(params):
-    H = build_dirac_hamiltonian(params)
-    O = build_invariant_operator(params)
+    H = hamiltonian(params)
+    O = invariant(params)
     assert same_bits(H, formula_hamiltonian(params))
     assert same_bits(O, formula_invariant(params))
     try:
-        sd = eigenprojectors(params)
+        g2, lambdas, projectors = spectrum(params)
     except DegenerateSpectrumError:
         return
-    # g2 is the trace formula on the H eigenprojectors built, and the
-    # stacked projector product equals the per-projector one
-    assert sd.g2 == trace_formula_g2(H)
-    want = loop_projectors(H, O, sd.g2, sd.lambdas)
-    assert list(sd.projectors) == list(want)
-    for key, P in sd.projectors.items():
-        assert same_bits(P, want[key]), key
+    # g2 is the trace formula on the built H, and the stacked projector
+    # product equals the per-projector one
+    assert g2 == trace_formula_g2(H)
+    want = loop_projectors(H, O, g2, lambdas)
+    for k, P in enumerate(projectors):
+        assert same_bits(P, want[k]), SPECTRAL_KEYS[k]
 
 
 # ------------------------------------------- stacked builders against one point
@@ -294,48 +316,56 @@ ROUNDING_GRID = [DiracParams(*values)
 @example(MIXED_GRID)
 @example(ROUNDING_GRID)
 def test_stacked_builders_match_one_point_builds_bitwise(grid):
-    H, O = _operator_stacks(grid)
+    # every stack row is a one-row call, bit for bit
+    H, O = operator_stacks(grid)
     assert H.shape == O.shape == (len(grid), 4, 4)
-    assert (_closed_form_stack(grid).tolist()
-            == [[formula_radicand(params, s) for s in (0, 1)] for params in grid])
     spectra, refusal = [], None
     for i, params in enumerate(grid):
-        assert same_bits(H[i], build_dirac_hamiltonian(params)), i
-        assert same_bits(O[i], build_invariant_operator(params)), i
+        one_H, one_O = operator_stacks([params])
+        assert same_bits(H[i], one_H[0]) and same_bits(O[i], one_O[0]), i
         try:
-            spectra.append((params, eigenprojectors(params)))
+            spectra.append((params, spectral_stacks([params])))
         except DegenerateSpectrumError as exc:
             refusal = refusal or str(exc)
     if refusal is not None:
-        # the first refused point refuses the stack, with its one-point message
+        # the first refused point refuses the stack, with its one-row message
         with pytest.raises(DegenerateSpectrumError) as info:
-            _spectral_stacks(grid)
+            spectral_stacks(grid)
         assert str(info.value) == refusal
-    if not spectra:
-        return
-    # the points with a spectrum, as one stack: every row keeps its bits
-    H, O, g2, lambdas, projectors = _spectral_stacks([params for params, _ in spectra])
-    for i, (params, sd) in enumerate(spectra):
-        assert same_bits(H[i], build_dirac_hamiltonian(params))
-        assert same_bits(O[i], build_invariant_operator(params))
-        assert g2[i] == sd.g2 and type(sd.g2) is float
-        assert list(sd.lambdas) == list(sd.projectors) == list(SPECTRAL_KEYS)
-        assert lambdas[i].tolist() == list(sd.lambdas.values())
-        for k, P in enumerate(sd.projectors.values()):
-            assert same_bits(projectors[i, k], P), (i, k)
+    if spectra:
+        # the points with a spectrum, as one stack: every row keeps its bits
+        stacks = spectral_stacks([params for params, _ in spectra])
+        for i, (_, one) in enumerate(spectra):
+            for stack, row in zip(stacks, one, strict=True):
+                assert same_bits(stack[i], row[0]), i
+    # the closed form on the theta = pi/4 points, against its formula too
+    quarter = [params for params in grid if abs(params.theta - math.pi / 4) <= 1e-12]
+    lambdas = closed_form_spectrum(quarter)
+    assert lambdas.shape == (len(quarter), 4)
+    for i, params in enumerate(quarter):
+        assert same_bits(lambdas[i], closed_form_spectrum([params])[0]), i
+        lam = [math.sqrt(max(formula_radicand(params, s), 0.0)) for s in (0, 1)]
+        assert lambdas[i].tolist() == [lam[0], -lam[0], lam[1], -lam[1]], i
+    tilted = [params for params in grid if params not in quarter]
+    if tilted:
+        with pytest.raises(UnsupportedConfigurationError) as one:
+            closed_form_spectrum(tilted[:1])
+        with pytest.raises(UnsupportedConfigurationError) as info:
+            closed_form_spectrum(grid)
+        assert str(info.value) == str(one.value)
 
 
 def test_degenerate_refusals_keep_their_one_point_messages():
     zero_field = DiracParams(m=1.0, p=1.0, kappa=1.0, mu=1.0, E_field=0.0)
     with pytest.raises(DegenerateSpectrumError, match="^g2 = 0 is degenerate"):
-        eigenprojectors(zero_field)
+        spectral_stacks([zero_field])
     with pytest.raises(DegenerateSpectrumError, match="^g2 = 0 is degenerate"):
-        _spectral_stacks(MIXED_GRID)
+        spectral_stacks(MIXED_GRID)
     # at theta = 0, p = mu = 0: lambda^2 = (|m| -+ |kappa E|)^2, which is
     # exactly 0 for m = kappa E = 1 while g2 = 1; the first refused point
     # decides the message
     zero_eigenvalue = DiracParams(m=1.0, p=0.0, kappa=1.0, mu=0.0, E_field=1.0, theta=0.0)
     with pytest.raises(DegenerateSpectrumError, match="^an eigenvalue magnitude is ~0"):
-        eigenprojectors(zero_eigenvalue)
+        spectral_stacks([zero_eigenvalue])
     with pytest.raises(DegenerateSpectrumError, match="^an eigenvalue magnitude is ~0"):
-        _spectral_stacks([MIXED_GRID[0], zero_eigenvalue, zero_field])
+        spectral_stacks([MIXED_GRID[0], zero_eigenvalue, zero_field])

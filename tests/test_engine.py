@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from bispinor import scenario
 from bispinor.correlations import COLUMNS, sample_correlations_stack
-from bispinor.dirac import DiracParams, build_dirac_hamiltonian, eigenprojectors
+from bispinor.dirac import DiracParams, operator_stacks, spectral_stacks
 from bispinor.errors import InvariantViolation
 from bispinor.linalg import IDENTITY_2, PAULI, partial_transpose
 from bispinor.noise import NoiseParams, apply_channel, build_kraus_set, evolve_noisy_stack
@@ -43,10 +43,10 @@ def reference_evolution(params, t):
     """
     if params.E_field == 0.0 or params.kappa == params.mu == 0.0:
         w = math.hypot(params.m, params.p)
-        H = build_dirac_hamiltonian(params)
+        H = operator_stacks([params])[0][0]
         return math.cos(w * t) * np.eye(4) - 1j * (math.sin(w * t) / w) * H
-    sd = eigenprojectors(params)
-    return sum(np.exp(-1j * sd.lambdas[key] * t) * P for key, P in sd.projectors.items())
+    _, _, _, lambdas, projectors = spectral_stacks([params])
+    return sum(np.exp(-1j * lam * t) * P for lam, P in zip(lambdas[0], projectors[0]))
 
 
 def reference_state(rho0, params, noise, t):
@@ -72,7 +72,7 @@ def reference_measures(rho):
     for a, gram in ((a1, T @ T.T), (a2, T.T @ T)):
         k_max = np.linalg.eigvalsh(np.outer(a, a) + gram)[-1]
         discords.append(_clamped(0.25 * (a @ a + np.sum(T * T) - k_max)))
-    pt_eigs = np.linalg.eigvalsh(partial_transpose(rho, 1))
+    pt_eigs = np.linalg.eigvalsh(partial_transpose(rho[None], 1)[0])
     return {
         "negativity": _clamped(np.sum(np.abs(pt_eigs)) - 1.0),
         "discord_1": discords[0],

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bispinor.dirac import DiracParams, build_dirac_hamiltonian
-from bispinor.ionmap import (IonParams, _assemble_stack, assemble_ion_hamiltonian,
-                             dirac_to_ion, pair_sigma)
+from bispinor.dirac import DiracParams, operator_stacks
+from bispinor.ionmap import IonParams, assemble_ion_stack, dirac_to_ion, pair_sigma
 
 RNG = np.random.default_rng(99)
 
@@ -18,6 +17,14 @@ def random_params():
                        mu=float(RNG.uniform(-2.0, 2.0)),
                        E_field=float(RNG.uniform(0.1, 3.0)),
                        theta=float(RNG.uniform(0.0, 2.0 * math.pi)))
+
+
+def hamiltonian(params):
+    return operator_stacks([params])[0][0]
+
+
+def ion_hamiltonian(ion, p):
+    return assemble_ion_stack([ion], [p])[0]
 
 
 def test_pair_sigma_entries():
@@ -57,8 +64,8 @@ def test_assembly_equals_direct_builder():
     """The ionic construction and the direct one agree entrywise."""
     for _ in range(30):
         params = random_params()
-        direct = build_dirac_hamiltonian(params)
-        mapped = assemble_ion_hamiltonian(dirac_to_ion(params), params.p)
+        direct = hamiltonian(params)
+        mapped = ion_hamiltonian(dirac_to_ion(params), params.p)
         assert np.max(np.abs(direct - mapped)) < 1e-12
 
 
@@ -67,14 +74,14 @@ def test_assembly_pseudotensor_y_sign():
     # a different operator and misses the direct builder by 4*w2y
     params = DiracParams(m=0.4, p=1.0, kappa=0.9, mu=1.3, E_field=1.5)
     ion = dirac_to_ion(params)
-    direct = build_dirac_hamiltonian(params)
+    direct = hamiltonian(params)
     flipped = IonParams(delta=ion.delta, eta_delta_omega=ion.eta_delta_omega,
                         omega1=ion.omega1,
                         omega2=(ion.omega2[0], -ion.omega2[1], ion.omega2[2]))
-    bad = assemble_ion_hamiltonian(flipped, params.p)
+    bad = ion_hamiltonian(flipped, params.p)
     dev = np.max(np.abs(direct - bad))
     assert dev > 4.0 * abs(ion.omega2[1]) - 1e-12
-    good = assemble_ion_hamiltonian(ion, params.p)
+    good = ion_hamiltonian(ion, params.p)
     assert np.max(np.abs(direct - good)) < 1e-12
 
 
@@ -100,8 +107,8 @@ def test_inverse_map_zero_tensor_channel():
                     omega1=(0.0, 0.0, 0.0), omega2=(0.3, 0.4, 0.0))
     params = DiracParams(m=1.0, p=1.0, kappa=0.0, mu=1.0, E_field=1.0,
                          theta=math.atan2(0.4, 0.3))
-    H0 = assemble_ion_hamiltonian(ion, 1.0)
-    H1 = build_dirac_hamiltonian(params)
+    H0 = ion_hamiltonian(ion, 1.0)
+    H1 = hamiltonian(params)
     assert np.max(np.abs(H0 - H1)) < 1e-12
 
 
@@ -115,8 +122,8 @@ def test_inverse_map_rescaled_sideband():
                     omega1=(0.4, 0.3, 0.0), omega2=(0.0, 0.0, 0.0))
     params = DiracParams(m=1.0, p=1.6, kappa=1.0, mu=0.0, E_field=1.0,
                          theta=math.atan2(0.3, 0.4))
-    H0 = assemble_ion_hamiltonian(ion, 1.0)
-    H1 = build_dirac_hamiltonian(params)
+    H0 = ion_hamiltonian(ion, 1.0)
+    H1 = hamiltonian(params)
     assert np.max(np.abs(H0 - H1)) < 1e-12
 
 
@@ -170,10 +177,11 @@ free_points = st.tuples(
 @given(st.lists(mapped_points | free_points, min_size=1, max_size=10))
 def test_stacked_assembly_matches_one_point_builds_bitwise(points):
     ions, momenta = zip(*points)
-    stack = _assemble_stack(ions, momenta)
+    # every stack row is a one-row call, bit for bit
+    stack = assemble_ion_stack(ions, momenta)
     assert stack.shape == (len(points), 4, 4)
     for i, (ion, p) in enumerate(points):
-        one = assemble_ion_hamiltonian(ion, p)
+        one = assemble_ion_stack([ion], [p])[0]
         assert same_bits(stack[i], one), i
         # the level-pair sums built once give the term-by-term bits
         assert same_bits(one, formula_ion_hamiltonian(ion, p)), i

@@ -44,12 +44,13 @@ def test_tensor_product_rejects_wrong_shapes():
 
 
 def test_partial_transpose_is_an_involution():
-    rho = random_density()
+    rho = np.array([random_density() for _ in range(3)])
     for side in (1, 2):
         pt = partial_transpose(rho, side)
         np.testing.assert_allclose(partial_transpose(pt, side), rho,
                                    rtol=0, atol=0)
-        assert abs(np.trace(pt) - np.trace(rho)) < 1e-14
+        traces = np.trace(pt, axis1=1, axis2=2) - np.trace(rho, axis1=1, axis2=2)
+        assert np.max(np.abs(traces)) < 1e-14
 
 
 def test_partial_transpose_on_product_state():
@@ -57,10 +58,10 @@ def test_partial_transpose_on_product_state():
     a = a / np.trace(a).real
     b = random_density(2)[:2, :2]
     b = b / np.trace(b).real
-    rho = np.kron(a, b)
-    np.testing.assert_allclose(partial_transpose(rho, 1), np.kron(a.T, b),
+    rho = np.kron(a, b)[None]
+    np.testing.assert_allclose(partial_transpose(rho, 1)[0], np.kron(a.T, b),
                                rtol=0, atol=1e-15)
-    np.testing.assert_allclose(partial_transpose(rho, 2), np.kron(a, b.T),
+    np.testing.assert_allclose(partial_transpose(rho, 2)[0], np.kron(a, b.T),
                                rtol=0, atol=1e-15)
 
 
@@ -69,13 +70,20 @@ def test_partial_transpose_bell_state():
     vec = np.zeros(4, dtype=complex)
     vec[0] = vec[3] = 1.0 / np.sqrt(2.0)
     rho = np.outer(vec, vec.conj())
-    lam = np.linalg.eigvalsh(partial_transpose(rho, 1))
+    lam = np.linalg.eigvalsh(partial_transpose(rho[None], 1)[0])
     np.testing.assert_allclose(lam, [-0.5, 0.5, 0.5, 0.5], rtol=0, atol=1e-12)
 
 
 def test_partial_transpose_rejects_bad_subsystem():
     with pytest.raises(ValueError):
-        partial_transpose(np.eye(4), 3)
+        partial_transpose(np.eye(4)[None], 3)
+
+
+def test_partial_transpose_takes_stacks_only():
+    # one matrix is a one-row stack
+    for shape in ((4, 4), (2, 2, 2), (1, 4, 3), (1, 2, 4, 4)):
+        with pytest.raises(ValueError, match=r"expected a \(B, 4, 4\) stack"):
+            partial_transpose(np.zeros(shape), 1)
 
 
 def test_require_hermitian_on_a_stack():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bispinor import noise as noise_module
-from bispinor.dirac import DiracParams, build_dirac_hamiltonian
+from bispinor.dirac import DiracParams, operator_stacks
 from bispinor.noise import NoiseParams, apply_channel, build_kraus_set, evolve_noisy_stack
 
 RNG = np.random.default_rng(3)
@@ -13,6 +13,10 @@ PARAMS = DiracParams(m=1.0, p=1.0, kappa=1.0, mu=1.0, E_field=1.0)
 QUIET = NoiseParams(0.0)
 #: H = 0: the engine applies the dephasing channel alone
 NO_HAMILTONIAN = DiracParams(m=0.0, p=0.0, kappa=0.0, mu=0.0, E_field=0.0)
+
+
+def hamiltonian(params):
+    return operator_stacks([params])[0][0]
 
 
 def reference_unitary(H, t):
@@ -157,7 +161,7 @@ def test_channel_refuses_a_stack():
 
 
 def test_noiseless_evolution_matches_unitary_conjugation():
-    H = build_dirac_hamiltonian(PARAMS)
+    H = hamiltonian(PARAMS)
     for t in (0.0, 0.3, 2.0, 17.0):
         U = reference_unitary(H, t)
         for rho in (bell_state(), random_density()):
@@ -183,7 +187,7 @@ def test_noiseless_preserves_purity():
 
 def test_noisy_reduces_to_noiseless_at_zero_rate():
     # only a positive rate moves the state off the unitary orbit
-    H = build_dirac_hamiltonian(PARAMS)
+    H = hamiltonian(PARAMS)
     for t in (0.5, 3.0):
         rho = random_density()
         U = reference_unitary(H, t)
@@ -204,7 +208,7 @@ def test_noisy_generator_at_time_zero():
     # d gamma^n / dt = -n Gamma / 2 at t = 0 for the n-th coherence order
     rate, dt = 0.8, 1e-6
     rho = random_density()
-    H = build_dirac_hamiltonian(PARAMS)
+    H = hamiltonian(PARAMS)
     flips = np.array([[0, 1, 1, 2], [1, 0, 2, 1], [1, 2, 0, 1], [2, 1, 1, 0]])
     want = -1j * (H @ rho - rho @ H) - 0.5 * rate * flips * rho
     step = evolve_noisy_stack(rho, PARAMS, NoiseParams(rate), [dt])[0]
@@ -216,7 +220,7 @@ def test_noisy_composition_order():
     noise = NoiseParams(0.5)
     t = 1.7
     rho0 = bell_state()
-    U = reference_unitary(build_dirac_hamiltonian(PARAMS), t)
+    U = reference_unitary(hamiltonian(PARAMS), t)
     ks = build_kraus_set(noise, t)
     want = U @ apply_channel(rho0, ks) @ U.conj().T
     got = evolve_noisy_stack(rho0, PARAMS, noise, [t])[0]
@@ -254,8 +258,11 @@ def test_noisy_rejects_bad_times_and_states():
 ])
 def test_noisy_refuses_a_bad_generator(monkeypatch, corrupt, message):
     # LAPACK cannot converge on non-finite entries; they are refused up front
-    monkeypatch.setattr(noise_module, "build_dirac_hamiltonian",
-                        lambda params: corrupt(build_dirac_hamiltonian(params)))
+    def corrupted(grid):
+        H, O = operator_stacks(grid)
+        return corrupt(H), O
+
+    monkeypatch.setattr(noise_module, "operator_stacks", corrupted)
     with pytest.raises(ValueError, match=f"evolution generator .*{message}"):
         evolve_noisy_stack(bell_state(), PARAMS, NoiseParams(0.5), [1.0])
 

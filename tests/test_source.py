@@ -63,3 +63,13 @@ def test_module_reads_every_top_level_name(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     unread = [name for name in defined_names(tree) if name not in read]
     assert not unread, f"{path.name} defines {unread} and no package module reads them"
+
+
+def test_acceptance_imports_no_private_name():
+    # the shipped battery checks what users can call, not internals
+    path = PACKAGE / "acceptance.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    private = [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level > 0
+               for alias in node.names if alias.name.startswith("_")]
+    assert not private, f"acceptance.py imports private names {private}"
