@@ -28,7 +28,7 @@ from .dirac import (SPECTRAL_KEYS, DiracParams, closed_form_spectrum, operator_s
 from .errors import (DegenerateSpectrumError, InvariantViolation,
                      UnsupportedConfigurationError, UsageError)
 from .ionmap import IonParams, assemble_ion_stack, dirac_to_ion
-from .linalg import partial_transpose, tensor_product, top_eigenvalue_3x3
+from .linalg import partial_transpose, top_eigenvalue_3x3
 from .noise import NoiseParams, apply_channel, build_kraus_set, evolve_noisy_stack
 from .scenario import (FeatureReport, ScenarioConfig, detect_features, emit_outputs,
                        initial_state, load_config, parse_config_text, run_scenario,
@@ -65,6 +65,5 @@ __all__ = [
     "run_trajectory",
     "sample_correlations_stack",
     "spectral_stacks",
-    "tensor_product",
     "top_eigenvalue_3x3",
 ]

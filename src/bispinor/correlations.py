@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import (IDENTITY_2, PAULI, _require_hermitian, partial_transpose,
-                     tensor_product, top_eigenvalue_3x3)
+from .linalg import IDENTITY_2, PAULI, _require_hermitian, partial_transpose, top_eigenvalue_3x3
 
 CLAMP_TOL = 1e-12
 
@@ -33,9 +32,9 @@ _AXES = ("x", "y", "z")
 #: the 15 Fano basis operators: s_i (x) I, then I (x) s_j, then s_i (x) s_j
 #: with j running fastest
 _FANO_BASIS = np.array(
-    [tensor_product(PAULI[a], IDENTITY_2) for a in _AXES]
-    + [tensor_product(IDENTITY_2, PAULI[b]) for b in _AXES]
-    + [tensor_product(PAULI[a], PAULI[b]) for a in _AXES for b in _AXES]
+    [np.kron(PAULI[a], IDENTITY_2) for a in _AXES]
+    + [np.kron(IDENTITY_2, PAULI[b]) for b in _AXES]
+    + [np.kron(PAULI[a], PAULI[b]) for a in _AXES for b in _AXES]
 )
 #: Tr[rho P] = sum_ij rho_ij P_ji for every Fano operator P as one product
 #: with the row-major flattened state: row 4 i + j, column P holds P_ji

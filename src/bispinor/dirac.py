@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from .errors import DegenerateSpectrumError, UnsupportedConfigurationError
-from .linalg import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, tensor_product
+from .linalg import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
 from .values import ValueType
 
 #: below this, g2 or |lambda| counts as degenerate and the analytic
@@ -56,19 +56,19 @@ class DiracParams(ValueType):
 
 # fixed two-qubit representation: beta = sz (x) I, alpha_i = sx (x) s_i,
 # Sigma_i = I (x) s_i
-BETA = tensor_product(SIGMA_Z, IDENTITY_2)
-ALPHA_X = tensor_product(SIGMA_X, SIGMA_X)
+BETA = np.kron(SIGMA_Z, IDENTITY_2)
+ALPHA_X = np.kron(SIGMA_X, SIGMA_X)
 
 # the remaining Pauli products the builders combine; their entries are
 # exactly 0, +-1 or +-i, so products built once give the same H and O bits
-_ZX = tensor_product(SIGMA_Z, SIGMA_X)
-_ZY = tensor_product(SIGMA_Z, SIGMA_Y)
-_YX = tensor_product(SIGMA_Y, SIGMA_X)
-_YY = tensor_product(SIGMA_Y, SIGMA_Y)
-_IX = tensor_product(IDENTITY_2, SIGMA_X)
-_IY = tensor_product(IDENTITY_2, SIGMA_Y)
-_ZZ = tensor_product(SIGMA_Z, SIGMA_Z)
-_YZ = tensor_product(SIGMA_Y, SIGMA_Z)
+_ZX = np.kron(SIGMA_Z, SIGMA_X)
+_ZY = np.kron(SIGMA_Z, SIGMA_Y)
+_YX = np.kron(SIGMA_Y, SIGMA_X)
+_YY = np.kron(SIGMA_Y, SIGMA_Y)
+_IX = np.kron(IDENTITY_2, SIGMA_X)
+_IY = np.kron(IDENTITY_2, SIGMA_Y)
+_ZZ = np.kron(SIGMA_Z, SIGMA_Z)
+_YZ = np.kron(SIGMA_Y, SIGMA_Z)
 
 
 def operator_stacks(grid) -> tuple:

@@ -1,9 +1,10 @@
 """Dense complex linear algebra for matrices up to 4x4.
 
-Kronecker products on qubit factors, partial transposition, the
-closed-form top eigenvalue of real symmetric 3x3 matrices and the
-package's one Hermiticity check. Eigenvectors are taken in one place
-only, the ``eigh`` of the Hamiltonian in noise.evolve_noisy_stack.
+The Pauli matrices, partial transposition, the closed-form top
+eigenvalue of real symmetric 3x3 matrices and the package's one
+Hermiticity check; products of qubit factors are numpy's kron.
+Eigenvectors are taken in one place only, the ``eigh`` of the
+Hamiltonian in noise.evolve_noisy_stack.
 Matrices are plain complex numpy arrays. Partial transposition takes
 (B, 4, 4) stacks only, one matrix per trajectory sample (one matrix is a
 one-row stack); the Hermiticity check takes a matrix or a stack, and the
@@ -24,15 +25,6 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
 
 PAULI = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
-
-
-def _as_2x2(M) -> np.ndarray:
-    """Complex array of a 2x2 matrix, shape-checked."""
-    A = np.asarray(M, dtype=complex)
-    if A.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {A.shape}")
-    return A
-
 
 #: the ten entries (i, j) with i <= j of a 4x4 matrix, as index arrays
 _UPPER_4 = np.triu_indices(4)
@@ -59,25 +51,6 @@ def _require_hermitian(A, what: str) -> None:
     residual = np.max(np.abs(A[..., rows, cols] - A[..., cols, rows].conj()), axis=-1)
     if np.any(residual > 1e-12 * scale):
         raise ValueError(f"{what} must be Hermitian")
-
-
-def tensor_product(A, B) -> np.ndarray:
-    """Kronecker product of two 2x2 matrices in basis order |00>,|01>,|10>,|11>.
-
-    Parameters
-    ----------
-    A, B : 2x2 array_like
-        Factors acting on qubit 1 and qubit 2 respectively.
-
-    Returns
-    -------
-    numpy.ndarray
-        The 4x4 product with (A (x) B)[2i+k, 2j+l] = A[i,j] B[k,l].
-    """
-    A = _as_2x2(A)
-    B = _as_2x2(B)
-    # np.kron's elementwise products, without its generic-shape overhead
-    return (A[:, None, :, None] * B[None, :, None, :]).reshape(4, 4)
 
 
 def partial_transpose(rho, subsystem: int) -> np.ndarray:

@@ -18,8 +18,10 @@ n, and Phi_kl(t) = exp(-i (lambda_k - lambda_l) t). The B_n are formed
 once per call; a stack of B times costs an elementwise product and one
 16 x 16 rotation per row. Gamma = 0 is the noiseless evolution, and
 H = 0 (all-zero DiracParams, whose eigh returns V = I) the channel
-alone. The Kraus form (build_kraus_set, apply_channel) is the reference
-the engine's channel is checked against.
+alone. The Kraus form is the reference the engine's channel is checked
+against, and a time stack too: build_kraus_set gives the Kraus
+operators at T times as one (T, 4, 4, 4) array, which apply_channel
+applies to one state, giving (T, 4, 4). It computes its own decay.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import math
 import numpy as np
 
 from .dirac import DiracParams, operator_stacks
-from .linalg import _require_hermitian, tensor_product
+from .linalg import _require_hermitian
 from .values import ValueType
 
 #: qubits whose level differs between row and column of each entry: the
@@ -43,6 +45,9 @@ _FLIPS = np.array([
 #: F_n, the 0/1 mask of the entries with _FLIPS == n, for n = 0, 1, 2
 _FLIP_MASKS = np.array([_FLIPS == n for n in range(3)], dtype=float)
 
+#: largest entry of sum K^dag K - I that apply_channel accepts in a Kraus row
+KRAUS_TOL = 1e-12
+
 
 class NoiseParams(ValueType):
     """Phase relaxation rate Gamma, applied equally to both qubits."""
@@ -55,66 +60,81 @@ class NoiseParams(ValueType):
             raise ValueError("gamma_rate must be finite and nonnegative")
 
 
-def build_kraus_set(noise: NoiseParams, t: float) -> tuple:
-    """Kraus operators of two-sided dephasing after elapsed time t.
+def _checked_times(times) -> np.ndarray:
+    """Times as a 1-D float array; each must be finite and nonnegative.
+
+    The first refused time refuses the array, with the message a one-row
+    call on it gives.
+    """
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise ValueError(f"times must be a 1-D array, got shape {times.shape}")
+    refused = ~(np.isfinite(times) & (times >= 0))  # a NaN is refused
+    if np.any(refused):
+        if not math.isfinite(times[np.argmax(refused)]):
+            raise ValueError("time must be finite")
+        raise ValueError("channel is defined forward in time only (t >= 0)")
+    return times
+
+
+def build_kraus_set(noise: NoiseParams, times) -> np.ndarray:
+    """Kraus operators of two-sided dephasing at each of T elapsed times.
 
     E1 = diag(1, gamma) (x) I, E2 = diag(0, omega) (x) I on qubit 1 and
     the mirrored F pair on qubit 2, with gamma = exp(-Gamma t / 2) and
-    omega = sqrt(1 - exp(-Gamma t)). Returns the four products F_nu E_mu
-    as a tuple. At t = 0 (or Gamma = 0) the set degenerates to
-    {I, 0, 0, 0}.
+    omega = sqrt(1 - exp(-Gamma t)). Returns a (T, 4, 4, 4) array whose
+    row k holds the four products F_nu E_mu at times[k], nu outer; one
+    time is the one-row call build_kraus_set(noise, [t])[0]. All four are
+    real diagonal, built entry by entry from the per-qubit diagonals. At
+    t = 0 (or Gamma = 0) a row degenerates to {I, 0, 0, 0}.
+
+    Times must be 1-D, finite and nonnegative. The decay is computed
+    here, time by time, and not taken from the engine's coherence
+    factors, so a fault in those still shows against this reference.
     """
-    if not math.isfinite(t):
-        raise ValueError("time must be finite")
-    if t < 0:
-        raise ValueError("channel is defined forward in time only (t >= 0)")
-    decay = math.exp(-noise.gamma_rate * t)
-    gamma = math.sqrt(decay)
-    omega = math.sqrt(1.0 - decay)
-    i2 = np.eye(2, dtype=complex)
-    e1 = tensor_product(np.diag([1.0, gamma]).astype(complex), i2)
-    e2 = tensor_product(np.diag([0.0, omega]).astype(complex), i2)
-    f1 = tensor_product(i2, np.diag([1.0, gamma]).astype(complex))
-    f2 = tensor_product(i2, np.diag([0.0, omega]).astype(complex))
-    return tuple(f @ e for f in (f1, f2) for e in (e1, e2))
+    times = _checked_times(times)
+    decay = np.array([math.exp(-noise.gamma_rate * t) for t in times.tolist()])
+    # (T, 2, 2): the diagonals of diag(1, gamma) and diag(0, omega)
+    factors = np.stack([np.ones_like(decay), np.sqrt(decay), np.zeros_like(decay),
+                        np.sqrt(1.0 - decay)], axis=-1).reshape(-1, 2, 2)
+    # entry 2i + k of F_nu E_mu is f_nu[k] e_mu[i]: axes (T, nu, mu, i, k)
+    diagonals = factors[:, :, None, None, :] * factors[:, None, :, :, None]
+    return diagonals.reshape(-1, 4, 4, 1) * np.eye(4, dtype=complex)
 
 
 def _coherence_factors(noise: NoiseParams, times) -> tuple:
     """Validated 1-D times and gamma(t) = sqrt(exp(-Gamma t)) at each of them.
 
-    Times must be finite and nonnegative. gamma is computed exactly as
-    build_kraus_set computes it: math.exp, not np.exp, because the
-    vectorised exp differs from libm in the last bit on a few percent of
-    arguments.
+    gamma is computed exactly as build_kraus_set computes it: math.exp,
+    not np.exp, because the vectorised exp differs from libm in the last
+    bit on a few percent of arguments.
     """
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1:
-        raise ValueError(f"times must be a 1-D array, got shape {times.shape}")
-    if not np.all(np.isfinite(times)):
-        raise ValueError("time must be finite")
-    if np.any(times < 0):
-        raise ValueError("channel is defined forward in time only (t >= 0)")
+    times = _checked_times(times)
     rate = noise.gamma_rate
     decay = np.fromiter(map(math.exp, (-rate * times).tolist()), float, len(times))
     return times, np.sqrt(decay)
 
 
-def apply_channel(rho, ks: tuple) -> np.ndarray:
-    """Operator-sum action of the dephasing channel on one 4x4 state.
+def apply_channel(rho, ks) -> np.ndarray:
+    """Operator-sum action of a (T, k, 4, 4) Kraus stack on one 4x4 state.
 
-    ks is a tuple of Kraus operators as build_kraus_set returns it.
-    Rejects Kraus sets that fail trace preservation (sum K^dag K = I to
-    1e-12, a NaN included). The operators are real diagonal, so the
+    ks is a stack as build_kraus_set returns it; row t of the (T, 4, 4)
+    result is sum_k K rho K^dag over the operators of row t. Rejects the
+    stack if any row fails trace preservation (sum K^dag K = I to
+    KRAUS_TOL, a NaN included). The operators are real diagonal, so the
     dagger placement is immaterial; the standard K rho K^dag form is
     used.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 state, got shape {rho.shape}")
-    total = sum(K.conj().T @ K for K in ks)
-    if not np.max(np.abs(total - np.eye(4))) <= 1e-12:
+    ks = np.asarray(ks, dtype=complex)
+    if ks.ndim != 4 or ks.shape[-2:] != (4, 4):
+        raise ValueError(f"expected a (T, k, 4, 4) Kraus stack, got shape {ks.shape}")
+    kh = np.swapaxes(ks.conj(), -1, -2)
+    if not np.all(np.abs(np.sum(kh @ ks, axis=1) - np.eye(4)) <= KRAUS_TOL):
         raise ValueError("Kraus set failed the completeness check")
-    return sum(K @ rho @ K.conj().T for K in ks)
+    return np.sum(ks @ rho @ kh, axis=1)
 
 
 def evolve_noisy_stack(rho0, params: DiracParams, noise: NoiseParams,

@@ -164,9 +164,11 @@ def initial_state(name: str, custom=None) -> np.ndarray:
     return np.outer(vec, vec.conj())
 
 
-#: tolerances every sample is held to (Hermiticity is linalg's one check)
+#: tolerances every sample is held to (Hermiticity is linalg's one check);
+#: MEASURE_TOL is the slack on the measure ranges and the hierarchy
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-9
+MEASURE_TOL = 1e-9
 
 
 def _check_block(c: dict) -> None:
@@ -181,10 +183,10 @@ def _check_block(c: dict) -> None:
         ("trace deviation", np.abs(c["trace_deviation"]) <= TRACE_TOL, c["trace_deviation"]),
         ("positivity", c["min_eigenvalue"] >= -PSD_TOL, c["min_eigenvalue"]),
         ("purity range", (0.25 - PSD_TOL <= pur) & (pur <= 1.0 + PSD_TOL), pur),
-        ("negativity range", (0.0 <= neg) & (neg <= 1.0 + 1e-9), neg),
-        ("discord_1 range", (0.0 <= d1) & (d1 <= 0.5 + 1e-9), d1),
-        ("discord_2 range", (0.0 <= d2) & (d2 <= 0.5 + 1e-9), d2),
-        ("hierarchy (N/2)^2 <= D1", (neg / 2.0) ** 2 <= d1 + 1e-9, neg),
+        ("negativity range", (0.0 <= neg) & (neg <= 1.0 + MEASURE_TOL), neg),
+        ("discord_1 range", (0.0 <= d1) & (d1 <= 0.5 + MEASURE_TOL), d1),
+        ("discord_2 range", (0.0 <= d2) & (d2 <= 0.5 + MEASURE_TOL), d2),
+        ("hierarchy (N/2)^2 <= D1", (neg / 2.0) ** 2 <= d1 + MEASURE_TOL, neg),
     )
     failed = ~np.stack([ok for _, ok, _ in checks])
     bad_samples = np.flatnonzero(failed.any(axis=0))
@@ -471,20 +473,26 @@ def run_scenario(configs: list) -> list:
 
     A single point writes straight into its outputs directory. A sweep
     writes one m_<value> subdirectory per grid point plus index.json at
-    the root; a sweep listing one mass twice is refused. Custom states
-    are validated before any point runs.
+    the root; a sweep listing one mass twice is refused. A rerun of the
+    same kind overwrites, but the two kinds never share a directory.
+    Custom states are validated before any point runs.
     """
     if not configs:
         raise UsageError("nothing to run")
     masses = [cfg.m_over_p for cfg in configs]
     if len(set(masses)) != len(masses):
         raise UsageError(f"m_over_p lists a value twice: {masses}")
+    sweep = len(configs) > 1
+    root = Path(configs[0].outputs)
+    other_kind = ("trajectory.csv", "report.json") if sweep else ("index.json",)
+    found = [name for name in other_kind if (root / name).exists()]
+    if found:
+        raise UsageError(f"outputs directory {root} holds {' and '.join(found)} of a "
+                         f"{'single-point run' if sweep else 'sweep'}; choose another")
     for cfg in configs:
         if cfg.initial_state == "custom":
             initial_state("custom", cfg.custom_state)
 
-    sweep = len(configs) > 1
-    root = Path(configs[0].outputs)
     results = []
     for cfg in configs:
         if sweep:

@@ -58,6 +58,43 @@ def test_simulate_sweep(tmp_path, capsys):
     assert "m_over_p=0 " in out and "m_over_p=1 " in out
 
 
+def tree_bytes(root):
+    """Every path under root, with the bytes of each file (None for a directory)."""
+    return {str(path.relative_to(root)): path.read_bytes() if path.is_file() else None
+            for path in sorted(root.rglob("*"))}
+
+
+SINGLE = "m_over_p = 1.0"
+SWEEP = "m_over_p = 0.5, 1.0"
+
+
+@pytest.mark.parametrize("first, second, found", [
+    (SWEEP, SINGLE, "index.json of a sweep"),
+    (SINGLE, SWEEP, "trajectory.csv and report.json of a single-point run"),
+], ids=["single-after-sweep", "sweep-after-single"])
+def test_single_run_and_sweep_never_share_a_directory(tmp_path, capsys, first, second, found):
+    out = tmp_path / "X"
+    configs = [write_config(tmp_path, BASE_CONFIG.replace(SINGLE, masses)
+                            + f"outputs = {out}\n", name=f"{k}.cfg")
+               for k, masses in enumerate((first, second))]
+    assert main(["simulate", "--config", str(configs[0])]) == 0
+    before = tree_bytes(out)
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(configs[1])]) == 1
+    assert f"{out} holds {found}" in capsys.readouterr().err
+    assert tree_bytes(out) == before
+
+
+@pytest.mark.parametrize("masses", [SINGLE, SWEEP], ids=["single", "sweep"])
+def test_a_rerun_of_the_same_kind_overwrites_byte_identically(tmp_path, masses):
+    cfg = write_config(tmp_path, BASE_CONFIG.replace(SINGLE, masses)
+                       + f"outputs = {tmp_path / 'X'}\n")
+    assert main(["simulate", "--config", str(cfg), "--plots"]) == 0
+    before = tree_bytes(tmp_path / "X")
+    assert main(["simulate", "--config", str(cfg), "--plots"]) == 0
+    assert tree_bytes(tmp_path / "X") == before
+
+
 def test_missing_config_is_usage_error(tmp_path, capsys):
     assert main(["simulate", "--config", str(tmp_path / "nope.cfg")]) == 1
     assert "usage error" in capsys.readouterr().err
@@ -242,7 +279,7 @@ def test_public_names_are_consistent():
     for name in ("TrajectoryRecord", "KrausSet", "evolve_noiseless", "evolve_noisy",
                  "compute_g2", "ion_to_dirac", "evolution_operator",
                  "evolve_noiseless_stack", "dephasing_mask", "validate_density_matrix",
-                 "negativity", "geometric_discord", "purity"):
+                 "negativity", "geometric_discord", "purity", "tensor_product"):
         assert name not in names and not hasattr(bispinor, name), name
     star = {}
     exec("from bispinor import *", star)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from bispinor.dirac import (ALPHA_X, BETA, SPECTRAL_KEYS, DiracParams, closed_form_spectrum,
                             operator_stacks, spectral_stacks)
 from bispinor.errors import DegenerateSpectrumError, UnsupportedConfigurationError
-from bispinor.linalg import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, tensor_product
+from bispinor.linalg import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 RNG = np.random.default_rng(41)
 
@@ -217,26 +217,26 @@ def test_degenerate_field_refused():
 # ------------------------------------------- builders against their formulas
 
 def formula_hamiltonian(params):
-    """H term by term, each Pauli product from tensor_product."""
+    """H term by term, each Pauli product from np.kron."""
     ex = params.E_field * math.cos(params.theta)
     ey = params.E_field * math.sin(params.theta)
     H = params.m * BETA + params.p * ALPHA_X
-    H = H + params.kappa * (ex * tensor_product(SIGMA_Z, SIGMA_X)
-                            + ey * tensor_product(SIGMA_Z, SIGMA_Y))
-    H = H - params.mu * (ex * tensor_product(SIGMA_Y, SIGMA_X)
-                         + ey * tensor_product(SIGMA_Y, SIGMA_Y))
+    H = H + params.kappa * (ex * np.kron(SIGMA_Z, SIGMA_X)
+                            + ey * np.kron(SIGMA_Z, SIGMA_Y))
+    H = H - params.mu * (ex * np.kron(SIGMA_Y, SIGMA_X)
+                         + ey * np.kron(SIGMA_Y, SIGMA_Y))
     return H
 
 
 def formula_invariant(params):
-    """O term by term, each Pauli product from tensor_product."""
+    """O term by term, each Pauli product from np.kron."""
     ex = params.E_field * math.cos(params.theta)
     ey = params.E_field * math.sin(params.theta)
     cross_z = params.p * params.E_field * math.sin(params.theta)
-    O = params.m * params.kappa * (ex * tensor_product(IDENTITY_2, SIGMA_X)
-                                   + ey * tensor_product(IDENTITY_2, SIGMA_Y))
-    O = O + params.mu * cross_z * tensor_product(SIGMA_Z, SIGMA_Z)
-    return O + params.kappa * cross_z * tensor_product(SIGMA_Y, SIGMA_Z)
+    O = params.m * params.kappa * (ex * np.kron(IDENTITY_2, SIGMA_X)
+                                   + ey * np.kron(IDENTITY_2, SIGMA_Y))
+    O = O + params.mu * cross_z * np.kron(SIGMA_Z, SIGMA_Z)
+    return O + params.kappa * cross_z * np.kron(SIGMA_Y, SIGMA_Z)
 
 
 def trace_formula_g2(H):

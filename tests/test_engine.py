@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bispinor import scenario
@@ -52,7 +52,7 @@ def reference_evolution(params, t):
 def reference_state(rho0, params, noise, t):
     """Kraus channel, then U(t) rho U(t)^dag with the closed-form U."""
     U = reference_evolution(params, t)
-    return U @ apply_channel(rho0, build_kraus_set(noise, t)) @ U.conj().T
+    return U @ apply_channel(rho0, build_kraus_set(noise, [t]))[0] @ U.conj().T
 
 
 def _clamped(value):
@@ -134,6 +134,17 @@ degenerate_params = st.one_of(
 
 # ------------------------------------------------------------- evolution
 
+#: times the Kraus reference and the engine refuse, each with its own message
+REFUSED_TIMES = (-0.01, -math.inf, math.inf, math.nan)
+#: a random state, rate and time grid, whose decays and products round in
+#: the last bit far more often than hypothesis's mostly simple draws
+_ROUNDING = np.random.default_rng(5)
+_G = _ROUNDING.normal(size=(4, 4)) + 1j * _ROUNDING.normal(size=(4, 4))
+ROUNDING_STATE = _G @ _G.conj().T / np.trace(_G @ _G.conj().T).real
+ROUNDING_RATE = float(_ROUNDING.uniform(0.0, 2.0))
+ROUNDING_TIMES = _ROUNDING.uniform(0.0, 20.0, 32).tolist()
+
+
 @PROPERTY
 @given(density_matrices(), nondegenerate_params | degenerate_params, rates,
        st.lists(times, min_size=1, max_size=6))
@@ -170,14 +181,15 @@ def test_scalar_evolution_is_one_row_of_the_stack(rho0, params, rate, ts):
 
 @PROPERTY
 @given(rates, st.lists(times, min_size=1, max_size=8))
+@example(ROUNDING_RATE, ROUNDING_TIMES)
 def test_dephasing_mask_equals_kraus_coefficients(rate, ts):
     # at H = 0 the engine applies the channel alone, and on the all-ones
     # matrix it returns the channel's elementwise coefficients
     noise = NoiseParams(rate)
     masks = evolve_noisy_stack(np.ones((4, 4)), NO_HAMILTONIAN, noise, ts)
-    for mask, t in zip(masks, ts):
+    for mask, ks in zip(masks, build_kraus_set(noise, ts), strict=True):
         # gamma is computed the same way, so the two forms agree bit for bit
-        g = build_kraus_set(noise, t)[0][1, 1].real
+        g = ks[0, 1, 1].real
         g2 = g * g
         np.testing.assert_array_equal(mask, [[1.0, g, g, g2], [g, 1.0, g2, g],
                                              [g, g2, 1.0, g], [g2, g, g, 1.0]])
@@ -187,6 +199,42 @@ def test_dephasing_mask_equals_kraus_coefficients(rate, ts):
 def test_dephasing_mask_rejects_negative_time():
     with pytest.raises(ValueError, match="forward in time"):
         evolve_noisy_stack(np.ones((4, 4)), NO_HAMILTONIAN, NoiseParams(0.5), [0.0, 1.0, -0.01])
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@PROPERTY
+@given(density_matrices(), rates, st.lists(times, max_size=6),
+       st.lists(times | st.sampled_from(REFUSED_TIMES), max_size=3))
+@example(ROUNDING_STATE, ROUNDING_RATE, ROUNDING_TIMES, [])
+def test_kraus_stack_rows_are_one_row_calls(rho0, rate, ts, tail):
+    noise = NoiseParams(rate)
+    ts = ts + tail
+    refusal = None
+    for t in ts:
+        try:
+            build_kraus_set(noise, [t])
+        except ValueError as exc:
+            refusal = str(exc)
+            break
+    if refusal is not None:
+        # the first refused time refuses the stack, and the engine, with its
+        # one-row message
+        with pytest.raises(ValueError) as info:
+            build_kraus_set(noise, ts)
+        assert str(info.value) == refusal
+        with pytest.raises(ValueError) as info:
+            evolve_noisy_stack(rho0, NO_HAMILTONIAN, noise, ts)
+        assert str(info.value) == refusal
+        return
+    ks = build_kraus_set(noise, ts)
+    out = apply_channel(rho0, ks)
+    assert ks.shape == (len(ts), 4, 4, 4) and out.shape == (len(ts), 4, 4)
+    for k, t in enumerate(ts):
+        assert same_bits(ks[k:k + 1], build_kraus_set(noise, [t])), k
+        assert same_bits(out[k:k + 1], apply_channel(rho0, ks[k:k + 1])), k
 
 
 # ------------------------------------------------------------- measures

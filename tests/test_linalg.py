@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bispinor.linalg import (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, _require_hermitian,
-                             partial_transpose, tensor_product, top_eigenvalue_3x3)
+                             partial_transpose, top_eigenvalue_3x3)
 
 RNG = np.random.default_rng(20260814)
 
@@ -22,25 +22,6 @@ def test_pauli_algebra():
     for s in (SIGMA_X, SIGMA_Y, SIGMA_Z):
         assert np.allclose(s @ s, IDENTITY_2)
         assert np.allclose(s, s.conj().T)
-
-
-def test_tensor_product_index_convention():
-    # (A (x) B)[2i+k, 2j+l] = A[i,j] B[k,l]
-    A = np.array([[1.0, 2.0], [3.0, 4.0]])
-    B = np.array([[5.0, 6.0], [7.0, 8.0]])
-    T = tensor_product(A, B)
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                for ell in range(2):
-                    assert T[2 * i + k, 2 * j + ell] == A[i, j] * B[k, ell]
-
-
-def test_tensor_product_rejects_wrong_shapes():
-    with pytest.raises(ValueError):
-        tensor_product(np.eye(3), np.eye(2))
-    with pytest.raises(ValueError):
-        tensor_product(np.ones((2, 3)), np.eye(2))
 
 
 def test_partial_transpose_is_an_involution():

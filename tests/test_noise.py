@@ -46,12 +46,13 @@ def test_noise_params_validation():
 
 
 def test_kraus_factors():
-    ks = build_kraus_set(NoiseParams(0.5), 2.0)
+    ks = build_kraus_set(NoiseParams(0.5), [2.0])
     # F_nu E_mu = diag(1 or 0, gamma or omega) on each qubit, qubit 1 first
     g, w = math.exp(-0.5), math.sqrt(1.0 - math.exp(-1.0))
     want = ([1.0, g, g, g * g], [0.0, 0.0, w, w * g], [0.0, w, 0.0, w * g],
             [0.0, 0.0, 0.0, w * w])
-    assert len(ks) == 4
+    assert ks.shape == (1, 4, 4, 4) and ks.dtype == complex
+    ks = ks[0]
     for K, diagonal in zip(ks, want):
         assert np.array_equal(K, np.diag(np.diag(K)))  # diagonal
         assert np.max(np.abs(K.imag)) == 0.0  # and real
@@ -60,26 +61,26 @@ def test_kraus_factors():
 
 def test_kraus_completeness():
     for gamma in (0.0, 0.3, 2.0):
-        for t in (0.0, 0.5, 7.0, 100.0):
-            ks = build_kraus_set(NoiseParams(gamma), t)
-            total = sum(K.conj().T @ K for K in ks)
-            assert np.max(np.abs(total - np.eye(4))) < 1e-12
+        ks = build_kraus_set(NoiseParams(gamma), (0.0, 0.5, 7.0, 100.0))
+        total = np.sum(np.swapaxes(ks.conj(), -1, -2) @ ks, axis=1)
+        assert total.shape == (4, 4, 4)
+        assert np.max(np.abs(total - np.eye(4))) < 1e-12
 
 
 def test_kraus_identity_limits():
     # no rate, or no elapsed time: the channel is the identity
-    for ks in (build_kraus_set(NoiseParams(0.0), 5.0),
-               build_kraus_set(NoiseParams(0.7), 0.0)):
+    for ks in (build_kraus_set(NoiseParams(0.0), [5.0]),
+               build_kraus_set(NoiseParams(0.7), [0.0])):
         # gamma = 1 and omega = 0 exactly: the set is {I, 0, 0, 0}
-        assert np.array_equal(ks[0], np.eye(4))
-        assert not np.any(ks[1:])
+        assert np.array_equal(ks[0, 0], np.eye(4))
+        assert not np.any(ks[0, 1:])
         rho = random_density()
-        assert np.max(np.abs(apply_channel(rho, ks) - rho)) < 1e-15
+        assert np.max(np.abs(apply_channel(rho, ks)[0] - rho)) < 1e-15
 
 
 def test_kraus_rejects_negative_time():
-    with pytest.raises(ValueError):
-        build_kraus_set(NoiseParams(0.5), -0.01)
+    with pytest.raises(ValueError, match="forward in time"):
+        build_kraus_set(NoiseParams(0.5), [0.0, -0.01])
 
 
 def test_channel_matches_elementwise_form():
@@ -88,14 +89,14 @@ def test_channel_matches_elementwise_form():
         rho = random_density()
         for gamma, t in ((0.5, 1.0), (2.0, 0.3), (0.1, 10.0)):
             noise = NoiseParams(gamma)
-            out = apply_channel(rho, build_kraus_set(noise, t))
+            out = apply_channel(rho, build_kraus_set(noise, [t]))[0]
             engine = evolve_noisy_stack(rho, NO_HAMILTONIAN, noise, [t])[0]
             np.testing.assert_allclose(out, engine, rtol=0, atol=1e-14)
 
 
 def test_dephasing_mask_shape():
     # on the all-ones matrix the H = 0 engine returns its coefficients
-    g = build_kraus_set(NoiseParams(1.0), 1.0)[0][1, 1].real  # gamma
+    g = build_kraus_set(NoiseParams(1.0), [1.0])[0, 0, 1, 1].real  # gamma
     c = evolve_noisy_stack(np.ones((4, 4)), NO_HAMILTONIAN, NoiseParams(1.0), [1.0])[0]
     assert np.array_equal(np.diag(c), np.ones(4))
     assert c[0, 3] == pytest.approx(g * g)
@@ -107,23 +108,23 @@ def test_channel_is_a_semigroup_in_time():
     # dephasing factors multiply: t1 then t2 equals t1 + t2
     rho = random_density()
     noise = NoiseParams(0.8)
-    step = apply_channel(apply_channel(rho, build_kraus_set(noise, 0.4)),
-                         build_kraus_set(noise, 1.1))
-    once = apply_channel(rho, build_kraus_set(noise, 1.5))
+    step = apply_channel(apply_channel(rho, build_kraus_set(noise, [0.4]))[0],
+                         build_kraus_set(noise, [1.1]))
+    once = apply_channel(rho, build_kraus_set(noise, [1.5]))
     np.testing.assert_allclose(step, once, rtol=0, atol=1e-14)
 
 
 def test_channel_fixes_diagonal_states():
     diag = np.diag(np.array([0.4, 0.3, 0.2, 0.1], dtype=complex))
-    ks = build_kraus_set(NoiseParams(1.5), 2.0)
-    assert np.max(np.abs(apply_channel(diag, ks) - diag)) < 1e-15
+    ks = build_kraus_set(NoiseParams(1.5), [2.0])
+    assert np.max(np.abs(apply_channel(diag, ks)[0] - diag)) < 1e-15
 
 
 def test_channel_never_raises_purity():
     for _ in range(10):
         rho = random_density()
-        ks = build_kraus_set(NoiseParams(0.6), float(RNG.uniform(0.1, 5.0)))
-        out = apply_channel(rho, ks)
+        ks = build_kraus_set(NoiseParams(0.6), [float(RNG.uniform(0.1, 5.0))])
+        out = apply_channel(rho, ks)[0]
         pur_in = float(np.trace(rho @ rho).real)
         pur_out = float(np.trace(out @ out).real)
         assert pur_out <= pur_in + 1e-12
@@ -131,18 +132,29 @@ def test_channel_never_raises_purity():
 
 
 def test_channel_rejects_broken_kraus_set():
-    ks = build_kraus_set(NoiseParams(0.5), 1.0)
-    with pytest.raises(ValueError):
-        apply_channel(np.eye(4) / 4.0, ks[:3])
+    ks = build_kraus_set(NoiseParams(0.5), [1.0, 2.0])
+    with pytest.raises(ValueError, match="completeness"):
+        apply_channel(np.eye(4) / 4.0, ks[:, :3])
+    # one broken row refuses the stack
+    broken = ks.copy()
+    broken[1, 3] *= 1.0 + 1e-11
+    with pytest.raises(ValueError, match="completeness"):
+        apply_channel(np.eye(4) / 4.0, broken)
+    for bad in (ks[0], ks[None]):
+        with pytest.raises(ValueError, match=r"\(T, k, 4, 4\) Kraus stack"):
+            apply_channel(np.eye(4) / 4.0, bad)
 
 
 def test_channel_rejects_non_finite_input():
     # NaN passes every "deviation > tol" test, so each check must refuse it
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="time must be finite"):
-            build_kraus_set(NoiseParams(0.5), bad)
-    ks = build_kraus_set(NoiseParams(0.5), 1.0)
-    poisoned = (np.full((4, 4), np.nan),) + ks[1:]
+            build_kraus_set(NoiseParams(0.5), [1.0, bad])
+    for times in (0.5, [[0.5, 1.0]]):
+        with pytest.raises(ValueError, match="1-D"):
+            build_kraus_set(NoiseParams(0.5), times)
+    poisoned = build_kraus_set(NoiseParams(0.5), [1.0, 2.0])
+    poisoned[1, 0] = np.nan
     with pytest.raises(ValueError, match="completeness"):
         apply_channel(np.eye(4) / 4.0, poisoned)
 
@@ -155,7 +167,7 @@ def test_dephasing_mask_requires_1d_times():
 
 def test_channel_refuses_a_stack():
     # the Kraus sum is the one-state reference; stacks go through the engine
-    ks = build_kraus_set(NoiseParams(0.5), 1.0)
+    ks = build_kraus_set(NoiseParams(0.5), [1.0])
     with pytest.raises(ValueError, match="4x4 state"):
         apply_channel(np.array([bell_state(), bell_state()]), ks)
 
@@ -221,11 +233,11 @@ def test_noisy_composition_order():
     t = 1.7
     rho0 = bell_state()
     U = reference_unitary(hamiltonian(PARAMS), t)
-    ks = build_kraus_set(noise, t)
-    want = U @ apply_channel(rho0, ks) @ U.conj().T
+    ks = build_kraus_set(noise, [t])
+    want = U @ apply_channel(rho0, ks)[0] @ U.conj().T
     got = evolve_noisy_stack(rho0, PARAMS, noise, [t])[0]
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-    reversed_order = apply_channel(U @ rho0 @ U.conj().T, ks)
+    reversed_order = apply_channel(U @ rho0 @ U.conj().T, ks)[0]
     assert np.max(np.abs(got - reversed_order)) > 1e-3
 
 
