@@ -25,8 +25,7 @@ if "OPENBLAS_NUM_THREADS" not in _os.environ:
 from .correlations import COLUMNS, sample_correlations_stack
 from .dirac import (SPECTRAL_KEYS, DiracParams, closed_form_spectrum, operator_stacks,
                     spectral_stacks)
-from .errors import (DegenerateSpectrumError, InvariantViolation,
-                     UnsupportedConfigurationError, UsageError)
+from .errors import DegenerateSpectrumError, InvariantViolation, UsageError
 from .ionmap import IonParams, assemble_ion_stack, dirac_to_ion
 from .linalg import partial_transpose, top_eigenvalue_3x3
 from .noise import NoiseParams, apply_channel, build_kraus_set, evolve_noisy_stack
@@ -46,7 +45,6 @@ __all__ = [
     "NoiseParams",
     "SPECTRAL_KEYS",
     "ScenarioConfig",
-    "UnsupportedConfigurationError",
     "UsageError",
     "apply_channel",
     "assemble_ion_stack",

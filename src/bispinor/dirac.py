@@ -14,8 +14,8 @@ Both operators are combinations of Pauli products built once at import.
 The builders take a whole sequence of DiracParams and return stacks:
 operator_stacks the (N, 4, 4) H and O, spectral_stacks adds g2, the
 spectrum and the (N, 4, 4, 4) projectors, and closed_form_spectrum gives
-the paper's theta = pi/4 eigenvalues from the parameters alone. One
-point is a one-row call, with the bits its row has in any longer one.
+the eigenvalues at any theta from the parameters alone. One point is a
+one-row call, with the bits its row has in any longer one.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateSpectrumError, UnsupportedConfigurationError
+from .errors import DegenerateSpectrumError
 from .linalg import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
 from .values import ValueType
 
@@ -40,7 +40,7 @@ class DiracParams(ValueType):
     """Physical configuration (all energies in units of hbar = c = 1).
 
     m, p and E_field must be nonnegative and finite; theta defaults to
-    pi/4, the configuration the closed-form spectrum was derived for.
+    pi/4, the field angle of the paper's figures.
     """
 
     __slots__ = ("m", "p", "kappa", "mu", "E_field", "theta")
@@ -104,34 +104,34 @@ def operator_stacks(grid) -> tuple:
     return H, O
 
 
-def _keyed(lam) -> np.ndarray:
-    """(N, 4) lambda_(n,s) = (-1)^n lam_s in SPECTRAL_KEYS order from (N, 2) lam_s."""
+def _eigenvalues(q, root_g2) -> np.ndarray:
+    """(N, 4) lambda_(n,s) in SPECTRAL_KEYS order from (N, 1) Tr[H^2]/4 and sqrt(g2).
+
+    lambda_(n,s) = (-1)^n sqrt(q + 2 (-1)^s sqrt(g2)), since O^2 = g2 * I.
+    The radicand is lambda^2 of a Hermitian H, so a negative one is
+    rounding and counts as 0.
+    """
+    lam = np.sqrt(np.maximum(q + np.array([2.0, -2.0]) * root_g2, 0.0))
     return lam[:, [0, 0, 1, 1]] * np.array([1.0, -1.0, 1.0, -1.0])
 
 
 def closed_form_spectrum(grid) -> np.ndarray:
-    """The paper's theta = pi/4 eigenvalues of every point of grid, as (N, 4).
+    """The eigenvalues of every point of grid, as (N, 4), from the parameters alone.
 
     lambda_(n,s) = (-1)^n sqrt(p^2 + m^2 + (kappa^2 + mu^2) E^2
                                + 2 (-1)^s E sqrt(m^2 kappa^2
-                                                 + (mu^2 + kappa^2) p^2 / 2)),
-    in SPECTRAL_KEYS order, from the parameters alone: H is never read,
-    so the closed form stays an independent route to the spectrum. The
-    radicand is lambda^2 of a Hermitian H, so a negative one is rounding
-    and counts as 0. Row i does not depend on the other rows, bit for
-    bit. Raises UnsupportedConfigurationError if a point has another
-    theta.
+                                                 + (mu^2 + kappa^2) p^2 sin^2 theta)),
+    in SPECTRAL_KEYS order, at any theta; the paper's formula is the case
+    sin^2 theta = 1/2. H is never read, so the closed form stays an
+    independent route to the spectrum. Where an eigenvalue is near 0 its
+    radicand cancels, and it keeps about half the digits of the largest.
+    sin is math.sin per point, so row i does not depend on the other
+    rows, bit for bit.
     """
-    if any(abs(q.theta - math.pi / 4) > 1e-12 for q in grid):
-        raise UnsupportedConfigurationError(
-            "closed-form spectrum requires theta = pi/4; use the numeric path"
-        )
-    m, p, k, mu, E = np.array([(q.m, q.p, q.kappa, q.mu, q.E_field) for q in grid],
-                              dtype=float).reshape(-1, 5).T[..., None]
-    inner = m * m * k * k + 0.5 * (mu * mu + k * k) * p * p
-    radicand = p * p + m * m + (k * k + mu * mu) * E * E \
-        + np.array([2.0, -2.0]) * E * np.sqrt(inner)
-    return _keyed(np.sqrt(np.maximum(radicand, 0.0)))
+    m, p, k, mu, E, sin = np.array([(q.m, q.p, q.kappa, q.mu, q.E_field, math.sin(q.theta))
+                                    for q in grid], dtype=float).reshape(-1, 6).T[..., None]
+    inner = m * m * k * k + (mu * mu + k * k) * p * p * (sin * sin)
+    return _eigenvalues(p * p + m * m + (k * k + mu * mu) * E * E, E * np.sqrt(inner))
 
 
 def spectral_stacks(grid) -> tuple:
@@ -165,10 +165,8 @@ def spectral_stacks(grid) -> tuple:
     # stated as a refusal, so a NaN g2 is not refused
     g2_ok = ~(g2 <= DEGENERACY_TOL)
     sqrt_g2 = np.sqrt(np.where(g2_ok, g2, 0.0))
-    radicand = q[:, None] + np.array([2.0, -2.0]) * sqrt_g2[:, None]
-    lam = np.sqrt(np.maximum(radicand, 0.0))
-    degenerate = ~g2_ok | np.any((radicand <= DEGENERACY_TOL ** 2)
-                                 | (lam <= DEGENERACY_TOL), axis=1)
+    lambdas = _eigenvalues(q[:, None], sqrt_g2[:, None])
+    degenerate = ~g2_ok | np.any(np.abs(lambdas) <= DEGENERACY_TOL, axis=1)
     if np.any(degenerate):
         first = int(np.argmax(degenerate))
         if not g2_ok[first]:
@@ -178,7 +176,6 @@ def spectral_stacks(grid) -> tuple:
         raise DegenerateSpectrumError(
             "an eigenvalue magnitude is ~0; use numeric diagonalization"
         )
-    lambdas = _keyed(lam)
     # (-1)^n / |lambda_(n,s)| = 1 / lambda_(n,s), and (-1)^s / sqrt(g2)
     o_coef = np.array([1.0, 1.0, -1.0, -1.0]) / sqrt_g2[:, None]
     eye = np.eye(4, dtype=complex)

@@ -9,9 +9,5 @@ class DegenerateSpectrumError(ValueError):
     """Analytic projector construction is undefined (g2 or an eigenvalue is ~0)."""
 
 
-class UnsupportedConfigurationError(ValueError):
-    """Input lies outside the restricted geometry a closed form was derived for."""
-
-
 class UsageError(ValueError):
     """Bad CLI arguments or config file content."""

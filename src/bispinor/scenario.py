@@ -474,7 +474,8 @@ def run_scenario(configs: list) -> list:
     A single point writes straight into its outputs directory. A sweep
     writes one m_<value> subdirectory per grid point plus index.json at
     the root; a sweep listing one mass twice is refused. A rerun of the
-    same kind overwrites, but the two kinds never share a directory.
+    same kind overwrites, but the two kinds never share a directory, and
+    a sweep never shares one with another sweep's m_<value> points.
     Custom states are validated before any point runs.
     """
     if not configs:
@@ -489,6 +490,13 @@ def run_scenario(configs: list) -> list:
     if found:
         raise UsageError(f"outputs directory {root} holds {' and '.join(found)} of a "
                          f"{'single-point run' if sweep else 'sweep'}; choose another")
+    if sweep:
+        points = {_point_dir_name(m) for m in masses}
+        stale = sorted(path.name for path in root.glob("m_*")
+                       if path.is_dir() and path.name not in points)
+        if stale:
+            raise UsageError(f"outputs directory {root} holds {', '.join(stale)} of "
+                             f"another sweep; choose another")
     for cfg in configs:
         if cfg.initial_state == "custom":
             initial_state("custom", cfg.custom_state)

@@ -12,6 +12,9 @@ and are expected to fail; the printed detail carries the measured
 numbers.
 """
 
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -74,6 +77,34 @@ def test_criterion_03_catches_one_off_ion_entry(monkeypatch):
         return H
 
     monkeypatch.setattr(acceptance, "assemble_ion_stack", planted)
+    ok, detail = acceptance.criterion_03(None)
+    assert not ok, detail
+
+
+# At theta = pi/4, E_x = E_y up to the last bit, so a fault that swaps x
+# and y shows only at the other angles of the grid
+
+def test_criterion_01_catches_cos_and_sin_swapped(monkeypatch):
+    # the direct builder with the field at pi/2 - theta: the closed form
+    # depends on sin^2 theta, so the two routes part off the pi/4 line
+    def swapped(grid):
+        with monkeypatch.context() as patch:
+            patch.setattr(dirac, "math", SimpleNamespace(cos=math.sin, sin=math.cos))
+            return dirac.operator_stacks(grid)
+
+    monkeypatch.setattr(acceptance, "operator_stacks", swapped)
+    ok, detail = acceptance.criterion_01(None)
+    assert not ok, detail
+
+
+def test_criterion_03_catches_x_and_y_swapped(monkeypatch):
+    # the ion map with the x and y drives of both channels exchanged
+    def swapped(params):
+        ion = ionmap.dirac_to_ion(params)
+        (x1, y1, z1), (x2, y2, z2) = ion.omega1, ion.omega2
+        return ionmap.IonParams(ion.delta, ion.eta_delta_omega, (y1, x1, z1), (y2, x2, z2))
+
+    monkeypatch.setattr(acceptance, "dirac_to_ion", swapped)
     ok, detail = acceptance.criterion_03(None)
     assert not ok, detail
 
@@ -176,6 +207,41 @@ def test_criterion_05_catches_rotation_before_the_channel(monkeypatch):
     monkeypatch.setattr(acceptance, "evolve_noisy_stack", rotate_first)
     ok, detail = acceptance.criterion_05(None)
     assert not ok, detail
+
+
+def lagrange_eigh(H):
+    """Eigenvalues from eigvalsh, each eigenvector a column of its Lagrange
+    projector prod_{j != k} (H - lambda_j) / (lambda_k - lambda_j).
+
+    Exact on a simple spectrum, and H = 0 gets eigh's V = I; on any other
+    degenerate spectrum two lambda_k coincide and the projectors are not
+    defined.
+    """
+    lam = np.linalg.eigvalsh(H)
+    if lam[0] == lam[-1]:
+        return lam, np.eye(4, dtype=complex)
+    columns = []
+    with np.errstate(all="ignore"):
+        for k in range(4):
+            P = np.eye(4, dtype=complex)
+            for j in range(4):
+                if j != k:
+                    P = P @ (H - lam[j] * np.eye(4)) / (lam[k] - lam[j])
+            v = P[:, np.argmax(np.linalg.norm(P, axis=0))]
+            columns.append(v / np.linalg.norm(v))
+    return lam, np.array(columns).T
+
+
+def test_criterion_05_catches_an_engine_wrong_on_a_degenerate_spectrum(cache, monkeypatch):
+    # the engine's eigenbasis from Lagrange projectors passes criterion 4
+    # (H = 0) and criterion 5's E = 1 point, and fails its E = 0 point,
+    # where the spectrum is degenerate
+    list(cache.all_trajectories())
+    monkeypatch.setattr(noise.np.linalg, "eigh", lagrange_eigh)
+    assert acceptance.criterion_04(cache)[0]
+    ok, detail = acceptance.criterion_05(cache)
+    assert not ok, detail
+    assert float(detail.split()[2]) <= 1e-10, detail
 
 
 def test_criterion_06_measure_anchors(cache):

@@ -85,6 +85,26 @@ def test_single_run_and_sweep_never_share_a_directory(tmp_path, capsys, first, s
     assert tree_bytes(out) == before
 
 
+def test_a_sweep_never_mixes_with_another_sweeps_points(tmp_path, capsys):
+    out = tmp_path / "X"
+    first, second, wider = (write_config(tmp_path, BASE_CONFIG.replace(SINGLE, masses)
+                                         + f"outputs = {out}\n", name=f"{k}.cfg")
+                            for k, masses in enumerate((SWEEP, "m_over_p = 2.0, 3.0",
+                                                        "m_over_p = 1.0, 0.5, 2.0")))
+    assert main(["simulate", "--config", str(first)]) == 0
+    before = tree_bytes(out)
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(second)]) == 1
+    assert f"{out} holds m_0.5, m_1 of another sweep" in capsys.readouterr().err
+    assert tree_bytes(out) == before
+    # a sweep whose list names every point already there may add points
+    assert main(["simulate", "--config", str(wider)]) == 0
+    index = json.loads((out / "index.json").read_text())
+    assert [point["m_over_p"] for point in index["points"]] == [1.0, 0.5, 2.0]
+    assert sorted(path.name for path in out.iterdir()) == ["index.json", "m_0.5", "m_1",
+                                                            "m_2"]
+
+
 @pytest.mark.parametrize("masses", [SINGLE, SWEEP], ids=["single", "sweep"])
 def test_a_rerun_of_the_same_kind_overwrites_byte_identically(tmp_path, masses):
     cfg = write_config(tmp_path, BASE_CONFIG.replace(SINGLE, masses)

@@ -268,10 +268,14 @@ def test_stack_rows_equal_one_row_calls(states):
 
 
 def test_block_sized_stack_rows_equal_one_row_calls():
+    # a block, and stacks of 1-5 rows: a row's bits may hang on the stack
+    # length at either end (a BLAS product, for one, picks its kernel by it)
     rng = np.random.default_rng(5)
     G = rng.normal(size=(scenario.BLOCK_SAMPLES + 37, 4, 4, 2)) @ np.array([1.0, 1j])
     rhos = G @ np.swapaxes(G.conj(), 1, 2)
-    assert_rows_are_one_row_calls(rhos / np.trace(rhos, axis1=1, axis2=2).real[:, None, None])
+    rhos /= np.trace(rhos, axis1=1, axis2=2).real[:, None, None]
+    for length in (1, 2, 3, 4, 5, len(rhos)):
+        assert_rows_are_one_row_calls(rhos[:length])
 
 
 def test_stack_checks_every_state():

@@ -73,3 +73,22 @@ def test_acceptance_imports_no_private_name():
                if isinstance(node, ast.ImportFrom) and node.level > 0
                for alias in node.names if alias.name.startswith("_")]
     assert not private, f"acceptance.py imports private names {private}"
+
+
+def raised_names(tree):
+    """Names of the exceptions a module's raise statements raise."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                yield exc.id
+
+
+def test_every_error_class_is_raised():
+    # __init__ re-exports every error, so reading a name does not show use
+    raised = {name for module in MODULES
+              for name in raised_names(ast.parse(module.read_text(), filename=str(module)))}
+    errors = ast.parse((PACKAGE / "errors.py").read_text())
+    unraised = [node.name for node in errors.body
+                if isinstance(node, ast.ClassDef) and node.name not in raised]
+    assert not unraised, f"errors.py defines {unraised} and no package module raises them"
