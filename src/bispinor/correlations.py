@@ -41,13 +41,27 @@ _FANO_BASIS = np.array(
 _FANO_TRACE = np.ascontiguousarray(_FANO_BASIS.transpose(0, 2, 1).reshape(15, 16).T)
 
 
-def _state_stack(rhos) -> np.ndarray:
-    """Validated (B, 4, 4) stack: finite and Hermitian (linalg's check) state by state."""
+def _checked_stack(rhos) -> tuple:
+    """Validated (B, 4, 4) stack and its Fano data (_fano_stack).
+
+    Each state must be finite and Hermitian (linalg's check) and have real
+    Pauli traces. The first refused state refuses the stack, with the
+    message a one-row call on it gives.
+    """
     stack = np.asarray(rhos, dtype=complex)
     if stack.ndim != 3 or stack.shape[1:] != (4, 4):
         raise ValueError(f"expected a (B, 4, 4) stack, got shape {stack.shape}")
-    _require_hermitian(stack, "state")
-    return stack
+    try:
+        _require_hermitian(stack, "state")
+        return stack, _fano_stack(stack)
+    except ValueError:
+        # the failure path: each check reads the whole stack before the
+        # next, and the trace check reports its worst state, so the first
+        # refused state is found one state at a time
+        if len(stack) > 1:
+            for rho in stack:
+                _checked_stack(rho[None])
+        raise
 
 
 def _clamp(values: np.ndarray) -> np.ndarray:
@@ -127,9 +141,10 @@ def sample_correlations_stack(rhos, times) -> dict:
     One batched LAPACK call gives the spectra of the states (for
     min_eigenvalue) and of their partial transposes (for negativity);
     the k_max of both discord sides come from one closed-form call on
-    their 3x3 K matrices.
+    their 3x3 K matrices. The first refused state refuses the stack,
+    with the message a one-row call on it gives.
     """
-    stack = _state_stack(rhos)
+    stack, fano = _checked_stack(rhos)
     times = np.asarray(times, dtype=float)
     if times.shape != stack.shape[:1]:
         raise ValueError(f"{stack.shape[0]} states but times of shape {times.shape}")
@@ -137,7 +152,7 @@ def sample_correlations_stack(rhos, times) -> dict:
     return dict(zip(COLUMNS, (
         times,
         _negativity_stack(pt_eigs),
-        *_discord_stacks(_fano_stack(stack)),
+        *_discord_stacks(fano),
         _purity_stack(stack),
         state_eigs[:, 0],
         np.trace(stack, axis1=1, axis2=2).real - 1.0,

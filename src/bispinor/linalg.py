@@ -38,19 +38,30 @@ def _require_hermitian(A, what: str) -> None:
     an absolute 1e-12. Raises ValueError naming `what`.
 
     The residual is read on and above the diagonal only:
-    |A_ij - conj(A_ji)| is the same number at (j, i).
+    |A_ij - conj(A_ji)| is the same number at (j, i). On a stack, the
+    first refused matrix refuses it, with the message a check of that
+    matrix alone gives.
     """
     if A.shape[-2:] != (4, 4):
         raise ValueError(f"{what}: expected 4x4 matrices, got shape {A.shape}")
     # LAPACK cannot converge on non-finite entries, and NaN passes the
-    # residual test below, so they are refused first
-    if not np.all(np.isfinite(A)):
+    # residual test, so a matrix is checked for them first
+    if np.all(np.isfinite(A)) and np.all(_hermitian(A)):
+        return
+    finite = np.all(np.isfinite(A), axis=(-2, -1)).ravel()
+    with np.errstate(invalid="ignore"):  # inf - inf in a refused matrix
+        refused = ~(finite & _hermitian(A).ravel())
+    if not finite[np.argmax(refused)]:
         raise ValueError(f"{what} entries must be finite")
+    raise ValueError(f"{what} must be Hermitian")
+
+
+def _hermitian(A) -> np.ndarray:
+    """Whether |A - A^dag| <= 1e-12 * max(1, max|A_ij|) entrywise, matrix by matrix."""
     scale = np.maximum(1.0, np.max(np.abs(A), axis=(-2, -1)))
     rows, cols = _UPPER_4
     residual = np.max(np.abs(A[..., rows, cols] - A[..., cols, rows].conj()), axis=-1)
-    if np.any(residual > 1e-12 * scale):
-        raise ValueError(f"{what} must be Hermitian")
+    return residual <= 1e-12 * scale
 
 
 def partial_transpose(rho, subsystem: int) -> np.ndarray:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bispinor.correlations import COLUMNS, _fano_stack, _state_stack, sample_correlations_stack
+from bispinor.correlations import COLUMNS, _checked_stack, sample_correlations_stack
 from bispinor.linalg import partial_transpose
 
 RNG = np.random.default_rng(17)
@@ -43,7 +43,7 @@ def measures(rho):
 
 def fano_data(rho):
     """a1, a2 and T of one state, through the validated one-row stack."""
-    a1, a2, T = _fano_stack(_state_stack(rho[None]))
+    a1, a2, T = _checked_stack(rho[None])[1]
     assert a1.shape == a2.shape == (1, 3) and T.shape == (1, 3, 3)
     return a1[0], a2[0], T[0]
 

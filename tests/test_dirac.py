@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bispinor.dirac import (ALPHA_X, BETA, SPECTRAL_KEYS, DiracParams, closed_form_spectrum,
                             operator_stacks, spectral_stacks)
 from bispinor.errors import DegenerateSpectrumError
 from bispinor.linalg import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
+from stack_contract import (MIXED_GRID, angles, check_case, couplings, energies, hamiltonian,
+                            same_bits)
 
 RNG = np.random.default_rng(41)
 
@@ -18,10 +20,6 @@ def random_params(theta=math.pi / 4):
                        kappa=float(RNG.uniform(-2.0, 2.0)),
                        mu=float(RNG.uniform(-2.0, 2.0)),
                        E_field=float(RNG.uniform(0.1, 3.0)), theta=theta)
-
-
-def hamiltonian(params):
-    return operator_stacks([params])[0][0]
 
 
 def invariant(params):
@@ -249,16 +247,7 @@ def formula_radicand(params, s):
     return p * p + m * m + (k * k + mu * mu) * E * E + 2.0 * (-1.0) ** s * E * math.sqrt(inner)
 
 
-def same_bits(a, b):
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-
-energies = st.floats(0.0, 5.0, allow_nan=False, allow_infinity=False)
-couplings = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
-angles = st.floats(0.0, 2.0 * math.pi, allow_nan=False) | st.just(math.pi / 4)
-
-
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(st.builds(DiracParams, m=energies, p=energies, kappa=couplings, mu=couplings,
                  E_field=energies, theta=angles))
 def test_builders_match_the_tensor_product_formula_bitwise(params):
@@ -280,59 +269,17 @@ def test_builders_match_the_tensor_product_formula_bitwise(params):
 
 # ------------------------------------------- stacked builders against one point
 
-#: random points, with E = 0 and kappa = mu = 0 (degenerate spectra) among them
-stack_points = (
-    st.builds(DiracParams, m=energies, p=energies, kappa=couplings, mu=couplings,
-              E_field=energies, theta=angles)
-    | st.builds(DiracParams, m=energies, p=energies, kappa=couplings, mu=couplings,
-                E_field=st.just(0.0), theta=angles)
-    | st.builds(DiracParams, m=energies, p=energies, kappa=st.just(0.0), mu=st.just(0.0),
-                E_field=energies, theta=angles)
-)
-MIXED_GRID = [DiracParams(m=1.0, p=1.0, kappa=1.0, mu=1.0, E_field=1.0),
-              DiracParams(m=0.5, p=1.0, kappa=0.0, mu=0.0, E_field=2.0, theta=1.3),
-              DiracParams(m=2.0, p=0.7, kappa=-1.5, mu=0.4, E_field=0.8, theta=5.9),
-              DiracParams(m=1.0, p=1.0, kappa=1.0, mu=1.0, E_field=0.0)]
-#: random points at random angles, whose products round in the last bit
-#: far more often than hypothesis's mostly simple draws
-ROUNDING_GRID = [DiracParams(*values)
-                 for values in np.random.default_rng(5).uniform(0.0, 5.0, (50, 6))]
+def closed_form_matches_formula(_, params, lambdas):
+    lam = [math.sqrt(max(formula_radicand(params, s), 0.0)) for s in (0, 1)]
+    assert lambdas[0].tolist() == [lam[0], -lam[0], lam[1], -lam[1]], params
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(st.lists(stack_points, min_size=1, max_size=10))
-@example(MIXED_GRID)
-@example(ROUNDING_GRID)
-def test_stacked_builders_match_one_point_builds_bitwise(grid):
-    # every stack row is a one-row call, bit for bit
-    H, O = operator_stacks(grid)
-    assert H.shape == O.shape == (len(grid), 4, 4)
-    spectra, refusal = [], None
-    for i, params in enumerate(grid):
-        one_H, one_O = operator_stacks([params])
-        assert same_bits(H[i], one_H[0]) and same_bits(O[i], one_O[0]), i
-        try:
-            spectra.append((params, spectral_stacks([params])))
-        except DegenerateSpectrumError as exc:
-            refusal = refusal or str(exc)
-    if refusal is not None:
-        # the first refused point refuses the stack, with its one-row message
-        with pytest.raises(DegenerateSpectrumError) as info:
-            spectral_stacks(grid)
-        assert str(info.value) == refusal
-    if spectra:
-        # the points with a spectrum, as one stack: every row keeps its bits
-        stacks = spectral_stacks([params for params, _ in spectra])
-        for i, (_, one) in enumerate(spectra):
-            for stack, row in zip(stacks, one, strict=True):
-                assert same_bits(stack[i], row[0]), i
-    # the closed form, against its formula too
-    lambdas = closed_form_spectrum(grid)
-    assert lambdas.shape == (len(grid), 4)
-    for i, params in enumerate(grid):
-        assert same_bits(lambdas[i], closed_form_spectrum([params])[0]), i
-        lam = [math.sqrt(max(formula_radicand(params, s), 0.0)) for s in (0, 1)]
-        assert lambdas[i].tolist() == [lam[0], -lam[0], lam[1], -lam[1]], i
+def test_stacked_builders_match_one_point_builds_bitwise():
+    # every stack row is a one-row call, bit for bit, and the first refused
+    # point refuses spectral_stacks with its one-row message; the closed
+    # form matches its formula too
+    check_case("operator_stacks", "spectral_stacks", "closed_form_spectrum",
+               closed_form_spectrum=closed_form_matches_formula)
 
 
 #: 0, or large enough that no square the closed form takes underflows
@@ -340,7 +287,7 @@ sizes = st.just(0.0) | st.floats(1e-3, 5.0)
 signed = sizes | sizes.map(lambda x: -x)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(st.lists(st.builds(DiracParams, m=sizes, p=sizes, kappa=signed, mu=signed,
                           E_field=sizes, theta=st.floats(-math.pi, math.pi,
                                                          exclude_min=True, exclude_max=True)),
@@ -354,8 +301,6 @@ def test_closed_form_matches_numeric(grid):
     numeric = np.linalg.eigvalsh(operator_stacks(grid)[0])
     scale = np.minimum(np.max(np.abs(numeric), axis=1, keepdims=True), 1.0)
     assert np.all(np.abs(np.sort(closed) - numeric) <= 1e-10 * scale)
-    for i, params in enumerate(grid):
-        assert same_bits(closed[i], closed_form_spectrum([params])[0]), i
 
 
 def test_degenerate_refusals_keep_their_one_point_messages():

@@ -23,11 +23,11 @@ from bispinor.errors import InvariantViolation
 from bispinor.linalg import IDENTITY_2, PAULI, partial_transpose
 from bispinor.noise import NoiseParams, apply_channel, build_kraus_set, evolve_noisy_stack
 from bispinor.scenario import ScenarioConfig, initial_state, run_trajectory
+from stack_contract import (NO_HAMILTONIAN, ROUNDING_RATE, ROUNDING_TIMES, check_case,
+                            check_stack, density_matrices, rates, times, unit)
 
 TOL = 1e-12
-PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
-#: H = 0: the engine applies the dephasing channel alone
-NO_HAMILTONIAN = DiracParams(m=0.0, p=0.0, kappa=0.0, mu=0.0, E_field=0.0)
+PROPERTY = settings(max_examples=40)
 FIELDS = ("negativity", "discord_1", "discord_2", "purity", "min_eigenvalue",
           "trace_deviation")
 
@@ -99,21 +99,6 @@ def assert_same_columns(got, want):
 
 # ------------------------------------------------------------- strategies
 
-unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
-times = st.floats(0.0, 20.0, allow_nan=False, allow_infinity=False)
-rates = st.floats(0.0, 2.0, allow_nan=False, allow_infinity=False)
-
-
-@st.composite
-def density_matrices(draw):
-    entries = np.array(draw(st.lists(unit, min_size=32, max_size=32)))
-    G = entries[:16].reshape(4, 4) + 1j * entries[16:].reshape(4, 4)
-    rho = G @ G.conj().T
-    trace = np.trace(rho).real
-    assume(trace > 1e-3)
-    return rho / trace
-
-
 # bounded away from a degenerate spectrum, where the analytic projectors
 # are ill-conditioned or undefined
 nondegenerate_params = st.builds(
@@ -133,17 +118,6 @@ degenerate_params = st.one_of(
 
 
 # ------------------------------------------------------------- evolution
-
-#: times the Kraus reference and the engine refuse, each with its own message
-REFUSED_TIMES = (-0.01, -math.inf, math.inf, math.nan)
-#: a random state, rate and time grid, whose decays and products round in
-#: the last bit far more often than hypothesis's mostly simple draws
-_ROUNDING = np.random.default_rng(5)
-_G = _ROUNDING.normal(size=(4, 4)) + 1j * _ROUNDING.normal(size=(4, 4))
-ROUNDING_STATE = _G @ _G.conj().T / np.trace(_G @ _G.conj().T).real
-ROUNDING_RATE = float(_ROUNDING.uniform(0.0, 2.0))
-ROUNDING_TIMES = _ROUNDING.uniform(0.0, 20.0, 32).tolist()
-
 
 @PROPERTY
 @given(density_matrices(), nondegenerate_params | degenerate_params, rates,
@@ -166,17 +140,16 @@ def test_degenerate_fallback_matches_reference(rho0, params, ts):
         np.testing.assert_allclose(state, U @ rho0 @ U.conj().T, rtol=0, atol=TOL)
 
 
-@PROPERTY
-@given(density_matrices(), nondegenerate_params | degenerate_params, rates | st.just(0.0),
-       st.lists(times, min_size=0, max_size=8))
-def test_scalar_evolution_is_one_row_of_the_stack(rho0, params, rate, ts):
-    noise = NoiseParams(rate)
-    stack = evolve_noisy_stack(rho0, params, noise, ts)
-    assert stack.shape == (len(ts), 4, 4)
-    # a state does not depend on the other times of its stack
-    for k, t in enumerate(ts):
-        np.testing.assert_array_equal(evolve_noisy_stack(rho0, params, noise, [t]),
-                                      stack[k:k + 1])
+def test_scalar_evolution_is_one_row_of_the_stack():
+    check_case("evolve_noisy_stack")
+
+
+def mask_equals_kraus_coefficients(context, t, mask):
+    # gamma is computed the same way, so the two forms agree bit for bit
+    g = build_kraus_set(context[2], [t])[0, 0, 1, 1].real
+    g2 = g * g
+    np.testing.assert_array_equal(mask[0], [[1.0, g, g, g2], [g, 1.0, g2, g],
+                                            [g, g2, 1.0, g], [g2, g, g, 1.0]])
 
 
 @PROPERTY
@@ -184,57 +157,22 @@ def test_scalar_evolution_is_one_row_of_the_stack(rho0, params, rate, ts):
 @example(ROUNDING_RATE, ROUNDING_TIMES)
 def test_dephasing_mask_equals_kraus_coefficients(rate, ts):
     # at H = 0 the engine applies the channel alone, and on the all-ones
-    # matrix it returns the channel's elementwise coefficients
-    noise = NoiseParams(rate)
-    masks = evolve_noisy_stack(np.ones((4, 4)), NO_HAMILTONIAN, noise, ts)
-    for mask, ks in zip(masks, build_kraus_set(noise, ts), strict=True):
-        # gamma is computed the same way, so the two forms agree bit for bit
-        g = ks[0, 1, 1].real
-        g2 = g * g
-        np.testing.assert_array_equal(mask, [[1.0, g, g, g2], [g, 1.0, g2, g],
-                                             [g, g2, 1.0, g], [g2, g, g, 1.0]])
-        np.testing.assert_array_equal(np.diag(mask), np.ones(4))
+    # matrix it returns the channel's elementwise coefficients, row by row
+    context = (np.ones((4, 4)), NO_HAMILTONIAN, NoiseParams(rate))
+    assert check_stack("evolve_noisy_stack", context, ts, mask_equals_kraus_coefficients) is None
 
 
 def test_dephasing_mask_rejects_negative_time():
-    with pytest.raises(ValueError, match="forward in time"):
-        evolve_noisy_stack(np.ones((4, 4)), NO_HAMILTONIAN, NoiseParams(0.5), [0.0, 1.0, -0.01])
+    # at H = 0, as at any H: the first refused time refuses the stack
+    refusal = check_stack("evolve_noisy_stack",
+                          (np.ones((4, 4)), NO_HAMILTONIAN, NoiseParams(0.5)),
+                          [0.0, 1.0, -0.01, math.nan])
+    assert "forward in time" in str(refusal)
 
 
-def same_bits(a, b):
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-
-@PROPERTY
-@given(density_matrices(), rates, st.lists(times, max_size=6),
-       st.lists(times | st.sampled_from(REFUSED_TIMES), max_size=3))
-@example(ROUNDING_STATE, ROUNDING_RATE, ROUNDING_TIMES, [])
-def test_kraus_stack_rows_are_one_row_calls(rho0, rate, ts, tail):
-    noise = NoiseParams(rate)
-    ts = ts + tail
-    refusal = None
-    for t in ts:
-        try:
-            build_kraus_set(noise, [t])
-        except ValueError as exc:
-            refusal = str(exc)
-            break
-    if refusal is not None:
-        # the first refused time refuses the stack, and the engine, with its
-        # one-row message
-        with pytest.raises(ValueError) as info:
-            build_kraus_set(noise, ts)
-        assert str(info.value) == refusal
-        with pytest.raises(ValueError) as info:
-            evolve_noisy_stack(rho0, NO_HAMILTONIAN, noise, ts)
-        assert str(info.value) == refusal
-        return
-    ks = build_kraus_set(noise, ts)
-    out = apply_channel(rho0, ks)
-    assert ks.shape == (len(ts), 4, 4, 4) and out.shape == (len(ts), 4, 4)
-    for k, t in enumerate(ts):
-        assert same_bits(ks[k:k + 1], build_kraus_set(noise, [t])), k
-        assert same_bits(out[k:k + 1], apply_channel(rho0, ks[k:k + 1])), k
+def test_kraus_stack_rows_are_one_row_calls():
+    check_case("build_kraus_set")
+    check_case("apply_channel")
 
 
 # ------------------------------------------------------------- measures
@@ -251,43 +189,16 @@ def test_correlation_stack_matches_loop_reference(states):
         assert_matches_reference(columns, k, rho, t)
 
 
-def assert_rows_are_one_row_calls(states):
-    """Row k of the stack's columns has the bits of a one-row call on state k."""
-    ts = 0.1 * np.arange(len(states))
-    columns = sample_correlations_stack(states, ts)
-    for k in range(len(states)):
-        row = {name: values[k:k + 1] for name, values in columns.items()}
-        assert_same_columns(row, sample_correlations_stack(states[k:k + 1], ts[k:k + 1]))
-
-
-@PROPERTY
-@given(st.lists(density_matrices(), min_size=1, max_size=5))
-def test_stack_rows_equal_one_row_calls(states):
-    # one state is measured as a one-row stack, with the bits of its row
-    assert_rows_are_one_row_calls(np.array(states))
-
-
-def test_block_sized_stack_rows_equal_one_row_calls():
-    # a block, and stacks of 1-5 rows: a row's bits may hang on the stack
-    # length at either end (a BLAS product, for one, picks its kernel by it)
-    rng = np.random.default_rng(5)
-    G = rng.normal(size=(scenario.BLOCK_SAMPLES + 37, 4, 4, 2)) @ np.array([1.0, 1j])
-    rhos = G @ np.swapaxes(G.conj(), 1, 2)
-    rhos /= np.trace(rhos, axis1=1, axis2=2).real[:, None, None]
-    for length in (1, 2, 3, 4, 5, len(rhos)):
-        assert_rows_are_one_row_calls(rhos[:length])
+def test_stack_rows_equal_one_row_calls():
+    # one state is measured as a one-row stack, with the bits of its row,
+    # in a block-sized stack too
+    check_case("sample_correlations_stack")
 
 
 def test_stack_checks_every_state():
+    # a refused state anywhere in a stack is the contract's case above; the
+    # times must match the states too
     good = initial_state("cat")
-    bad = np.eye(4, dtype=complex) / 4.0
-    bad[0, 1] = 0.2  # not Hermitian
-    with pytest.raises(ValueError, match="Hermitian"):
-        sample_correlations_stack(np.array([good, good, bad, good]), [0.0, 0.1, 0.2, 0.3])
-    nonfinite = good.copy()
-    nonfinite[3, 3] = np.nan
-    with pytest.raises(ValueError, match="finite"):
-        sample_correlations_stack(np.array([good, nonfinite]), [0.0, 0.1])
     with pytest.raises(ValueError, match="times"):
         sample_correlations_stack(np.array([good, good]), [0.0])
 

@@ -2,11 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from bispinor.dirac import DiracParams, operator_stacks
+from bispinor.dirac import DiracParams
 from bispinor.ionmap import IonParams, assemble_ion_stack, dirac_to_ion, pair_sigma
+from stack_contract import check_case, hamiltonian, same_bits
 
 RNG = np.random.default_rng(99)
 
@@ -17,10 +16,6 @@ def random_params():
                        mu=float(RNG.uniform(-2.0, 2.0)),
                        E_field=float(RNG.uniform(0.1, 3.0)),
                        theta=float(RNG.uniform(0.0, 2.0 * math.pi)))
-
-
-def hamiltonian(params):
-    return operator_stacks([params])[0][0]
 
 
 def ion_hamiltonian(ion, p):
@@ -152,36 +147,11 @@ def formula_ion_hamiltonian(ion, p):
     return H + 2.0 * w2z * (sy("b", "d") - sy("a", "c"))
 
 
-def same_bits(a, b):
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+def assembly_matches_formula(_, point, H):
+    assert same_bits(H[0], formula_ion_hamiltonian(*point)), point
 
 
-energies = st.floats(0.0, 5.0, allow_nan=False, allow_infinity=False)
-couplings = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
-angles = st.floats(0.0, 2.0 * math.pi, allow_nan=False) | st.just(math.pi / 4)
-#: mapped points, with E = 0 and kappa = mu = 0 among them, and free ion settings
-mapped_points = st.builds(
-    lambda params: (dirac_to_ion(params), params.p),
-    st.builds(DiracParams, m=energies, p=energies, kappa=couplings, mu=couplings,
-              E_field=energies | st.just(0.0), theta=angles)
-    | st.builds(DiracParams, m=energies, p=energies, kappa=st.just(0.0), mu=st.just(0.0),
-                E_field=energies, theta=angles))
-free_points = st.tuples(
-    st.builds(IonParams, delta=energies, eta_delta_omega=couplings,
-              omega1=st.tuples(couplings, couplings, couplings),
-              omega2=st.tuples(couplings, couplings, couplings)),
-    energies)
-
-
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(st.lists(mapped_points | free_points, min_size=1, max_size=10))
-def test_stacked_assembly_matches_one_point_builds_bitwise(points):
-    ions, momenta = zip(*points)
-    # every stack row is a one-row call, bit for bit
-    stack = assemble_ion_stack(ions, momenta)
-    assert stack.shape == (len(points), 4, 4)
-    for i, (ion, p) in enumerate(points):
-        one = assemble_ion_stack([ion], [p])[0]
-        assert same_bits(stack[i], one), i
-        # the level-pair sums built once give the term-by-term bits
-        assert same_bits(one, formula_ion_hamiltonian(ion, p)), i
+def test_stacked_assembly_matches_one_point_builds_bitwise():
+    # every stack row is a one-row call, bit for bit, and the level-pair
+    # sums built once give the term-by-term bits
+    check_case("assemble_ion_stack", assemble_ion_stack=assembly_matches_formula)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from bispinor.linalg import (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, _require_hermitian,
                              partial_transpose, top_eigenvalue_3x3)
+from stack_contract import check_case
 
 RNG = np.random.default_rng(20260814)
 
@@ -84,6 +85,14 @@ def test_require_hermitian_on_a_stack():
             bad[2, i, j] = np.nan
             with pytest.raises(ValueError, match=r"^state entries must be finite$"):
                 _require_hermitian(bad, "state")
+    # bad keeps its NaN in matrix 2: the first refused matrix refuses the
+    # stack, with its own first failing check (finite, then Hermitian)
+    bad[1, 0, 1] += 1e-9
+    with pytest.raises(ValueError, match=r"^state must be Hermitian$"):
+        _require_hermitian(bad, "state")
+    bad[1, 0, 0] = np.inf
+    with pytest.raises(ValueError, match=r"^state entries must be finite$"):
+        _require_hermitian(bad, "state")
 
 
 def test_require_hermitian_scales_with_the_largest_entry():
@@ -121,7 +130,7 @@ def rotated(eigenvalues, count, seed):
     return (Q * np.asarray(eigenvalues, dtype=float)) @ np.swapaxes(Q, 1, 2)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=9, max_size=9),
        st.floats(0.0, 4.0, allow_nan=False))
 def test_top_eigenvalue_matches_lapack_on_psd(entries, scale):
@@ -147,6 +156,11 @@ def test_top_eigenvalue_special_matrices(K):
 def test_top_eigenvalue_on_rotated_spectra(eigenvalues):
     # near r = -1 the plain trigonometric form is off by about 1e-8 here
     assert_top_eigenvalue_matches_lapack(rotated(eigenvalues, 2000, seed=5))
+
+
+def test_stacked_linalg_keeps_the_stack_contract():
+    check_case("partial_transpose")
+    check_case("top_eigenvalue_3x3")
 
 
 def test_top_eigenvalue_rejects_bad_shapes():

@@ -341,7 +341,7 @@ steps = st.floats(0.0, 5.0, allow_nan=False, allow_infinity=False)
 values = st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(st.lists(st.tuples(steps, values), min_size=1, max_size=300))
 @example([(0.0, 0.0)] * 3)    # t_max = 0 and an all-zero series (y_max = 1e-12)
 @example([(0.0, 0.3), (0.0, 0.9)])

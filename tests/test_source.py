@@ -1,11 +1,16 @@
 """Checks on the package source itself."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "bispinor"
+import bispinor
+from stack_contract import CASES
+
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "bispinor"
 #: __init__ imports names to re-export them, so it is not checked
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
 
@@ -92,3 +97,29 @@ def test_every_error_class_is_raised():
     unraised = [node.name for node in errors.body
                 if isinstance(node, ast.ClassDef) and node.name not in raised]
     assert not unraised, f"errors.py defines {unraised} and no package module raises them"
+
+
+#: the public functions outside the stack contract, each with its reason
+NOT_STACKED = (
+    ("detect_features", "reads one trajectory's columns as a whole"),
+    ("dirac_to_ion", "maps one point to one IonParams"),
+    ("emit_outputs", "writes one run's files"),
+    ("initial_state", "builds one start"),
+    ("load_config", "reads one config file"),
+    ("parse_config_text", "parses one config text"),
+    ("run_scenario", "runs one config"),
+    ("run_trajectory", "computes one run; test_engine checks its rows against the block size"),
+)
+
+
+def test_every_public_function_keeps_the_stack_contract():
+    # a new public stacked function needs a case in stack_contract.CASES
+    # that some test runs, or a reason above
+    functions = {name for name in bispinor.__all__ if inspect.isfunction(getattr(bispinor, name))}
+    assert sorted(functions) == sorted([*CASES, *dict(NOT_STACKED)])
+    nodes = (node for path in TESTS.glob("test_*.py")
+             for node in ast.walk(ast.parse(path.read_text())))
+    run = {arg.value for node in nodes
+           if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "check_case"
+           for arg in node.args}
+    assert run == set(CASES)
