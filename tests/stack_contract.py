@@ -103,9 +103,10 @@ _G = _ROUNDING.normal(size=(4, 4)) + 1j * _ROUNDING.normal(size=(4, 4))
 ROUNDING_STATE = _G @ _G.conj().T / np.trace(_G @ _G.conj().T).real
 ROUNDING_RATE = float(_ROUNDING.uniform(0.0, 2.0))
 ROUNDING_TIMES = _ROUNDING.uniform(0.0, 20.0, BLOCK).tolist()
+#: BLOCK random states, normalised
 _G = np.random.default_rng(5).normal(size=(BLOCK, 4, 4, 2)) @ np.array([1.0, 1j])
-_STATES = _G @ np.swapaxes(_G.conj(), 1, 2)
-_STATES /= np.trace(_STATES, axis1=1, axis2=2).real[:, None, None]
+BLOCK_STATES = _G @ np.swapaxes(_G.conj(), 1, 2)
+BLOCK_STATES /= np.trace(BLOCK_STATES, axis1=1, axis2=2).real[:, None, None]
 
 
 # ------------------------------------------------------------- cases
@@ -154,17 +155,17 @@ CASES = {
         lambda _, rhos: sample_correlations_stack(rhos, np.zeros(len(rhos))), _NONE,
         density_matrices(), st.sampled_from(REFUSED_STATES),
         # and two refused states, whichever check reads which first
-        ((None, list(_STATES)), *((None, [REFUSED_STATES[i], REFUSED_STATES[j]])
+        ((None, list(BLOCK_STATES)), *((None, [REFUSED_STATES[i], REFUSED_STATES[j]])
                                   for i, j in ((1, 0), (2, 3), (2, 1))))),
     "partial_transpose": Case(
         lambda side, rhos: partial_transpose(rhos, side), st.sampled_from([1, 2]),
-        density_matrices(), None, ((1, list(_STATES)), (2, list(_STATES)))),
+        density_matrices(), None, ((1, list(BLOCK_STATES)), (2, list(BLOCK_STATES)))),
     # the real 3x3 corner of a state is symmetric and positive
     "top_eigenvalue_3x3": Case(
         lambda _, ks: top_eigenvalue_3x3(ks), _NONE,
         st.builds(lambda entries, scale: scale * np.array(entries).reshape(3, 3),
                   st.lists(unit, min_size=9, max_size=9), energies),
-        None, ((None, list(_STATES.real[:, :3, :3])),)),
+        None, ((None, list(BLOCK_STATES.real[:, :3, :3])),)),
 }
 
 

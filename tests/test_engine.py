@@ -23,7 +23,7 @@ from bispinor.errors import InvariantViolation
 from bispinor.linalg import IDENTITY_2, PAULI, partial_transpose
 from bispinor.noise import NoiseParams, apply_channel, build_kraus_set, evolve_noisy_stack
 from bispinor.scenario import ScenarioConfig, initial_state, run_trajectory
-from stack_contract import (NO_HAMILTONIAN, ROUNDING_RATE, ROUNDING_TIMES, check_case,
+from stack_contract import (BLOCK_STATES, NO_HAMILTONIAN, ROUNDING_RATE, ROUNDING_TIMES, check_case,
                             check_stack, density_matrices, rates, times, unit)
 
 TOL = 1e-12
@@ -193,6 +193,13 @@ def test_stack_rows_equal_one_row_calls():
     # one state is measured as a one-row stack, with the bits of its row,
     # in a block-sized stack too
     check_case("sample_correlations_stack")
+
+
+def test_block_sized_stack_rows_equal_one_row_calls():
+    # a block, and stacks of 1-5 rows: a row's bits may hang on the stack
+    # length at either end (a BLAS product, for one, picks its kernel by it)
+    for length in (1, 2, 3, 4, 5, len(BLOCK_STATES)):
+        assert check_stack("sample_correlations_stack", None, list(BLOCK_STATES[:length])) is None
 
 
 def test_stack_checks_every_state():

@@ -89,6 +89,16 @@ def test_channel_matches_elementwise_form():
             np.testing.assert_allclose(out, engine, rtol=0, atol=1e-14)
 
 
+def test_dephasing_mask_shape():
+    # on the all-ones matrix the H = 0 engine returns its coefficients
+    g = build_kraus_set(NoiseParams(1.0), [1.0])[0, 0, 1, 1].real  # gamma
+    c = evolve_noisy_stack(np.ones((4, 4)), NO_HAMILTONIAN, NoiseParams(1.0), [1.0])[0]
+    assert np.array_equal(np.diag(c), np.ones(4))
+    assert c[0, 3] == pytest.approx(g * g)
+    assert c[0, 1] == c[1, 0] == pytest.approx(g)
+    assert np.array_equal(c, c.T)
+
+
 def test_channel_is_a_semigroup_in_time():
     # dephasing factors multiply: t1 then t2 equals t1 + t2
     rho = random_density()
