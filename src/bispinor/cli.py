@@ -48,10 +48,11 @@ def _build_parser() -> _Parser:
 
 def _cmd_simulate(args) -> int:
     configs = load_config(args.config)
-    if args.out is not None:
-        configs = [ScenarioConfig(**dict(c._asdict(), outputs=args.out)) for c in configs]
+    overrides = {} if args.out is None else {"outputs": args.out}
     if args.plots:
-        configs = [ScenarioConfig(**dict(c._asdict(), emit_plots=True)) for c in configs]
+        overrides["emit_plots"] = True
+    if overrides:
+        configs = [ScenarioConfig(**dict(c._asdict(), **overrides)) for c in configs]
     results = run_scenario(configs)
     for cfg, report, out_dir in results:
         print(f"m_over_p={cfg.m_over_p:g} initial={cfg.initial_state} -> {out_dir}")

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import IDENTITY_2, PAULI, _require_hermitian, partial_transpose, top_eigenvalue_3x3
+from .linalg import (IDENTITY_2, PAULI, _first_refusal, _hermitian_checks, partial_transpose,
+                     top_eigenvalue_3x3)
 
 CLAMP_TOL = 1e-12
 
@@ -42,45 +43,32 @@ _FANO_TRACE = np.ascontiguousarray(_FANO_BASIS.transpose(0, 2, 1).reshape(15, 16
 
 
 def _checked_stack(rhos) -> tuple:
-    """Validated (B, 4, 4) stack and its Fano data (_fano_stack).
+    """Validated (B, 4, 4) stack and its Fano data (a1, a2, T).
 
-    Each state must be finite and Hermitian (linalg's check) and have real
-    Pauli traces. The first refused state refuses the stack, with the
-    message a one-row call on it gives.
+    Bloch vectors a1_i = Tr[rho (s_i (x) I)] and a2_j = Tr[rho (I (x) s_j)],
+    (B, 3), and correlation matrices T_ij = Tr[rho (s_i (x) s_j)],
+    (B, 3, 3). Each state must be finite and Hermitian (linalg's check),
+    then have Pauli traces with imaginary parts of at most 1e-10, which
+    are discarded. A refused state refuses the stack by
+    linalg._first_refusal.
     """
     stack = np.asarray(rhos, dtype=complex)
     if stack.ndim != 3 or stack.shape[1:] != (4, 4):
         raise ValueError(f"expected a (B, 4, 4) stack, got shape {stack.shape}")
-    try:
-        _require_hermitian(stack, "state")
-        return stack, _fano_stack(stack)
-    except ValueError:
-        # the failure path: each check reads the whole stack before the
-        # next, and the trace check reports its worst state, so the first
-        # refused state is found one state at a time
-        if len(stack) > 1:
-            for rho in stack:
-                _checked_stack(rho[None])
-        raise
+    with np.errstate(invalid="ignore"):  # inf * 0 in a non-finite state
+        traces = stack.reshape(-1, 16) @ _FANO_TRACE
+    message = _first_refusal((
+        *_hermitian_checks(stack, "state"),
+        (np.all(np.abs(traces.imag) <= 1e-10, axis=1),
+         lambda k: f"Pauli trace has imaginary part {np.max(np.abs(traces[k].imag)):g}")))
+    if message is not None:
+        raise ValueError(message)
+    real = traces.real
+    return stack, (real[:, 0:3], real[:, 3:6], real[:, 6:].reshape(-1, 3, 3))
 
 
 def _clamp(values: np.ndarray) -> np.ndarray:
     return np.where(np.abs(values) < CLAMP_TOL, 0.0, values)
-
-
-def _fano_stack(stack: np.ndarray) -> tuple:
-    """Bloch vectors a1, a2 (B, 3) and correlation matrices T (B, 3, 3).
-
-    a1_i = Tr[rho (s_i (x) I)], a2_j = Tr[rho (I (x) s_j)],
-    T_ij = Tr[rho (s_i (x) s_j)]. Imaginary parts of the traces are
-    checked small (< 1e-10) and discarded.
-    """
-    traces = stack.reshape(-1, 16) @ _FANO_TRACE
-    worst_imag = float(np.max(np.abs(traces.imag), initial=0.0))
-    if worst_imag > 1e-10:
-        raise ValueError(f"Pauli trace has imaginary part {worst_imag:g}")
-    real = traces.real
-    return real[:, 0:3], real[:, 3:6], real[:, 6:].reshape(-1, 3, 3)
 
 
 def _spectra(stack: np.ndarray) -> tuple:
@@ -141,8 +129,8 @@ def sample_correlations_stack(rhos, times) -> dict:
     One batched LAPACK call gives the spectra of the states (for
     min_eigenvalue) and of their partial transposes (for negativity);
     the k_max of both discord sides come from one closed-form call on
-    their 3x3 K matrices. The first refused state refuses the stack,
-    with the message a one-row call on it gives.
+    their 3x3 K matrices. A refused state refuses the stack by
+    linalg._first_refusal.
     """
     stack, fano = _checked_stack(rhos)
     times = np.asarray(times, dtype=float)

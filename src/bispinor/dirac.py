@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from .errors import DegenerateSpectrumError
-from .linalg import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
+from .linalg import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, _first_refusal
 from .values import ValueType
 
 #: below this, g2 or |lambda| counts as degenerate and the analytic
@@ -154,8 +154,7 @@ def spectral_stacks(grid) -> tuple:
     needs none.
 
     Raises DegenerateSpectrumError when g2 or any |lambda| of a point
-    falls below 1e-12, with the message a one-row call on the first such
-    point gives.
+    falls below 1e-12, by linalg._first_refusal on a stack.
     """
     H, O = operator_stacks(grid)
     H2 = H @ H
@@ -166,16 +165,12 @@ def spectral_stacks(grid) -> tuple:
     g2_ok = ~(g2 <= DEGENERACY_TOL)
     sqrt_g2 = np.sqrt(np.where(g2_ok, g2, 0.0))
     lambdas = _eigenvalues(q[:, None], sqrt_g2[:, None])
-    degenerate = ~g2_ok | np.any(np.abs(lambdas) <= DEGENERACY_TOL, axis=1)
-    if np.any(degenerate):
-        first = int(np.argmax(degenerate))
-        if not g2_ok[first]:
-            raise DegenerateSpectrumError(
-                f"g2 = {g2[first]:g} is degenerate; use numeric diagonalization"
-            )
-        raise DegenerateSpectrumError(
-            "an eigenvalue magnitude is ~0; use numeric diagonalization"
-        )
+    message = _first_refusal((
+        (g2_ok, lambda k: f"g2 = {g2[k]:g} is degenerate; use numeric diagonalization"),
+        (~np.any(np.abs(lambdas) <= DEGENERACY_TOL, axis=1),
+         lambda _: "an eigenvalue magnitude is ~0; use numeric diagonalization")))
+    if message is not None:
+        raise DegenerateSpectrumError(message)
     # (-1)^n / |lambda_(n,s)| = 1 / lambda_(n,s), and (-1)^s / sqrt(g2)
     o_coef = np.array([1.0, 1.0, -1.0, -1.0]) / sqrt_g2[:, None]
     eye = np.eye(4, dtype=complex)

@@ -1,8 +1,9 @@
 """Dense complex linear algebra for matrices up to 4x4.
 
 The Pauli matrices, partial transposition, the closed-form top
-eigenvalue of real symmetric 3x3 matrices and the package's one
-Hermiticity check; products of qubit factors are numpy's kron.
+eigenvalue of real symmetric 3x3 matrices, the package's one Hermiticity
+check and its one first-refusal rule for stacks (_first_refusal);
+products of qubit factors are numpy's kron.
 Eigenvectors are taken in one place only, the ``eigh`` of the
 Hamiltonian in noise.evolve_noisy_stack.
 Matrices are plain complex numpy arrays. Partial transposition takes
@@ -30,38 +31,47 @@ PAULI = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
 _UPPER_4 = np.triu_indices(4)
 
 
-def _require_hermitian(A, what: str) -> None:
-    """The package's one Hermiticity check, on a 4x4 matrix or every matrix of a stack.
+def _first_refusal(checks):
+    """The package's one first-refusal rule: the message that refuses a stack, or None.
+
+    checks holds (ok, message) pairs in check order: ok has one boolean
+    per row, stated as the condition that must hold (so a NaN fails it),
+    and message(k) is the error for row k. The first row failing any
+    check refuses the stack, by the first check it fails, so the message
+    is the one a one-row call on that row gives.
+    """
+    refused = np.flatnonzero(~np.logical_and.reduce([ok for ok, _ in checks]))
+    if not refused.size:
+        return None
+    k = int(refused[0])
+    return next(message(k) for ok, message in checks if not ok[k])
+
+
+def _hermitian_checks(A, what: str) -> tuple:
+    """The package's one Hermiticity check, as _first_refusal pairs with one row per matrix.
 
     Entries must be finite and |A - A^dag| at most 1e-12 * max(1, max|A_ij|)
     entrywise, so a unit-trace state (entries of magnitude <= 1) is held to
-    an absolute 1e-12. Raises ValueError naming `what`.
-
-    The residual is read on and above the diagonal only:
-    |A_ij - conj(A_ji)| is the same number at (j, i). On a stack, the
-    first refused matrix refuses it, with the message a check of that
-    matrix alone gives.
+    an absolute 1e-12. The residual is read on and above the diagonal
+    only: |A_ij - conj(A_ji)| is the same number at (j, i).
     """
-    if A.shape[-2:] != (4, 4):
-        raise ValueError(f"{what}: expected 4x4 matrices, got shape {A.shape}")
-    # LAPACK cannot converge on non-finite entries, and NaN passes the
-    # residual test, so a matrix is checked for them first
-    if np.all(np.isfinite(A)) and np.all(_hermitian(A)):
-        return
+    # LAPACK cannot converge on non-finite entries, so they are checked first
     finite = np.all(np.isfinite(A), axis=(-2, -1)).ravel()
-    with np.errstate(invalid="ignore"):  # inf - inf in a refused matrix
-        refused = ~(finite & _hermitian(A).ravel())
-    if not finite[np.argmax(refused)]:
-        raise ValueError(f"{what} entries must be finite")
-    raise ValueError(f"{what} must be Hermitian")
-
-
-def _hermitian(A) -> np.ndarray:
-    """Whether |A - A^dag| <= 1e-12 * max(1, max|A_ij|) entrywise, matrix by matrix."""
     scale = np.maximum(1.0, np.max(np.abs(A), axis=(-2, -1)))
     rows, cols = _UPPER_4
-    residual = np.max(np.abs(A[..., rows, cols] - A[..., cols, rows].conj()), axis=-1)
-    return residual <= 1e-12 * scale
+    with np.errstate(invalid="ignore"):  # inf - inf in a refused matrix
+        residual = np.max(np.abs(A[..., rows, cols] - A[..., cols, rows].conj()), axis=-1)
+    return ((finite, lambda _: f"{what} entries must be finite"),
+            ((residual <= 1e-12 * scale).ravel(), lambda _: f"{what} must be Hermitian"))
+
+
+def _require_hermitian(A, what: str) -> None:
+    """Raise ValueError naming `what` if _hermitian_checks refuses A."""
+    if A.shape[-2:] != (4, 4):
+        raise ValueError(f"{what}: expected 4x4 matrices, got shape {A.shape}")
+    message = _first_refusal(_hermitian_checks(A, what))
+    if message is not None:
+        raise ValueError(message)
 
 
 def partial_transpose(rho, subsystem: int) -> np.ndarray:

@@ -31,7 +31,7 @@ import math
 import numpy as np
 
 from .dirac import DiracParams, operator_stacks
-from .linalg import _require_hermitian
+from .linalg import _first_refusal, _require_hermitian
 from .values import ValueType
 
 #: qubits whose level differs between row and column of each entry: the
@@ -63,17 +63,16 @@ class NoiseParams(ValueType):
 def _checked_times(times) -> np.ndarray:
     """Times as a 1-D float array; each must be finite and nonnegative.
 
-    The first refused time refuses the array, with the message a one-row
-    call on it gives.
+    A refused time refuses the array by linalg._first_refusal.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
         raise ValueError(f"times must be a 1-D array, got shape {times.shape}")
-    refused = ~(np.isfinite(times) & (times >= 0))  # a NaN is refused
-    if np.any(refused):
-        if not math.isfinite(times[np.argmax(refused)]):
-            raise ValueError("time must be finite")
-        raise ValueError("channel is defined forward in time only (t >= 0)")
+    message = _first_refusal((
+        (np.isfinite(times), lambda _: "time must be finite"),
+        (times >= 0, lambda _: "channel is defined forward in time only (t >= 0)")))
+    if message is not None:
+        raise ValueError(message)
     return times
 
 

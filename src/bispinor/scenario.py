@@ -27,7 +27,7 @@ import numpy as np
 from .correlations import COLUMNS, sample_correlations_stack
 from .dirac import DiracParams
 from .errors import InvariantViolation, UsageError
-from .linalg import _require_hermitian
+from .linalg import _first_refusal, _require_hermitian
 from .noise import NoiseParams, evolve_noisy_stack
 from .values import ValueType
 
@@ -175,27 +175,26 @@ def _check_block(c: dict) -> None:
     """Check every sample of a block of columns against its invariants.
 
     Each check is the condition that must hold, so a NaN fails it. The
-    error names the earliest failing sample and, at that sample, the
-    first failing check in the order below.
+    error names the sample and check that linalg._first_refusal picks:
+    the earliest failing sample, and its first failing check in the order
+    below.
     """
-    neg, d1, d2, pur = c["negativity"], c["discord_1"], c["discord_2"], c["purity"]
-    checks = (
-        ("trace deviation", np.abs(c["trace_deviation"]) <= TRACE_TOL, c["trace_deviation"]),
-        ("positivity", c["min_eigenvalue"] >= -PSD_TOL, c["min_eigenvalue"]),
-        ("purity range", (0.25 - PSD_TOL <= pur) & (pur <= 1.0 + PSD_TOL), pur),
-        ("negativity range", (0.0 <= neg) & (neg <= 1.0 + MEASURE_TOL), neg),
-        ("discord_1 range", (0.0 <= d1) & (d1 <= 0.5 + MEASURE_TOL), d1),
-        ("discord_2 range", (0.0 <= d2) & (d2 <= 0.5 + MEASURE_TOL), d2),
-        ("hierarchy (N/2)^2 <= D1", (neg / 2.0) ** 2 <= d1 + MEASURE_TOL, neg),
-    )
-    failed = ~np.stack([ok for _, ok, _ in checks])
-    bad_samples = np.flatnonzero(failed.any(axis=0))
-    if bad_samples.size:
-        k = bad_samples[0]
-        name, _, values = checks[int(np.argmax(failed[:, k]))]
-        raise InvariantViolation(
-            f"{name} violated at t = {float(c['t'][k]):g} (value {float(values[k]):g})"
-        )
+    t, neg, d1, d2, pur = c["t"], c["negativity"], c["discord_1"], c["discord_2"], c["purity"]
+
+    def check(name, ok, values):
+        return ok, lambda k: f"{name} violated at t = {t[k]:g} (value {values[k]:g})"
+
+    message = _first_refusal((
+        check("trace deviation", np.abs(c["trace_deviation"]) <= TRACE_TOL, c["trace_deviation"]),
+        check("positivity", c["min_eigenvalue"] >= -PSD_TOL, c["min_eigenvalue"]),
+        check("purity range", (0.25 - PSD_TOL <= pur) & (pur <= 1.0 + PSD_TOL), pur),
+        check("negativity range", (0.0 <= neg) & (neg <= 1.0 + MEASURE_TOL), neg),
+        check("discord_1 range", (0.0 <= d1) & (d1 <= 0.5 + MEASURE_TOL), d1),
+        check("discord_2 range", (0.0 <= d2) & (d2 <= 0.5 + MEASURE_TOL), d2),
+        check("hierarchy (N/2)^2 <= D1", (neg / 2.0) ** 2 <= d1 + MEASURE_TOL, neg),
+    ))
+    if message is not None:
+        raise InvariantViolation(message)
 
 
 def scenario_params(config: ScenarioConfig) -> DiracParams:

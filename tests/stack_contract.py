@@ -4,8 +4,10 @@ A function that takes a stack of rows (points, times, Kraus rows, states
 or matrices) promises: (a) row k of a stack has the bits of a one-row call
 on row k; (b) the first refused row refuses the stack, with the exception
 type and message of a one-row call on that row. CASES holds one case per
-function, run on fixed stacks (cut to 1-5 rows, and whole) and on
-hypothesis draws of 1-5 rows, each also with refused rows mixed in. The
+function, run on fixed stacks (cut to 0-5 rows, and whole) and on
+hypothesis draws of 1-5 rows, each also with refused rows mixed in. A
+zero-row stack refuses nothing and gives arrays of 0 rows; the fixed
+stacks of array rows are arrays, so a cut keeps the row shape. The
 random fixed stacks of BLOCK rows round in the last bit far more often
 than hypothesis's mostly simple draws, and BLAS picks kernels by length.
 """
@@ -133,7 +135,8 @@ CASES = {
     "spectral_stacks": _dirac_case(spectral_stacks, _points(E_field=st.just(0.0))),
     "closed_form_spectrum": _dirac_case(closed_form_spectrum),
     "assemble_ion_stack": Case(
-        lambda _, points: assemble_ion_stack(*zip(*points)), _NONE, ion_points, None,
+        lambda _, points: assemble_ion_stack([ion for ion, _ in points], [p for _, p in points]),
+        _NONE, ion_points, None,
         ((None, [(IonParams(v[0], v[1], tuple(v[2:5]), tuple(v[5:8])), v[8])
                  for v in _UNIFORM.tolist()]),), 100),
     "build_kraus_set": Case(build_kraus_set, st.builds(NoiseParams, rates), times,
@@ -143,7 +146,7 @@ CASES = {
         apply_channel, density_matrices(),
         st.builds(lambda rate, t: build_kraus_set(NoiseParams(rate), [t])[0], rates, times),
         st.sampled_from(BROKEN_KRAUS_ROWS),
-        ((ROUNDING_STATE, list(build_kraus_set(NoiseParams(ROUNDING_RATE), ROUNDING_TIMES))),)),
+        ((ROUNDING_STATE, build_kraus_set(NoiseParams(ROUNDING_RATE), ROUNDING_TIMES)),)),
     "evolve_noisy_stack": Case(
         lambda context, ts: evolve_noisy_stack(*context, ts),
         st.tuples(density_matrices(), dirac_points | st.just(NO_HAMILTONIAN),
@@ -154,18 +157,20 @@ CASES = {
     "sample_correlations_stack": Case(
         lambda _, rhos: sample_correlations_stack(rhos, np.zeros(len(rhos))), _NONE,
         density_matrices(), st.sampled_from(REFUSED_STATES),
-        # and two refused states, whichever check reads which first
-        ((None, list(BLOCK_STATES)), *((None, [REFUSED_STATES[i], REFUSED_STATES[j]])
-                                  for i, j in ((1, 0), (2, 3), (2, 1))))),
+        # and two refused states, whichever check reads which first; a NaN or
+        # an inf entry, whose Pauli traces are NaN, refuses before the traces
+        ((None, BLOCK_STATES), *((None, np.array([REFUSED_STATES[i], REFUSED_STATES[j]]))
+                                 for i, j in ((1, 0), (2, 3), (2, 1), (0, 2))),
+         (None, np.array([np.diag([0.25, 0.25, 0.25, np.inf]), REFUSED_STATES[2]])))),
     "partial_transpose": Case(
         lambda side, rhos: partial_transpose(rhos, side), st.sampled_from([1, 2]),
-        density_matrices(), None, ((1, list(BLOCK_STATES)), (2, list(BLOCK_STATES)))),
+        density_matrices(), None, ((1, BLOCK_STATES), (2, BLOCK_STATES))),
     # the real 3x3 corner of a state is symmetric and positive
     "top_eigenvalue_3x3": Case(
         lambda _, ks: top_eigenvalue_3x3(ks), _NONE,
         st.builds(lambda entries, scale: scale * np.array(entries).reshape(3, 3),
                   st.lists(unit, min_size=9, max_size=9), energies),
-        None, ((None, list(BLOCK_STATES.real[:, :3, :3])),)),
+        None, ((None, BLOCK_STATES.real[:, :3, :3]),)),
 }
 
 
@@ -213,7 +218,7 @@ def check_case(*names, **row_checks):
     assert all((CASES[name].context, CASES[name].row, CASES[name].stacks)
                == (case.context, case.row, case.stacks) for name in names)
     for context, rows in case.stacks:
-        for length in sorted({min(n, len(rows)) for n in (1, 2, 3, 4, 5, len(rows))}):
+        for length in sorted({min(n, len(rows)) for n in (0, 1, 2, 3, 4, 5, len(rows))}):
             for name in names:
                 check_stack(name, context, rows[:length], row_checks.get(name))
 
