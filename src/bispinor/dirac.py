@@ -12,9 +12,10 @@ The commuting invariant operator built here squares to a scalar g2, which
 yields a closed-form spectrum and four rank-1 analytic spectral projectors.
 Both operators are combinations of Pauli products built once at import.
 The builders take a whole sequence of DiracParams and return stacks:
-operator_stacks the (N, 4, 4) H and O, spectral_stacks adds g2, the
-spectrum and the (N, 4, 4, 4) projectors, and closed_form_spectrum gives
-the eigenvalues at any theta from the parameters alone. One point is a
+operator_stacks the (N, 4, 4) H and O, closed_form_spectrum the
+eigenvalues at any theta from the parameters alone, and spectral_stacks
+adds g2 (from O), that spectrum and the (N, 4, 4, 4) projectors. The
+closed form is the package's one spectrum formula. One point is a
 one-row call, with the bits its row has in any longer one.
 """
 
@@ -104,17 +105,6 @@ def operator_stacks(grid) -> tuple:
     return H, O
 
 
-def _eigenvalues(q, root_g2) -> np.ndarray:
-    """(N, 4) lambda_(n,s) in SPECTRAL_KEYS order from (N, 1) Tr[H^2]/4 and sqrt(g2).
-
-    lambda_(n,s) = (-1)^n sqrt(q + 2 (-1)^s sqrt(g2)), since O^2 = g2 * I.
-    The radicand is lambda^2 of a Hermitian H, so a negative one is
-    rounding and counts as 0.
-    """
-    lam = np.sqrt(np.maximum(q + np.array([2.0, -2.0]) * root_g2, 0.0))
-    return lam[:, [0, 0, 1, 1]] * np.array([1.0, -1.0, 1.0, -1.0])
-
-
 def closed_form_spectrum(grid) -> np.ndarray:
     """The eigenvalues of every point of grid, as (N, 4), from the parameters alone.
 
@@ -131,7 +121,11 @@ def closed_form_spectrum(grid) -> np.ndarray:
     m, p, k, mu, E, sin = np.array([(q.m, q.p, q.kappa, q.mu, q.E_field, math.sin(q.theta))
                                     for q in grid], dtype=float).reshape(-1, 6).T[..., None]
     inner = m * m * k * k + (mu * mu + k * k) * p * p * (sin * sin)
-    return _eigenvalues(p * p + m * m + (k * k + mu * mu) * E * E, E * np.sqrt(inner))
+    q = p * p + m * m + (k * k + mu * mu) * E * E
+    # the radicand is lambda^2 of a Hermitian H, so a negative one is
+    # rounding and counts as 0
+    lam = np.sqrt(np.maximum(q + np.array([2.0, -2.0]) * (E * np.sqrt(inner)), 0.0))
+    return lam[:, [0, 0, 1, 1]] * np.array([1.0, -1.0, 1.0, -1.0])
 
 
 def spectral_stacks(grid) -> tuple:
@@ -145,34 +139,29 @@ def spectral_stacks(grid) -> tuple:
     rho_(n,s) = 1/4 [I + (-1)^n / |lambda_(n,s)| * H]
                     [I + (-1)^s / sqrt(g2) * O]
 
-    g2 comes from the same H, by the trace formula
-    (1/16) Tr[(H^2 - Tr[H^2]/4 * I)^2], and the eigenvalues from
-    lambda^2 = Tr[H^2]/4 + 2 (-1)^s sqrt(g2), since O^2 = g2 * I; so this
-    works at any theta. Every step is per point or elementwise, so row i
-    has the bits of a one-row call. The projectors are the closed-form
-    check on the numeric evolution (noise.evolve_noisy_stack), which
-    needs none.
+    The eigenvalues are closed_form_spectrum's, bit for bit, and g2 is
+    sum |O_ij|^2 / 4 = Tr[O O^dag] / 4, since O is Hermitian and
+    O^2 = g2 * I; a sum of squares, so nothing cancels. Every step is per
+    point or elementwise, so row i has the bits of a one-row call. The
+    projectors are the closed-form check on the numeric evolution
+    (noise.evolve_noisy_stack), which needs none.
 
     Raises DegenerateSpectrumError when g2 or any |lambda| of a point
     falls below 1e-12, by linalg._first_refusal on a stack.
     """
     H, O = operator_stacks(grid)
-    H2 = H @ H
-    q = np.trace(H2, axis1=-2, axis2=-1).real / 4.0
-    traceless = H2 - q[:, None, None] * np.eye(4)
-    g2 = np.trace(traceless @ traceless, axis1=-2, axis2=-1).real / 16.0
-    # stated as a refusal, so a NaN g2 is not refused
-    g2_ok = ~(g2 <= DEGENERACY_TOL)
-    sqrt_g2 = np.sqrt(np.where(g2_ok, g2, 0.0))
-    lambdas = _eigenvalues(q[:, None], sqrt_g2[:, None])
+    g2 = np.sum(O.real ** 2 + O.imag ** 2, axis=(-2, -1)) / 4.0
+    lambdas = closed_form_spectrum(grid)
     message = _first_refusal((
-        (g2_ok, lambda k: f"g2 = {g2[k]:g} is degenerate; use numeric diagonalization"),
+        # stated as a refusal, so a NaN g2 is not refused
+        (~(g2 <= DEGENERACY_TOL),
+         lambda k: f"g2 = {g2[k]:g} is degenerate; use numeric diagonalization"),
         (~np.any(np.abs(lambdas) <= DEGENERACY_TOL, axis=1),
          lambda _: "an eigenvalue magnitude is ~0; use numeric diagonalization")))
     if message is not None:
         raise DegenerateSpectrumError(message)
     # (-1)^n / |lambda_(n,s)| = 1 / lambda_(n,s), and (-1)^s / sqrt(g2)
-    o_coef = np.array([1.0, 1.0, -1.0, -1.0]) / sqrt_g2[:, None]
+    o_coef = np.array([1.0, 1.0, -1.0, -1.0]) / np.sqrt(g2)[:, None]
     eye = np.eye(4, dtype=complex)
     left = eye + (1.0 / lambdas)[..., None, None] * H[:, None]
     right = eye + o_coef[..., None, None] * O[:, None]

@@ -451,7 +451,7 @@ def load_config(path) -> list:
     if not p.is_file():
         raise UsageError(f"config file not found: {p}")
     try:
-        text = p.read_text(encoding="utf-8")
+        text = p.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise UsageError(f"config file {p} is not valid UTF-8: {exc}") from None
     return parse_config_text(text)

@@ -204,6 +204,17 @@ def test_malformed_config_values_exit_one(tmp_path, capsys, monkeypatch, line):
     assert list(tmp_path.iterdir()) == [cfg]
 
 
+def test_config_with_a_byte_order_mark_runs(tmp_path):
+    # Windows editors may save a UTF-8 file with a leading BOM
+    for name, bom in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        text = BASE_CONFIG.lstrip() + f"outputs = {tmp_path / name}\n"
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_bytes(bom + text.encode("utf-8"))
+        assert main(["simulate", "--config", str(cfg)]) == 0
+    csv = "trajectory.csv"
+    assert (tmp_path / "bom" / csv).read_bytes() == (tmp_path / "plain" / csv).read_bytes()
+
+
 def test_empty_out_override_exits_one(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg = write_config(tmp_path, BASE_CONFIG + f"outputs = {tmp_path / 'out'}\n")

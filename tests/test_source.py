@@ -123,3 +123,30 @@ def test_every_public_function_keeps_the_stack_contract():
            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "check_case"
            for arg in node.args}
     assert run == set(CASES)
+
+
+#: every eigen-solver call in the package, as (module, top-level function,
+#: solver): the engine's one eigh, the measures' one batched eigvalsh, and
+#: the numeric side of the battery's closed-form spectrum check
+EIGEN_SOLVER_CALLS = (
+    ("acceptance.py", "criterion_01", "eigvalsh"),
+    ("correlations.py", "_spectra", "eigvalsh"),
+    ("noise.py", "evolve_noisy_stack", "eigh"),
+)
+
+
+def eigen_solver_calls(path):
+    """(module, top-level function or "<module>", solver) of each eigen-solver call."""
+    for top in ast.parse(path.read_text(), filename=str(path)).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if name in ("eigh", "eigvalsh", "eig", "eigvals"):
+                    yield path.name, getattr(top, "name", "<module>"), name
+
+
+def test_eigen_solvers_are_called_in_three_places_only():
+    # the spectrum and projectors have closed forms; a new numeric solver
+    # call would be a second route to what one of these already computes
+    calls = sorted(call for path in PACKAGE.glob("*.py") for call in eigen_solver_calls(path))
+    assert calls == sorted(EIGEN_SOLVER_CALLS)
