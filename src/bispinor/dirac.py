@@ -14,9 +14,10 @@ Both operators are combinations of Pauli products built once at import.
 The builders take a whole sequence of DiracParams and return stacks:
 operator_stacks the (N, 4, 4) H and O, closed_form_spectrum the
 eigenvalues at any theta from the parameters alone, and spectral_stacks
-adds g2 (from O), that spectrum and the (N, 4, 4, 4) projectors. The
-closed form is the package's one spectrum formula. One point is a
-one-row call, with the bits its row has in any longer one.
+adds g2, that spectrum (both from the parameters, with nothing
+cancelling) and the (N, 4, 4, 4) projectors. The closed form is the
+package's one spectrum formula. One point is a one-row call, with the
+bits its row has in any longer one.
 """
 
 from __future__ import annotations
@@ -105,27 +106,33 @@ def operator_stacks(grid) -> tuple:
     return H, O
 
 
+def _closed_form(grid) -> tuple:
+    """closed_form_spectrum's (N, 4) eigenvalues and the (N,) g2 of every point of grid."""
+    fields = [(q.m, q.p, q.kappa, q.mu, q.E_field, math.cos(q.theta), math.sin(q.theta))
+              for q in grid]
+    m, p, k, mu, E, cos, sin = np.array(fields, dtype=float).reshape(-1, 7).T
+    inner = m * m * k * k + (mu * mu + k * k) * p * p * (sin * sin)
+    mass, field = p * p + m * m, (k * k + mu * mu) * E * E
+    plus = mass + field + 2.0 * (E * np.sqrt(inner))
+    det = (mass - field) ** 2 + 4.0 * (field * p * p * (cos * cos) + E * E * m * m * mu * mu)
+    # lambda_(0,0) = 0 only where H = 0, and then det H = 0 too
+    lam = np.sqrt(np.stack((plus, det / np.where(plus > 0.0, plus, 1.0)), axis=1))
+    return lam[:, [0, 0, 1, 1]] * np.array([1.0, -1.0, 1.0, -1.0]), E * E * inner
+
+
 def closed_form_spectrum(grid) -> np.ndarray:
     """The eigenvalues of every point of grid, as (N, 4), from the parameters alone.
 
-    lambda_(n,s) = (-1)^n sqrt(p^2 + m^2 + (kappa^2 + mu^2) E^2
-                               + 2 (-1)^s E sqrt(m^2 kappa^2
-                                                 + (mu^2 + kappa^2) p^2 sin^2 theta)),
-    in SPECTRAL_KEYS order, at any theta; the paper's formula is the case
-    sin^2 theta = 1/2. H is never read, so the closed form stays an
-    independent route to the spectrum. Where an eigenvalue is near 0 its
-    radicand cancels, and it keeps about half the digits of the largest.
-    sin is math.sin per point, so row i does not depend on the other
-    rows, bit for bit.
+    lambda_(n,s) = (-1)^n sqrt(p^2 + m^2 + (kappa^2 + mu^2) E^2 + 2 (-1)^s sqrt(g2)),
+    g2 = E^2 (m^2 kappa^2 + (mu^2 + kappa^2) p^2 sin^2 theta), in SPECTRAL_KEYS
+    order, at any theta; the paper's formula is the case sin^2 theta = 1/2. H is
+    never read, so the closed form stays an independent route to the spectrum.
+    The s = 1 radicand would cancel; it is det H / lambda_(0,0)^2, with the sum of
+    squares det H = (p^2 + m^2 - (kappa^2 + mu^2) E^2)^2 + 4 E^2 ((kappa^2 + mu^2)
+    p^2 cos^2 theta + m^2 mu^2); only inputs whose squares underflow (|x| < 1e-154)
+    still give 0. Row i does not depend on the other rows, bit for bit.
     """
-    m, p, k, mu, E, sin = np.array([(q.m, q.p, q.kappa, q.mu, q.E_field, math.sin(q.theta))
-                                    for q in grid], dtype=float).reshape(-1, 6).T[..., None]
-    inner = m * m * k * k + (mu * mu + k * k) * p * p * (sin * sin)
-    q = p * p + m * m + (k * k + mu * mu) * E * E
-    # the radicand is lambda^2 of a Hermitian H, so a negative one is
-    # rounding and counts as 0
-    lam = np.sqrt(np.maximum(q + np.array([2.0, -2.0]) * (E * np.sqrt(inner)), 0.0))
-    return lam[:, [0, 0, 1, 1]] * np.array([1.0, -1.0, 1.0, -1.0])
+    return _closed_form(grid)[0]
 
 
 def spectral_stacks(grid) -> tuple:
@@ -139,9 +146,8 @@ def spectral_stacks(grid) -> tuple:
     rho_(n,s) = 1/4 [I + (-1)^n / |lambda_(n,s)| * H]
                     [I + (-1)^s / sqrt(g2) * O]
 
-    The eigenvalues are closed_form_spectrum's, bit for bit, and g2 is
-    sum |O_ij|^2 / 4 = Tr[O O^dag] / 4, since O is Hermitian and
-    O^2 = g2 * I; a sum of squares, so nothing cancels. Every step is per
+    The eigenvalues (closed_form_spectrum's, bit for bit) and g2 come from
+    the parameters, not from H or O, so nothing cancels. Every step is per
     point or elementwise, so row i has the bits of a one-row call. The
     projectors are the closed-form check on the numeric evolution
     (noise.evolve_noisy_stack), which needs none.
@@ -150,8 +156,7 @@ def spectral_stacks(grid) -> tuple:
     falls below 1e-12, by linalg._first_refusal on a stack.
     """
     H, O = operator_stacks(grid)
-    g2 = np.sum(O.real ** 2 + O.imag ** 2, axis=(-2, -1)) / 4.0
-    lambdas = closed_form_spectrum(grid)
+    lambdas, g2 = _closed_form(grid)
     message = _first_refusal((
         # stated as a refusal, so a NaN g2 is not refused
         (~(g2 <= DEGENERACY_TOL),

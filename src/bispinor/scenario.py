@@ -31,7 +31,8 @@ from .linalg import _first_refusal, _require_hermitian
 from .noise import NoiseParams, evolve_noisy_stack
 from .values import ValueType
 
-STATE_NAMES = ("a", "b", "c", "d", "cat", "werner", "custom")
+_CATALOG = {"a": (0,), "b": (1,), "c": (2,), "d": (3,), "cat": (0, 3), "werner": (1, 2)}
+STATE_NAMES = (*_CATALOG, "custom")
 
 DEFAULT_EPS_DEAD = 1e-6
 DEFAULT_EPS_ALIVE = 1e-2
@@ -133,10 +134,10 @@ class FeatureReport(ValueType):
 def initial_state(name: str, custom=None) -> np.ndarray:
     """Density matrix of a catalog state.
 
-    a, b, c, d are the four basis levels; cat is (|a> + |d>)/sqrt(2),
-    werner is (|b> + |c>)/sqrt(2). A custom matrix is its run's t = 0
-    sample, measured and checked as a one-row block before anything
-    evolves; a failure raises InvariantViolation, "custom state ...".
+    Catalog starts are even superpositions of their _CATALOG levels: cat
+    is (|a> + |d>)/sqrt(2), werner (|b> + |c>)/sqrt(2). A custom matrix is
+    its run's t = 0 sample, measured and checked as a one-row block before
+    anything evolves; a failure raises InvariantViolation, "custom state ...".
     """
     if name not in STATE_NAMES:
         raise UsageError(
@@ -154,13 +155,9 @@ def initial_state(name: str, custom=None) -> np.ndarray:
             raise InvariantViolation(message if message.startswith("custom state")
                                      else f"custom state: {message}") from None
         return rho
+    levels = _CATALOG[name]
     vec = np.zeros(4, dtype=complex)
-    if name in ("a", "b", "c", "d"):
-        vec["abcd".index(name)] = 1.0
-    elif name == "cat":
-        vec[0] = vec[3] = 1.0 / math.sqrt(2.0)
-    else:  # werner
-        vec[1] = vec[2] = 1.0 / math.sqrt(2.0)
+    vec[list(levels)] = 1.0 / math.sqrt(len(levels))
     return np.outer(vec, vec.conj())
 
 
@@ -475,7 +472,8 @@ def run_scenario(configs: list) -> list:
     the root; a sweep listing one mass twice is refused. A rerun of the
     same kind overwrites, but the two kinds never share a directory, and
     a sweep never shares one with another sweep's m_<value> points.
-    Custom states are validated before any point runs.
+    The points share one custom_state: the first point's run_trajectory
+    refuses a bad one before anything evolves or any file is written.
     """
     if not configs:
         raise UsageError("nothing to run")
@@ -496,10 +494,6 @@ def run_scenario(configs: list) -> list:
         if stale:
             raise UsageError(f"outputs directory {root} holds {', '.join(stale)} of "
                              f"another sweep; choose another")
-    for cfg in configs:
-        if cfg.initial_state == "custom":
-            initial_state("custom", cfg.custom_state)
-
     results = []
     for cfg in configs:
         if sweep:

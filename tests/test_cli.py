@@ -331,6 +331,14 @@ def test_readme_config_table_lists_the_schema():
     assert keys == list(scenario._CONFIG_DEFAULTS)
 
 
+def test_readme_config_table_lists_the_state_names():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("### Config keys", 1)[1].split("\n\n", 2)[1]
+    (row,) = re.findall(r"^\| `initial_state`.*$", table, re.MULTILINE)
+    names = row.split("|")[3].strip().strip("`").split()
+    assert tuple(names) == scenario.STATE_NAMES
+
+
 FREEZE_PROBE = """
 import gc, runpy, sys
 from bispinor.cli import main

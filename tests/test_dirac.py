@@ -145,13 +145,16 @@ def test_closed_form_is_keyed_in_spectral_order():
 
 def test_closed_form_reads_a_rounded_negative_radicand_as_zero():
     # p = mu = 0 and m = kappa E: lambda_(0,1) = |m - kappa E| = 0 exactly,
-    # and numeric eigvalsh agrees to 1e-16, but the radicand rounds to -8.9e-16
+    # where q - 2 sqrt(g2) rounds to -8.9e-16. det H / lambda_(0,0)^2 is
+    # never negative, and what is left of m^2 - (kappa E)^2's rounding
+    # (~1.2e-16) is within eigvalsh's own error, a few ulps of |lambda_(0,0)|
     m, kappa = 1.910885061964363, 0.8823814699152238
     params = DiracParams(m=m, p=0.0, kappa=kappa, mu=0.0, E_field=m / kappa)
     lam = closed_form_spectrum([params])[0]
-    assert lam[SPECTRAL_KEYS.index((0, 1))] == lam[SPECTRAL_KEYS.index((1, 1))] == 0.0
+    assert lam[SPECTRAL_KEYS.index((0, 1))] == -lam[SPECTRAL_KEYS.index((1, 1))] >= 0.0
     numeric = np.linalg.eigvalsh(hamiltonian(params))
-    np.testing.assert_allclose(np.sort(lam), numeric, rtol=0, atol=1e-12)
+    ulps = 4.0 * np.spacing(np.max(np.abs(numeric)))
+    np.testing.assert_allclose(np.sort(lam), numeric, rtol=0, atol=ulps)
 
 
 def test_projectors_resolve_the_hamiltonian():
@@ -239,12 +242,29 @@ def loop_projectors(H, O, g2, lambdas):
             for (n, s), lam in zip(SPECTRAL_KEYS, lambdas)]
 
 
-def formula_radicand(params, s):
-    """lambda_(0,s)^2 of the closed form, one point at a time."""
+def formula_g2(params):
+    """g2 = E^2 (m^2 kappa^2 + (mu^2 + kappa^2) p^2 sin^2 theta), one point at a time."""
     m, p, k, mu, E = params.m, params.p, params.kappa, params.mu, params.E_field
     sin = math.sin(params.theta)
+    return E * E * (m * m * k * k + (mu * mu + k * k) * p * p * (sin * sin))
+
+
+def formula_radicand(params, s):
+    """lambda_(0,s)^2 of the closed form, one point at a time.
+
+    lambda_(0,1)^2 is det H / lambda_(0,0)^2, with det H written as its
+    sum of squares, and 0 where lambda_(0,0) = 0.
+    """
+    m, p, k, mu, E = params.m, params.p, params.kappa, params.mu, params.E_field
+    cos, sin = math.cos(params.theta), math.sin(params.theta)
     inner = m * m * k * k + (mu * mu + k * k) * p * p * (sin * sin)
-    return p * p + m * m + (k * k + mu * mu) * E * E + 2.0 * (-1.0) ** s * E * math.sqrt(inner)
+    mass, field = p * p + m * m, (k * k + mu * mu) * E * E
+    plus = mass + field + 2.0 * (E * math.sqrt(inner))
+    if s == 0:
+        return plus
+    gap = mass - field
+    det = gap * gap + 4.0 * (field * p * p * (cos * cos) + E * E * m * m * mu * mu)
+    return det / plus if plus > 0.0 else 0.0
 
 
 @settings(max_examples=100)
@@ -259,9 +279,9 @@ def test_builders_match_the_tensor_product_formula_bitwise(params):
         g2, lambdas, projectors = spectrum(params)
     except DegenerateSpectrumError:
         return
-    # g2 is Tr[O O^dag] / 4 of the built O, and the stacked projector
-    # product equals the per-projector one
-    assert g2 == np.sum(O.real ** 2 + O.imag ** 2) / 4.0
+    # g2 is the closed form's, from the parameters, and the stacked
+    # projector product equals the per-projector one
+    assert g2 == formula_g2(params)
     want = loop_projectors(H, O, g2, lambdas)
     for k, P in enumerate(projectors):
         assert same_bits(P, want[k]), SPECTRAL_KEYS[k]
@@ -270,7 +290,7 @@ def test_builders_match_the_tensor_product_formula_bitwise(params):
 # ------------------------------------------- stacked builders against one point
 
 def closed_form_matches_formula(_, params, lambdas):
-    lam = [math.sqrt(max(formula_radicand(params, s), 0.0)) for s in (0, 1)]
+    lam = [math.sqrt(formula_radicand(params, s)) for s in (0, 1)]
     assert lambdas[0].tolist() == [lam[0], -lam[0], lam[1], -lam[1]], params
 
 
@@ -294,13 +314,28 @@ signed = sizes | sizes.map(lambda x: -x)
                 min_size=1, max_size=5))
 def test_closed_form_matches_numeric(grid):
     # at any angle, to 1e-10 of each point's largest |lambda|, and to
-    # 1e-10 absolute where that is larger than 1. Draws do not fall near
-    # a zero eigenvalue, where the closed form keeps only about half the
-    # digits (closed_form_spectrum's docstring)
+    # 1e-10 absolute where that is larger than 1. Near a zero eigenvalue
+    # the closed form keeps its digits too (the test below)
     closed = closed_form_spectrum(grid)
     numeric = np.linalg.eigvalsh(operator_stacks(grid)[0])
     scale = np.minimum(np.max(np.abs(numeric), axis=1, keepdims=True), 1.0)
     assert np.all(np.abs(np.sort(closed) - numeric) <= 1e-10 * scale)
+
+
+def test_closed_form_keeps_its_digits_near_a_zero_eigenvalue():
+    # m ~ 0, theta ~ pi/2 and p ~ sqrt(kappa^2 + mu^2) E put lambda_(0,1)
+    # near 0, where q - 2 sqrt(g2) cancels; det H / lambda_(0,0)^2 does not
+    rng = np.random.default_rng(44)
+    grid = []
+    for _ in range(5000):
+        kappa, mu, E = rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0), rng.uniform(0.1, 3.0)
+        p = math.hypot(kappa, mu) * E * (1.0 + rng.uniform(-1e-6, 1e-6))
+        grid.append(DiracParams(m=abs(rng.normal(0.0, 1e-6)), p=p, kappa=kappa, mu=mu,
+                                E_field=E, theta=math.pi / 2 + rng.uniform(-1e-6, 1e-6)))
+    closed = np.sort(closed_form_spectrum(grid), axis=1)
+    numeric = np.linalg.eigvalsh(operator_stacks(grid)[0])
+    scale = np.max(np.abs(numeric), axis=1, keepdims=True)
+    assert np.all(np.abs(closed - numeric) <= 1e-14 * scale)
 
 
 def test_degenerate_refusals_keep_their_one_point_messages():

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bispinor import scenario
-from bispinor.correlations import COLUMNS
+from bispinor.correlations import COLUMNS, sample_correlations_stack
 from bispinor.errors import InvariantViolation, UsageError
 from bispinor.scenario import (BLOCK_SAMPLES, CSV_HEADER, MAX_SAMPLES, ScenarioConfig,
                                _check_block, death_runs, detect_features,
@@ -492,6 +492,38 @@ def test_run_scenario_rejects_bad_custom_before_running(tmp_path):
     with pytest.raises(InvariantViolation):
         run_scenario([cfg])
     assert not (tmp_path / "x").exists()
+
+
+def test_custom_sweep_checks_each_start_where_its_point_runs(tmp_path, monkeypatch):
+    # each point checks its start as a one-row block, then measures its
+    # three samples; no pass over the sweep checks the starts beforehand
+    rows = []
+
+    def counted(rhos, times):
+        rows.append(len(rhos))
+        return sample_correlations_stack(rhos, times)
+
+    monkeypatch.setattr(scenario, "sample_correlations_stack", counted)
+    text = (f"m_over_p = 0.5, 1.0, 2.0\ninitial_state = custom\n"
+            f"custom_state = {CAT_ENTRIES}\nt_max = 1.0\ndt = 0.5\n"
+            f"outputs = {tmp_path / 'sweep'}")
+    run_scenario(parse_config_text(text))
+    assert rows == [1, 3, 1, 3, 1, 3]
+
+
+def test_run_scenario_rejects_bad_custom_sweep_before_running(tmp_path, monkeypatch):
+    def no_evolution(*args):
+        raise AssertionError("a refused custom state was evolved")
+
+    monkeypatch.setattr(scenario, "evolve_noisy_stack", no_evolution)
+    bad = ",".join(["1"] + ["0"] * 14 + ["1"])  # trace 2
+    root = tmp_path / "sweep"
+    text = (f"m_over_p = 0.5, 1.0\ninitial_state = custom\ncustom_state = {bad}\n"
+            f"t_max = 0.5\ndt = 0.1\noutputs = {root}")
+    with pytest.raises(InvariantViolation, match="^custom state: trace"):
+        run_scenario(parse_config_text(text))
+    assert not list(root.glob("m_*"))
+    assert not (root / "index.json").exists()
 
 
 def test_run_scenario_empty():
