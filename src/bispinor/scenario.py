@@ -291,14 +291,14 @@ def emit_outputs(columns: dict, report: FeatureReport,
     """Write trajectory.csv, report.json and (optionally) the SVG charts.
 
     columns is run_trajectory's dict; the files go to config.outputs.
-    Returns the list of written paths. Cells carry 12 significant digits;
-    identical configs reproduce the files byte for byte. The CSV is
-    written BLOCK_SAMPLES rows at a time, so only one block of rows is
+    Returns the list of written paths; perfbench's traced units sum their
+    sizes as scenario.emit_outputs.bytes. Cells carry 12 significant
+    digits; identical configs reproduce the files byte for byte. The CSV
+    is written BLOCK_SAMPLES rows at a time, so only one block of rows is
     ever held as text.
     """
     out_dir = Path(config.outputs)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
 
     csv_path = out_dir / "trajectory.csv"
     row = ",".join(["%.12g"] * len(COLUMNS)) + "\n"
@@ -309,33 +309,31 @@ def emit_outputs(columns: dict, report: FeatureReport,
             rows = zip(*(columns[name][start:start + BLOCK_SAMPLES].tolist()
                          for name in COLUMNS))
             fh.write("".join([row % r for r in rows]))
-    written.append(csv_path)
 
     report_path = out_dir / "report.json"
     payload = dict(report._asdict(), config=config_echo(config))
     report_path.write_text(json.dumps(payload, indent=2) + "\n")
-    written.append(report_path)
+    written = [csv_path, report_path]
 
     if config.emit_plots:
-        ts, neg, d1, d2 = (columns[name].tolist()
-                           for name in ("t", "negativity", "discord_1", "discord_2"))
-        neg_path = out_dir / "negativity.svg"
-        _write_svg_chart(neg_path, "negativity", ts, [("negativity", neg, "#1f4e9c")])
-        written.append(neg_path)
-        dis_path = out_dir / "discord.svg"
-        _write_svg_chart(dis_path, "geometric discord", ts,
-                         [("discord_1", d1, "#1f4e9c"), ("discord_2", d2, "#b5541c")])
-        written.append(dis_path)
+        for name, title, labels in (("negativity.svg", "negativity", ("negativity",)),
+                                    ("discord.svg", "geometric discord",
+                                     ("discord_1", "discord_2"))):
+            series = [(label, columns[label], color)
+                      for label, color in zip(labels, ("#1f4e9c", "#b5541c"))]
+            _write_svg_chart(out_dir / name, title, columns["t"], series)
+            written.append(out_dir / name)
     return written
 
 
 def _write_svg_chart(path: Path, title: str, ts, series) -> None:
-    # minimal hand-rolled line chart: frame, ticks, one polyline per series
+    # minimal hand-rolled line chart: frame, ticks, one polyline per series;
+    # ts and each series' values are float arrays
     width, height = 640, 400
     ml, mr, mt, mb = 60, 20, 30, 40
     pw, ph = width - ml - mr, height - mt - mb
     t_max = ts[-1] if ts[-1] > 0 else 1.0
-    y_max = max(1e-12, max(max(vals) for _, vals, _ in series))
+    y_max = max(1e-12, *(vals.max() for _, vals, _ in series))
 
     def px(t):
         return ml + pw * t / t_max
@@ -366,9 +364,9 @@ def _write_svg_chart(path: Path, title: str, ts, series) -> None:
     parts.append(f'<text x="{ml + pw / 2}" y="{height - 8}" font-family="sans-serif" '
                  f'font-size="12" text-anchor="middle">p t</text>')
     # px and py on whole arrays: the same float operations in the same order
-    xs = px(np.asarray(ts, dtype=float)).tolist()
+    xs = px(ts).tolist()
     for idx, (label, vals, color) in enumerate(series):
-        ys = py(np.asarray(vals, dtype=float)).tolist()
+        ys = py(vals).tolist()
         pts = " ".join(map("%.2f,%.2f".__mod__, zip(xs, ys)))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      f'stroke-width="1.2"/>')

@@ -331,6 +331,20 @@ def test_readme_config_table_lists_the_schema():
     assert keys == list(scenario._CONFIG_DEFAULTS)
 
 
+def test_readme_outputs_name_every_file(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Outputs", 1)[1].split("\n###", 1)[0]
+    configs = scenario.parse_config_text(
+        "m_over_p = 0.5, 1.0\nt_max = 0.2\ndt = 0.1\nemit_plots = true\n"
+        f"outputs = {tmp_path / 'sweep'}\n")
+    scenario.run_scenario(configs)
+    names = {path.name for path in (tmp_path / "sweep").rglob("*") if path.is_file()}
+    assert names == {"index.json", "trajectory.csv", "report.json",
+                     "negativity.svg", "discord.svg"}
+    for name in names:
+        assert f"`{name}`" in section, name
+
+
 def test_readme_config_table_lists_the_state_names():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     table = readme.split("### Config keys", 1)[1].split("\n\n", 2)[1]

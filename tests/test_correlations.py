@@ -79,13 +79,6 @@ def test_fano_reconstruction():
     np.testing.assert_allclose(rho, rebuilt / 4.0, rtol=0, atol=1e-12)
 
 
-def test_fano_rejects_non_hermitian():
-    bad = np.eye(4, dtype=complex)
-    bad[0, 1] = 1.0
-    with pytest.raises(ValueError):
-        fano_data(bad)
-
-
 def test_negativity_anchors():
     assert measures(schmidt_state(math.pi / 4))["negativity"] == pytest.approx(1.0, abs=1e-12)
     assert measures(np.eye(4, dtype=complex) / 4.0)["negativity"] == 0.0
@@ -168,6 +161,13 @@ def test_purity_values():
     for bad in (non_hermitian, np.full((4, 4), np.nan), np.eye(3)):
         with pytest.raises(ValueError):
             measures(bad)
+
+
+def test_non_hermitian_state_with_real_pauli_traces_is_refused():
+    # rho + i c I has real Pauli traces, so only the Hermiticity check sees it
+    bad = np.eye(4, dtype=complex) / 4.0 + 1e-3j * np.eye(4)
+    with pytest.raises(ValueError, match="state must be Hermitian"):
+        measures(bad)
 
 
 def test_sample_correlations_fields():

@@ -131,15 +131,6 @@ def test_evolve_noisy_stack_matches_kraus_reference(rho0, params, rate, ts):
                                    rtol=0, atol=TOL)
 
 
-@PROPERTY
-@given(density_matrices(), degenerate_params, st.lists(times, min_size=1, max_size=6))
-def test_degenerate_fallback_matches_reference(rho0, params, ts):
-    got = evolve_noisy_stack(rho0, params, NoiseParams(0.0), ts)
-    for state, t in zip(got, ts):
-        U = reference_evolution(params, t)
-        np.testing.assert_allclose(state, U @ rho0 @ U.conj().T, rtol=0, atol=TOL)
-
-
 def test_scalar_evolution_is_one_row_of_the_stack():
     check_case("evolve_noisy_stack")
 

@@ -346,17 +346,60 @@ values = st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False)
 @example([(0.0, 0.0)] * 3)    # t_max = 0 and an all-zero series (y_max = 1e-12)
 @example([(0.0, 0.3), (0.0, 0.9)])
 def test_svg_polyline_matches_per_point_formula(tmp_path_factory, samples):
-    ts = np.cumsum([dt for dt, _ in samples]).tolist()
-    vals = [v for _, v in samples]
-    halves = [0.5 * v for v in vals]
+    ts = np.cumsum([dt for dt, _ in samples])
+    vals = np.array([v for _, v in samples])
+    halves = 0.5 * vals
     path = tmp_path_factory.mktemp("svg") / "chart.svg"
     scenario._write_svg_chart(path, "chart", ts, [("one", vals, "#000000"),
                                                   ("two", halves, "#ffffff")])
     points = re.findall(r'<polyline points="([^"]*)"', path.read_text())
     # both series share the larger one's y_max
-    y_max = max(1e-12, max(vals))
-    assert points == [reference_polyline(ts, vals, y_max),
-                      reference_polyline(ts, halves, y_max)]
+    y_max = max(1e-12, max(vals.tolist()))
+    assert points == [reference_polyline(ts.tolist(), vals.tolist(), y_max),
+                      reference_polyline(ts.tolist(), halves.tolist(), y_max)]
+
+
+PINNED_CHART = """\
+<svg xmlns="http://www.w3.org/2000/svg" width="640" height="400" viewBox="0 0 640 400">
+<rect x="0" y="0" width="640" height="400" fill="white"/>
+<text x="60" y="18" font-family="sans-serif" font-size="13">pinned</text>
+<rect x="60" y="30" width="560" height="330" fill="none" stroke="black"/>
+<line x1="60.00" y1="360" x2="60.00" y2="365" stroke="black"/>
+<text x="60.00" y="378" font-family="sans-serif" font-size="11" text-anchor="middle">0</text>
+<line x1="55" y1="360.00" x2="60" y2="360.00" stroke="black"/>
+<text x="52" y="364.00" font-family="sans-serif" font-size="11" text-anchor="end">0</text>
+<line x1="200.00" y1="360" x2="200.00" y2="365" stroke="black"/>
+<text x="200.00" y="378" font-family="sans-serif" font-size="11" text-anchor="middle">0.625</text>
+<line x1="55" y1="277.50" x2="60" y2="277.50" stroke="black"/>
+<text x="52" y="281.50" font-family="sans-serif" font-size="11" text-anchor="end">0.175</text>
+<line x1="340.00" y1="360" x2="340.00" y2="365" stroke="black"/>
+<text x="340.00" y="378" font-family="sans-serif" font-size="11" text-anchor="middle">1.25</text>
+<line x1="55" y1="195.00" x2="60" y2="195.00" stroke="black"/>
+<text x="52" y="199.00" font-family="sans-serif" font-size="11" text-anchor="end">0.35</text>
+<line x1="480.00" y1="360" x2="480.00" y2="365" stroke="black"/>
+<text x="480.00" y="378" font-family="sans-serif" font-size="11" text-anchor="middle">1.88</text>
+<line x1="55" y1="112.50" x2="60" y2="112.50" stroke="black"/>
+<text x="52" y="116.50" font-family="sans-serif" font-size="11" text-anchor="end">0.525</text>
+<line x1="620.00" y1="360" x2="620.00" y2="365" stroke="black"/>
+<text x="620.00" y="378" font-family="sans-serif" font-size="11" text-anchor="middle">2.5</text>
+<line x1="55" y1="30.00" x2="60" y2="30.00" stroke="black"/>
+<text x="52" y="34.00" font-family="sans-serif" font-size="11" text-anchor="end">0.7</text>
+<text x="340.0" y="392" font-family="sans-serif" font-size="12" text-anchor="middle">p t</text>
+<polyline points="60.00,360.00 172.00,30.00 340.00,195.00 620.00,312.86" fill="none" stroke="#1f4e9c" stroke-width="1.2"/>
+<text x="614" y="46" font-family="sans-serif" font-size="11" text-anchor="end" fill="#1f4e9c">upper</text>
+<polyline points="60.00,265.71 172.00,312.86 340.00,360.00 620.00,336.43" fill="none" stroke="#b5541c" stroke-width="1.2"/>
+<text x="614" y="62" font-family="sans-serif" font-size="11" text-anchor="end" fill="#b5541c">lower</text>
+</svg>
+"""
+
+
+def test_svg_chart_text_is_pinned(tmp_path):
+    # the whole text of one small chart: frame, ticks, tick labels, polylines, legend
+    path = tmp_path / "chart.svg"
+    scenario._write_svg_chart(path, "pinned", np.array([0.0, 0.5, 1.25, 2.5]),
+                              [("upper", np.array([0.0, 0.7, 0.35, 0.1]), "#1f4e9c"),
+                               ("lower", np.array([0.2, 0.1, 0.0, 0.05]), "#b5541c")])
+    assert path.read_text() == PINNED_CHART
 
 
 def test_parse_config_full():
