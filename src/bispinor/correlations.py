@@ -79,10 +79,7 @@ def _spectra(stack: np.ndarray) -> tuple:
     Hermitian whenever the state is.
     """
     n = len(stack)
-    both = np.empty((2 * n, 4, 4), dtype=complex)
-    both[:n] = stack
-    both[n:] = partial_transpose(stack, 1)
-    eigs = np.linalg.eigvalsh(both)
+    eigs = np.linalg.eigvalsh(np.concatenate((stack, partial_transpose(stack, 1))))
     return eigs[:n], eigs[n:]
 
 

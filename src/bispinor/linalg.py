@@ -98,11 +98,7 @@ def partial_transpose(rho, subsystem: int) -> np.ndarray:
     # indices (..., i, k, j, l): row qubits, then column qubits
     blocks = A.shape[:-2] + (2, 2, 2, 2)
     axes = (-4, -2) if subsystem == 1 else (-3, -1)
-    # written through a view of one fresh C-ordered array: a reshape of the
-    # swapped view would copy, and a further copy would double the traffic
-    out = np.empty(A.shape, dtype=complex)
-    out.reshape(blocks)[...] = np.swapaxes(A.reshape(blocks), *axes)
-    return out
+    return np.ascontiguousarray(np.swapaxes(A.reshape(blocks), *axes)).reshape(A.shape)
 
 
 def top_eigenvalue_3x3(K) -> np.ndarray:

@@ -104,13 +104,14 @@ def build_kraus_set(noise: NoiseParams, times) -> np.ndarray:
 def _coherence_factors(noise: NoiseParams, times) -> tuple:
     """Validated 1-D times and gamma(t) = sqrt(exp(-Gamma t)) at each of them.
 
-    gamma is computed exactly as build_kraus_set computes it: math.exp,
-    not np.exp, because the vectorised exp differs from libm in the last
-    bit on a few percent of arguments.
+    The decay uses build_kraus_set's expression, math.exp(-rate * t) on
+    Python floats: np.exp differs from libm in the last bit on a few
+    percent of arguments, and a product that overflows to -inf gives 0
+    without a numpy overflow warning.
     """
     times = _checked_times(times)
     rate = noise.gamma_rate
-    decay = np.fromiter(map(math.exp, (-rate * times).tolist()), float, len(times))
+    decay = np.array([math.exp(-rate * t) for t in times.tolist()])
     return times, np.sqrt(decay)
 
 
@@ -162,18 +163,10 @@ def evolve_noisy_stack(rho0, params: DiracParams, noise: NoiseParams,
     # rho_ij = sum_kl V_ik Y_kl conj(V_jl), so T[(k, l), (i, j)] = V_ik conj(V_jl)
     T = (V.T[:, None, :, None] * Vh[None, :, None, :]).reshape(16, 16)
     p = np.exp(-1j * np.multiply.outer(times, lam))
-    # complex up front: numpy casts the float factor of each complex product
-    # to complex anyway, and more slowly, so the bits are the same
-    g = gamma.astype(complex)[:, None, None]
-    # Y = Phi o (b0 + g b1 + g^2 b2), formed in place in two buffers. Complex
-    # sums commute bit for bit but complex products need not, so each
-    # product keeps its operand order
-    S = g * b1
-    S += b0
-    Y = np.multiply(g * g, b2)
-    S += Y
-    np.multiply(p[:, :, None], p.conj()[:, None, :], out=Y)
-    Y *= S
+    g = gamma[:, None, None]
+    # Y = Phi o (b0 + g b1 + g^2 b2). Complex sums commute bit for bit but
+    # complex products need not, so each product keeps its operand order
+    Y = (p[:, :, None] * p.conj()[:, None, :]) * (b0 + g * b1 + g * g * b2)
     # one (1, 16) @ (16, 16) product per row: a flat (B, 16) product rounds
     # differently with the number of rows
     return (Y.reshape(-1, 1, 16) @ T).reshape(-1, 4, 4)

@@ -137,7 +137,9 @@ def initial_state(name: str, custom=None) -> np.ndarray:
     Catalog starts are even superpositions of their _CATALOG levels: cat
     is (|a> + |d>)/sqrt(2), werner (|b> + |c>)/sqrt(2). A custom matrix is
     its run's t = 0 sample, measured and checked as a one-row block before
-    anything evolves; a failure raises InvariantViolation, "custom state ...".
+    anything evolves, once its finite entries are known to be at most
+    _MAX_ENTRY in magnitude; a failure raises InvariantViolation,
+    "custom state ...".
     """
     if name not in STATE_NAMES:
         raise UsageError(
@@ -148,6 +150,11 @@ def initial_state(name: str, custom=None) -> np.ndarray:
             raise UsageError("custom initial state requires a matrix")
         try:
             rho = np.asarray(custom, dtype=complex).reshape(4, 4)
+            # before any arithmetic, which could overflow on a huge entry
+            big = np.max(np.abs(rho))
+            if np.isfinite(rho).all() and big > _MAX_ENTRY:
+                raise ValueError(f"entry of magnitude {big:g} exceeds {_MAX_ENTRY:.12g}, "
+                                 f"the most a state passing the checks can hold")
             _require_hermitian(rho, "custom state")
             _check_block(sample_correlations_stack(rho[None], [0.0]))
         except ValueError as exc:
@@ -166,6 +173,10 @@ def initial_state(name: str, custom=None) -> np.ndarray:
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-9
 MEASURE_TOL = 1e-9
+#: |rho_ij| <= lambda_max <= 1 + 3 PSD_TOL + TRACE_TOL for every state that
+#: passes the checks, plus 1e-11 for the Hermiticity check's slack and
+#: rounding; initial_state refuses a finite custom entry above it
+_MAX_ENTRY = 1.0 + 3 * PSD_TOL + TRACE_TOL + 1e-11
 
 
 def _check_block(c: dict) -> None:

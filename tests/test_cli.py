@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -145,6 +146,15 @@ def test_invalid_state_matrix_exits_two(tmp_path, capsys):
     assert "invariant violation" in capsys.readouterr().err
 
 
+def test_a_huge_dephasing_rate_runs_without_a_warning(tmp_path, capsys):
+    # -rate * t overflows to -inf: every coherence is gone after t = 0
+    cfg = write_config(tmp_path, f"gamma_over_p = 1e308\noutputs = {tmp_path / 'x'}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def custom_state(diagonal, entries=()):
     """custom_state value of diag(diagonal) with each ((row, column), value) of entries set."""
     rho = np.diag(np.array(diagonal, dtype=complex))
@@ -160,9 +170,17 @@ def custom_state(diagonal, entries=()):
     pytest.param(custom_state([1, 0.5, 0.5, 0]), "custom state: trace", id="trace-2"),
     pytest.param(custom_state([0.7, 0.5, -0.1, -0.1]), "custom state: positivity",
                  id="negative-eigenvalue"),
-    # Hermitian to 1e-12 of its own scale, but a Pauli trace keeps 5e-7 imaginary
+    # entries above the bound no state passing the checks exceeds, refused
+    # before any arithmetic runs on them: Hermitian to 1e-12 of its own scale
+    # but with a Pauli trace keeping 5e-7 imaginary; all 1e308, whose Fano
+    # product overflows; and off-diagonals of 1e300, whose purity overflows
     pytest.param(custom_state([1e6, 0, 0, 0], [((0, 1), 1e5), ((1, 0), 1e5 + 5e-7j)]),
-                 "custom state: Pauli trace", id="imaginary-pauli-trace"),
+                 "custom state: entry of magnitude 1e+06 exceeds", id="entry-1e6"),
+    pytest.param(",".join(["1e308"] * 16), "custom state: entry of magnitude 1e+308 exceeds",
+                 id="entries-1e308"),
+    pytest.param(custom_state([0.25] * 4, [((i, j), 1e300) for i in range(4) for j in range(4)
+                                          if i != j]),
+                 "custom state: entry of magnitude 1e+300 exceeds", id="off-diagonals-1e300"),
 ])
 def test_non_hermitian_custom_state_exits_two(tmp_path, capsys, monkeypatch, entries, message):
     def no_evolution(*args):
@@ -173,9 +191,12 @@ def test_non_hermitian_custom_state_exits_two(tmp_path, capsys, monkeypatch, ent
                                   f"custom_state = {entries}\n"
                                   f"t_max = 1.0\ndt = 0.5\n"
                                   f"outputs = {tmp_path / 'x'}\n"))
-    assert main(["simulate", "--config", str(cfg)]) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("invariant violation: custom state"), err
+    assert err.count("\n") == 1 and err.endswith("\n"), err
     assert message in err
     assert not (tmp_path / "x").exists()
 

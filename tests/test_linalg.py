@@ -33,6 +33,14 @@ def test_partial_transpose_is_an_involution():
                                    rtol=0, atol=0)
         traces = np.trace(pt, axis1=1, axis2=2) - np.trace(rho, axis1=1, axis2=2)
         assert np.max(np.abs(traces)) < 1e-14
+        # fresh C-ordered memory whatever the input's layout: 1-5 rows, Fortran
+        # order and negative strides
+        five = np.concatenate((rho, rho[:2].conj()))
+        for stack in (*(five[:n] for n in range(1, 6)), np.asfortranarray(five),
+                      five[::-1], five[:, ::-1, ::-1]):
+            fresh = partial_transpose(stack, side)
+            assert fresh.flags.c_contiguous and not np.shares_memory(fresh, stack)
+            assert np.array_equal(fresh, partial_transpose(np.ascontiguousarray(stack), side))
 
 
 def test_partial_transpose_on_product_state():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -269,3 +270,20 @@ def test_noisy_long_time_coherence_floor():
     assert abs(np.trace(out).real - 1.0) < 1e-12
     pur = float(np.trace(out @ out).real)
     assert 0.25 - 1e-12 <= pur <= 1.0
+
+
+def test_noisy_at_a_huge_rate_matches_kraus_without_a_warning():
+    # -rate * t overflows to -inf at t = 20, in Python floats as in
+    # build_kraus_set, so the decay is 0 with no numpy overflow warning
+    noise = NoiseParams(1e308)
+    rho0 = random_density()
+    times = [0.0, 20.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = evolve_noisy_stack(rho0, PARAMS, noise, times)
+        channel = apply_channel(rho0, build_kraus_set(noise, times))
+    np.testing.assert_array_equal(channel[0], rho0)
+    np.testing.assert_allclose(channel[1], np.diag(np.diag(rho0)), rtol=0, atol=1e-15)
+    for t, out, want in zip(times, got, channel):
+        U = reference_unitary(hamiltonian(PARAMS), t)
+        np.testing.assert_allclose(out, U @ want @ U.conj().T, rtol=0, atol=1e-12)

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bispinor import scenario
@@ -14,6 +14,7 @@ from bispinor.scenario import (BLOCK_SAMPLES, CSV_HEADER, MAX_SAMPLES, ScenarioC
                                _check_block, death_runs, detect_features,
                                emit_outputs, initial_state, load_config,
                                parse_config_text, run_scenario, run_trajectory)
+from stack_contract import density_matrices, unit
 
 CAT_ENTRIES = "0.5,0,0,0.5," "0,0,0,0," "0,0,0,0," "0.5,0,0,0.5"
 
@@ -94,6 +95,22 @@ def test_custom_state_diagnostics():
         initial_state("custom", np.eye(4, dtype=complex) / 2.0)
     with pytest.raises(InvariantViolation, match="^custom state: positivity"):
         initial_state("custom", np.diag([0.7, 0.5, -0.1, -0.1]).astype(complex))
+
+
+def _pure_state(entries):
+    vec = np.array(entries[:4]) + 1j * np.array(entries[4:])
+    norm = np.vdot(vec, vec).real
+    assume(norm > 1e-3)
+    return np.outer(vec, vec.conj()) / norm
+
+
+@settings(max_examples=200)
+@given(density_matrices() | st.builds(_pure_state, st.lists(unit, min_size=8, max_size=8)))
+@example(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))
+def test_the_entry_bound_refuses_no_density_matrix(rho):
+    # |rho_ij| <= 1 for a unit-trace positive state, so the custom-state
+    # bound, set from the checks' tolerances, never refuses one
+    assert np.array_equal(initial_state("custom", rho), rho)
 
 
 def test_config_validation():

@@ -1,0 +1,85 @@
+"""Write every output the CLI makes on a fixed set of runs into one directory.
+
+    PYTHONPATH=src python tools/snapshot_outputs.py OUT
+
+runs `bispinor.cli.main` in-process, on the package that PYTHONPATH
+selects, and writes into OUT (which must not exist yet):
+
+- `figure/`: the benchmark's figure config, with `--plots`;
+- `sweep_seed1/`, `sweep_seed7/`: the benchmark's sweep at seeds 1 and 7,
+  plots on;
+- `custom/`: a 2-point sweep from the cat state given as custom entries,
+  with `--plots`;
+- `plan.txt`: `plan` of those four configs;
+- `selftest.txt`: `selftest`, with its elapsed times masked;
+- `<run>.stdout` and `exit_codes.txt`: what each run printed and returned.
+
+The figure and sweep configs are read from `perfbench/workloads.py`. Two
+snapshots, say of two checkouts, are equal when `diff -r` finds nothing.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import re
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from workloads import FIGURE_CONFIG, sweep_config  # noqa: E402
+
+from bispinor.cli import main  # noqa: E402
+
+_CAT = ["0"] * 16
+_CAT[0] = _CAT[3] = _CAT[12] = _CAT[15] = "0.5"
+CUSTOM_CONFIG = f"""\
+m_over_p = 1.0, 2.0
+initial_state = custom
+custom_state = {", ".join(_CAT)}
+t_max = 2.0
+dt = 0.01
+outputs = out
+"""
+
+CONFIGS = {"figure": FIGURE_CONFIG, "sweep_seed1": sweep_config(1),
+           "sweep_seed7": sweep_config(7), "custom": CUSTOM_CONFIG}
+
+#: "elapsed 1.2 s" in criterion 11's detail and "(3.4 s)" in the last line
+_ELAPSED = re.compile(r"(elapsed |\()\d+\.\d s")
+
+
+def _run(argv) -> tuple:
+    """main(argv)'s exit code and everything it printed."""
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text), contextlib.redirect_stderr(text):
+        code = main(argv)
+    return code, text.getvalue()
+
+
+def snapshot(out: Path) -> None:
+    out.mkdir(parents=True)
+    os.chdir(out)  # printed output paths are then relative, and alike
+    codes = []
+    plans = []
+    for name, text in CONFIGS.items():
+        Path(f"{name}.cfg").write_text(text)
+        code, printed = _run(["simulate", "--config", f"{name}.cfg", "--out", name, "--plots"])
+        Path(f"{name}.stdout").write_text(printed)
+        codes.append(f"simulate {name}: {code}")
+        code, printed = _run(["plan", "--config", f"{name}.cfg"])
+        plans.append(f"# {name} (exit {code})\n{printed}")
+    Path("plan.txt").write_text("".join(plans))
+    code, printed = _run(["selftest"])
+    Path("selftest.txt").write_text(_ELAPSED.sub(r"\1? s", printed))
+    codes.append(f"selftest: {code}")
+    Path("exit_codes.txt").write_text("\n".join(codes) + "\n")
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(f"usage: {sys.argv[0]} OUT")
+    snapshot(Path(sys.argv[1]).resolve())
