@@ -87,22 +87,25 @@ def operator_stacks(grid) -> tuple:
     The package's one builder of both operators; one point is a one-row
     call. Row i does not depend on the other rows, bit for bit: cos and
     sin are math.cos and math.sin per point (np.cos can differ in the
-    last bit), and every other step is elementwise.
+    last bit), and every other step is elementwise. Parameters whose
+    products overflow give inf or NaN entries without a numpy warning;
+    noise.evolve_noisy_stack refuses such an H as not finite.
     """
     fields = np.array([(q.m, q.p, q.kappa, q.mu, q.E_field, math.cos(q.theta),
                         math.sin(q.theta)) for q in grid], dtype=float).reshape(-1, 7)
     m, p, kappa, mu, E, cos, sin = (column[:, None, None] for column in fields.T)
-    ex = E * cos
-    ey = E * sin
-    H = m * BETA + p * ALPHA_X
-    # beta*Sigma_i = sz (x) s_i ; i*beta*alpha_i = -sy (x) s_i
-    H = H + kappa * (ex * _ZX + ey * _ZY)
-    H = H - mu * (ex * _YX + ey * _YY)
-    cross_z = p * E * sin
-    O = m * kappa * (ex * _IX + ey * _IY)
-    O = O + mu * cross_z * _ZZ
-    # -i*beta*alpha_z = sy (x) sz
-    O = O + kappa * cross_z * _YZ
+    with np.errstate(over="ignore", invalid="ignore"):
+        ex = E * cos
+        ey = E * sin
+        H = m * BETA + p * ALPHA_X
+        # beta*Sigma_i = sz (x) s_i ; i*beta*alpha_i = -sy (x) s_i
+        H = H + kappa * (ex * _ZX + ey * _ZY)
+        H = H - mu * (ex * _YX + ey * _YY)
+        cross_z = p * E * sin
+        O = m * kappa * (ex * _IX + ey * _IY)
+        O = O + mu * cross_z * _ZZ
+        # -i*beta*alpha_z = sy (x) sz
+        O = O + kappa * cross_z * _YZ
     return H, O
 
 

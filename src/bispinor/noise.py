@@ -60,20 +60,16 @@ class NoiseParams(ValueType):
             raise ValueError("gamma_rate must be finite and nonnegative")
 
 
-def _checked_times(times) -> np.ndarray:
-    """Times as a 1-D float array; each must be finite and nonnegative.
+def _time_checks(times) -> tuple:
+    """Times as a 1-D float array, and the _first_refusal pairs each time must pass.
 
-    A refused time refuses the array by linalg._first_refusal.
+    A time must be finite and nonnegative.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
         raise ValueError(f"times must be a 1-D array, got shape {times.shape}")
-    message = _first_refusal((
-        (np.isfinite(times), lambda _: "time must be finite"),
-        (times >= 0, lambda _: "channel is defined forward in time only (t >= 0)")))
-    if message is not None:
-        raise ValueError(message)
-    return times
+    return times, ((np.isfinite(times), lambda _: "time must be finite"),
+                   (times >= 0, lambda _: "channel is defined forward in time only (t >= 0)"))
 
 
 def build_kraus_set(noise: NoiseParams, times) -> np.ndarray:
@@ -91,7 +87,10 @@ def build_kraus_set(noise: NoiseParams, times) -> np.ndarray:
     here, time by time, and not taken from the engine's coherence
     factors, so a fault in those still shows against this reference.
     """
-    times = _checked_times(times)
+    times, checks = _time_checks(times)
+    message = _first_refusal(checks)
+    if message is not None:
+        raise ValueError(message)
     decay = np.array([math.exp(-noise.gamma_rate * t) for t in times.tolist()])
     # (T, 2, 2): the diagonals of diag(1, gamma) and diag(0, omega)
     factors = np.stack([np.ones_like(decay), np.sqrt(decay), np.zeros_like(decay),
@@ -101,18 +100,16 @@ def build_kraus_set(noise: NoiseParams, times) -> np.ndarray:
     return diagonals.reshape(-1, 4, 4, 1) * np.eye(4, dtype=complex)
 
 
-def _coherence_factors(noise: NoiseParams, times) -> tuple:
-    """Validated 1-D times and gamma(t) = sqrt(exp(-Gamma t)) at each of them.
+def _coherence_factors(noise: NoiseParams, times: np.ndarray) -> np.ndarray:
+    """gamma(t) = sqrt(exp(-Gamma t)) at each of a 1-D array of checked times.
 
     The decay uses build_kraus_set's expression, math.exp(-rate * t) on
     Python floats: np.exp differs from libm in the last bit on a few
     percent of arguments, and a product that overflows to -inf gives 0
     without a numpy overflow warning.
     """
-    times = _checked_times(times)
     rate = noise.gamma_rate
-    decay = np.array([math.exp(-rate * t) for t in times.tolist()])
-    return times, np.sqrt(decay)
+    return np.sqrt(np.array([math.exp(-rate * t) for t in times.tolist()]))
 
 
 def apply_channel(rho, ks) -> np.ndarray:
@@ -148,21 +145,30 @@ def evolve_noisy_stack(rho0, params: DiracParams, noise: NoiseParams,
     not depend on the other times of the call, bit for bit: every
     operation is elementwise or one product per row.
 
-    Raises ValueError if a time is refused or H is not finite and
-    Hermitian.
+    Raises ValueError if H is not finite and Hermitian, or if a time is
+    refused: one that is not finite, a negative one, and one whose phases
+    lambda_k t overflow (an infinite lambda refuses t = 0).
     """
-    times, gamma = _coherence_factors(noise, times)
+    times, time_checks = _time_checks(times)
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != (4, 4):
         raise ValueError(f"expected a 4x4 initial state, got shape {rho0.shape}")
     H = operator_stacks([params])[0][0]
     _require_hermitian(H, "evolution generator")
     lam, V = np.linalg.eigh(H)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phases = np.multiply.outer(times, lam)
+    message = _first_refusal((*time_checks, (
+        np.all(np.isfinite(phases), axis=1),
+        lambda k: f"phase of exp(-i H t) overflows at t = {times[k]:g}")))
+    if message is not None:
+        raise ValueError(message)
+    gamma = _coherence_factors(noise, times)
     Vh = V.conj().T
     b0, b1, b2 = ((Vh @ (F * rho0)) @ V for F in _FLIP_MASKS)
     # rho_ij = sum_kl V_ik Y_kl conj(V_jl), so T[(k, l), (i, j)] = V_ik conj(V_jl)
     T = (V.T[:, None, :, None] * Vh[None, :, None, :]).reshape(16, 16)
-    p = np.exp(-1j * np.multiply.outer(times, lam))
+    p = np.exp(-1j * phases)
     g = gamma[:, None, None]
     # Y = Phi o (b0 + g b1 + g^2 b2). Complex sums commute bit for bit but
     # complex products need not, so each product keeps its operand order

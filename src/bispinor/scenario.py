@@ -41,10 +41,22 @@ DEFAULT_EPS_ALIVE = 1e-2
 MAX_SAMPLES = 1_000_000
 #: samples evolved and measured together as one (B, 4, 4) stack, and
 #: trajectory.csv rows formatted and written together; bounds the working
-#: set and the text held of a long trajectory. Fewer, larger blocks pay
-#: numpy's per-call overhead less often; 2048 would add about 9% to the
-#: peak RSS of a selftest run.
-BLOCK_SAMPLES = 1024
+#: set and the text held of a long trajectory. Measured on a 2-core x86_64
+#: host: peak RSS of `python -m bispinor.cli` children started by a plain
+#: fork (tools/peak_rss.py, medians of 5, twice), and the figure config's
+#: run_trajectory (median of five series' in-process medians of 12,
+#: interleaved; the series ranged over 14-20 ms):
+#:
+#:     block   figure RSS   selftest RSS   figure run_trajectory
+#:      1024     33.8 MB       34.5 MB          14.5 ms
+#:       768     32.6 MB       33.5 MB          14.6 ms
+#:       512     32.5 MB       33.5 MB          15.0 ms
+#:       384     32.35 MB      33.25 MB         15.2 ms
+#:       256     32.2 MB       33.0 MB          16.3 ms
+#:
+#: 512 keeps most of the saving; smaller blocks save 0.3-0.5 MB more and
+#: pay numpy's per-call overhead more often.
+BLOCK_SAMPLES = 512
 
 #: the config schema: every config key in order, with the default a config
 #: leaving it out takes. A key parses as the type of its default (bool, float

@@ -79,6 +79,18 @@ def density_matrices(draw):
 
 #: times the Kraus reference and the engine refuse, each with its own message
 REFUSED_TIMES = (-0.01, -math.inf, math.inf, math.nan)
+#: a time the engine refuses where H has an eigenvalue of magnitude >= 2:
+#: its phases lambda_k t overflow
+HUGE_TIME = 1e308
+
+
+def engine_refused_times(context):
+    """The times the engine refuses in a (state, params, noise) context."""
+    refused = st.sampled_from(REFUSED_TIMES)
+    top = float(np.max(np.abs(closed_form_spectrum([context[1]]))))
+    return refused | st.just(HUGE_TIME) if top >= 2.0 else refused
+
+
 #: Kraus rows that fail completeness: K_0 (a 1 on its diagonal) scaled, and NaN
 BROKEN_KRAUS_ROWS = (build_kraus_set(NoiseParams(0.5), [1.0])[0]
                      * np.array([1.0 + 1e-9, 1.0, 1.0, 1.0])[:, None, None],
@@ -117,7 +129,8 @@ class Case(NamedTuple):
     stacked: object     # stacked(context, rows) calls the function on a list of rows
     context: object     # strategy for what the rows share, such as a time stack's state
     row: object         # strategy for a row
-    refused: object     # strategy for a refused row, or None where no row is refused
+    refused: object     # strategy for a refused row, a function of the context giving
+                        # one, or None where no row is refused
     stacks: tuple       # fixed (context, rows) stacks
     max_examples: int = 40
 
@@ -151,7 +164,7 @@ CASES = {
         lambda context, ts: evolve_noisy_stack(*context, ts),
         st.tuples(density_matrices(), dirac_points | st.just(NO_HAMILTONIAN),
                   st.builds(NoiseParams, rates)),
-        times, st.sampled_from(REFUSED_TIMES),
+        times, engine_refused_times,
         (((ROUNDING_STATE, MIXED_GRID[0], NoiseParams(ROUNDING_RATE)), ROUNDING_TIMES),)),
     # each state at t = 0, which the t column passes through
     "sample_correlations_stack": Case(
@@ -227,11 +240,13 @@ def check_case(*names, **row_checks):
     def drawn(context, rows, data):
         for name in names:
             check_stack(name, context, rows, row_checks.get(name))
-            if CASES[name].refused is not None:
+            refused = CASES[name].refused
+            if refused is not None:
+                if callable(refused):
+                    refused = refused(context)
                 mixed = list(rows)
                 for _ in range(data.draw(st.integers(1, 2))):
-                    mixed.insert(data.draw(st.integers(0, len(mixed))),
-                                 data.draw(CASES[name].refused))
+                    mixed.insert(data.draw(st.integers(0, len(mixed))), data.draw(refused))
                 assert check_stack(name, context, mixed) is not None
 
     drawn()

@@ -1,13 +1,18 @@
+import contextlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import bispinor
 from bispinor import scenario
@@ -153,6 +158,121 @@ def test_a_huge_dephasing_rate_runs_without_a_warning(tmp_path, capsys):
         warnings.simplefilter("error")
         assert main(["simulate", "--config", str(cfg)]) == 0
     assert capsys.readouterr().err == ""
+
+
+#: a single point on t_max = 2, dt = 0.01 (201 samples) unless the config sets them
+POINT_BASE = {"t_max": "2.0", "dt": "0.01"}
+
+
+def point_config(lines):
+    """Config text of lines, after the POINT_BASE keys that lines leave out."""
+    keys = {line.partition("=")[0].strip() for line in lines.splitlines()}
+    return "".join(f"{key} = {value}\n" for key, value in POINT_BASE.items()
+                   if key not in keys) + lines + "\n"
+
+
+def run_quietly(argv):
+    """main(argv) with warnings as errors and its output captured: exit code and stderr."""
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    return code, err.getvalue()
+
+
+#: configs whose huge products overflowed with numpy warnings: the phases
+#: lambda_k t, or the entries of H
+HUGE_REFUSED = [
+    *((f"{key} = {value}", "phase of exp(-i H t) overflows at t = 1.8")
+      for key, value in (("m_over_p", "1e308"), ("kappa", "1e308"), ("kappa", "-1e308"),
+                         ("mu", "1e308"), ("mu", "-1e308"))),
+    ("E_over_p = 1e308", "phase of exp(-i H t) overflows at t = 1.28"),
+    ("t_max = 1e308\ndt = 1e306", "phase of exp(-i H t) overflows at t = 6.9e+307"),
+    ("E_over_p = 1e308\nkappa = 1e200", "evolution generator entries must be finite"),
+]
+#: configs whose O (never used in a run) overflowed with numpy warnings
+HUGE_ACCEPTED = ["m_over_p = 1e200\nE_over_p = 1e200", "m_over_p = 1e160\nkappa = 1e160"]
+
+
+def config_ids(configs):
+    return [lines.replace(" ", "").replace("\n", ",") for lines in configs]
+
+
+@pytest.mark.parametrize("lines, message", HUGE_REFUSED,
+                         ids=config_ids(lines for lines, _ in HUGE_REFUSED))
+def test_huge_parameters_exit_two_on_one_line(tmp_path, lines, message):
+    cfg = write_config(tmp_path, point_config(lines) + f"outputs = {tmp_path / 'x'}\n")
+    code, err = run_quietly(["simulate", "--config", str(cfg)])
+    assert (code, err) == (2, f"invariant violation: {message}\n")
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("lines", HUGE_ACCEPTED, ids=config_ids(HUGE_ACCEPTED))
+def test_huge_parameters_whose_run_is_finite_run_without_a_warning(tmp_path, lines):
+    cfg = write_config(tmp_path, point_config(lines) + f"outputs = {tmp_path / 'x'}\n")
+    code, err = run_quietly(["simulate", "--config", str(cfg)])
+    assert (code, err) == (0, "")
+    assert (tmp_path / "x" / "trajectory.csv").is_file()
+
+
+#: ordinary values of each float key, and the edge values any key may take.
+#: Edge values of t_max and dt are equal or at least 1e40 apart, and an
+#: ordinary t_max over an ordinary dt is at most 200, so an accepted run has
+#: at most 201 samples
+NORMAL_VALUES = {"m_over_p": ("0.0", "2.5"), "E_over_p": ("0.0", "1.5"),
+                 "kappa": ("-1.0", "0.3"), "mu": ("-0.7", "2.0"), "theta": ("0.0", "1.3"),
+                 "gamma_over_p": ("0.0", "1.5"), "t_max": ("1.0", "2.0"),
+                 "dt": ("0.01", "0.5"), "eps_dead": ("1e-3",), "eps_alive": ("0.1",)}
+EDGE_VALUES = ("1e308", "-1e308", "1e200", "1e160", "5e-324", "-0.0", "1e-200", "nan", "inf",
+               "-inf", "")
+
+
+@st.composite
+def config_texts(draw):
+    """A single-point config: each float key left out, normal or an edge value.
+
+    At most three keys take an edge value, so that not every text is refused
+    as a usage error. Some texts also carry a byte-order mark, a comment
+    line or a key given twice.
+    """
+    lines = []
+    edged = draw(st.sets(st.sampled_from(list(NORMAL_VALUES)), max_size=3))
+    for key, normal in NORMAL_VALUES.items():
+        value = draw(st.sampled_from(EDGE_VALUES) if key in edged
+                     else st.none() | st.sampled_from(normal))
+        if value is not None:
+            lines.append(f"{key} = {value}")
+    lines.append(f"initial_state = {draw(st.sampled_from(['a', 'cat', 'werner']))}")
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), "# a comment")
+    if draw(st.integers(0, 3)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(lines)))
+    return draw(st.sampled_from(["", "\ufeff"])) + point_config("\n".join(lines))
+
+
+@settings(max_examples=150)
+@given(config_texts())
+@example(point_config("m_over_p = 1e308"))
+@example(point_config("kappa = -1e308\nmu = 1e308"))
+@example(point_config("t_max = 1e308\ndt = 1e306"))
+@example(point_config("t_max = 1e308\ndt = 1e303"))
+@example(point_config("E_over_p = 1e308\nkappa = 1e200"))
+@example(point_config("m_over_p = 1e200\nE_over_p = 1e200"))
+@example(point_config("gamma_over_p = 1e308"))
+def test_the_cli_contract_holds_on_any_single_point_config(text):
+    # exit 0, 1, 2 or 3; no warning; one stderr line and no outputs after a
+    # refusal. Every example gets its own directory: tmp_path is one per test
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.cfg"
+        cfg.write_text(text + f"outputs = {Path(tmp) / 'outputs'}\n", encoding="utf-8")
+        code, err = run_quietly(["simulate", "--config", str(cfg)])
+        assert code in (0, 1, 2, 3)
+        if code:
+            assert err.count("\n") == 1 and err.endswith("\n"), err
+            assert not (Path(tmp) / "outputs").exists()
+        else:
+            assert err == ""
 
 
 def custom_state(diagonal, entries=()):

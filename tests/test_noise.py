@@ -263,6 +263,26 @@ def test_noisy_refuses_a_bad_generator(monkeypatch, corrupt, message):
         evolve_noisy_stack(bell_state(), PARAMS, NoiseParams(0.5), [1.0])
 
 
+def test_noisy_refuses_the_first_time_whose_phases_overflow():
+    # |lambda| <= 2.62 at PARAMS: lambda t is finite at t = 5e307 and
+    # overflows at 1e308, which refuses before the negative time after it
+    refusal = check_stack("evolve_noisy_stack", (bell_state(), PARAMS, QUIET),
+                          [1.0, 5e307, 1e308, -0.01])
+    assert str(refusal) == "phase of exp(-i H t) overflows at t = 1e+308"
+
+
+def test_noisy_refuses_an_infinite_eigenvalue_at_t_0(monkeypatch):
+    eigh = np.linalg.eigh
+
+    def overflowing(H):
+        lam, V = eigh(H)
+        return np.append(lam[:-1], np.inf), V
+
+    monkeypatch.setattr(np.linalg, "eigh", overflowing)
+    with pytest.raises(ValueError, match=r"^phase of exp\(-i H t\) overflows at t = 0$"):
+        evolve_noisy_stack(bell_state(), PARAMS, QUIET, [0.0, 1.0])
+
+
 def test_noisy_long_time_coherence_floor():
     # gamma factor shrinks but never reaches zero at finite time
     rho = bell_state()

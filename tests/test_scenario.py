@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -226,6 +227,24 @@ def test_run_trajectory_initial_row():
     assert first["negativity"] == pytest.approx(1.0, abs=1e-12)
     assert first["discord_1"] == pytest.approx(0.5, abs=1e-12)
     assert first["purity"] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_a_figure_trajectory_holds_one_block_at_a_time():
+    # the tracemalloc peak of the figure run (2001 samples) after a warm call,
+    # numpy's buffers included: 1000 KiB at BLOCK_SAMPLES = 512, 1302 at 768
+    # and 1565 at 1024. The seven columns take 110 KiB of it; the rest is the
+    # working set of one block
+    cfg = ScenarioConfig(initial_state="cat", m_over_p=1.0, t_max=20.0, dt=0.01)
+    run_trajectory(cfg)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        run_trajectory(cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1100 * 1024, peak / 1024
 
 
 def test_run_trajectory_deterministic():
