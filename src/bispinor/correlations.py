@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import (IDENTITY_2, PAULI, _first_refusal, _hermitian_checks, partial_transpose,
+from .linalg import (IDENTITY_2, PAULI, _hermitian_checks, _refuse, partial_transpose,
                      top_eigenvalue_3x3)
 
 CLAMP_TOL = 1e-12
@@ -50,19 +50,17 @@ def _checked_stack(rhos) -> tuple:
     (B, 3, 3). Each state must be finite and Hermitian (linalg's check),
     then have Pauli traces with imaginary parts of at most 1e-10, which
     are discarded. A refused state refuses the stack by
-    linalg._first_refusal.
+    linalg._refuse.
     """
     stack = np.asarray(rhos, dtype=complex)
     if stack.ndim != 3 or stack.shape[1:] != (4, 4):
         raise ValueError(f"expected a (B, 4, 4) stack, got shape {stack.shape}")
     with np.errstate(invalid="ignore"):  # inf * 0 in a non-finite state
         traces = stack.reshape(-1, 16) @ _FANO_TRACE
-    message = _first_refusal((
+    _refuse((
         *_hermitian_checks(stack, "state"),
         (np.all(np.abs(traces.imag) <= 1e-10, axis=1),
          lambda k: f"Pauli trace has imaginary part {np.max(np.abs(traces[k].imag)):g}")))
-    if message is not None:
-        raise ValueError(message)
     real = traces.real
     return stack, (real[:, 0:3], real[:, 3:6], real[:, 6:].reshape(-1, 3, 3))
 
@@ -127,7 +125,7 @@ def sample_correlations_stack(rhos, times) -> dict:
     min_eigenvalue) and of their partial transposes (for negativity);
     the k_max of both discord sides come from one closed-form call on
     their 3x3 K matrices. A refused state refuses the stack by
-    linalg._first_refusal.
+    linalg._refuse.
     """
     stack, fano = _checked_stack(rhos)
     times = np.asarray(times, dtype=float)

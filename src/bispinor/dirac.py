@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from .errors import DegenerateSpectrumError
-from .linalg import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, _first_refusal
+from .linalg import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, _refuse
 from .values import ValueType
 
 #: below this, g2 or |lambda| counts as degenerate and the analytic
@@ -156,18 +156,17 @@ def spectral_stacks(grid) -> tuple:
     (noise.evolve_noisy_stack), which needs none.
 
     Raises DegenerateSpectrumError when g2 or any |lambda| of a point
-    falls below 1e-12, by linalg._first_refusal on a stack.
+    falls below 1e-12, by linalg._refuse on a stack.
     """
     H, O = operator_stacks(grid)
     lambdas, g2 = _closed_form(grid)
-    message = _first_refusal((
+    _refuse((
         # stated as a refusal, so a NaN g2 is not refused
         (~(g2 <= DEGENERACY_TOL),
          lambda k: f"g2 = {g2[k]:g} is degenerate; use numeric diagonalization"),
         (~np.any(np.abs(lambdas) <= DEGENERACY_TOL, axis=1),
-         lambda _: "an eigenvalue magnitude is ~0; use numeric diagonalization")))
-    if message is not None:
-        raise DegenerateSpectrumError(message)
+         lambda _: "an eigenvalue magnitude is ~0; use numeric diagonalization")),
+        error=DegenerateSpectrumError)
     # (-1)^n / |lambda_(n,s)| = 1 / lambda_(n,s), and (-1)^s / sqrt(g2)
     o_coef = np.array([1.0, 1.0, -1.0, -1.0]) / np.sqrt(g2)[:, None]
     eye = np.eye(4, dtype=complex)

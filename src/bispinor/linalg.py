@@ -2,7 +2,7 @@
 
 The Pauli matrices, partial transposition, the closed-form top
 eigenvalue of real symmetric 3x3 matrices, the package's one Hermiticity
-check and its one first-refusal rule for stacks (_first_refusal);
+check and its one first-refusal rule for stacks (_refuse, which raises);
 products of qubit factors are numpy's kron.
 Eigenvectors are taken in one place only, the ``eigh`` of the
 Hamiltonian in noise.evolve_noisy_stack.
@@ -31,8 +31,8 @@ PAULI = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
 _UPPER_4 = np.triu_indices(4)
 
 
-def _first_refusal(checks):
-    """The package's one first-refusal rule: the message that refuses a stack, or None.
+def _refuse(checks, error=ValueError) -> None:
+    """The package's one first-refusal rule: raise error for the first refused row of a stack.
 
     checks holds (ok, message) pairs in check order: ok has one boolean
     per row, stated as the condition that must hold (so a NaN fails it),
@@ -41,14 +41,13 @@ def _first_refusal(checks):
     is the one a one-row call on that row gives.
     """
     refused = np.flatnonzero(~np.logical_and.reduce([ok for ok, _ in checks]))
-    if not refused.size:
-        return None
-    k = int(refused[0])
-    return next(message(k) for ok, message in checks if not ok[k])
+    if refused.size:
+        k = int(refused[0])
+        raise error(next(message(k) for ok, message in checks if not ok[k]))
 
 
 def _hermitian_checks(A, what: str) -> tuple:
-    """The package's one Hermiticity check, as _first_refusal pairs with one row per matrix.
+    """The package's one Hermiticity check, as _refuse pairs with one row per matrix.
 
     Entries must be finite and |A - A^dag| at most 1e-12 * max(1, max|A_ij|)
     entrywise, so a unit-trace state (entries of magnitude <= 1) is held to
@@ -63,15 +62,6 @@ def _hermitian_checks(A, what: str) -> tuple:
         residual = np.max(np.abs(A[..., rows, cols] - A[..., cols, rows].conj()), axis=-1)
     return ((finite, lambda _: f"{what} entries must be finite"),
             ((residual <= 1e-12 * scale).ravel(), lambda _: f"{what} must be Hermitian"))
-
-
-def _require_hermitian(A, what: str) -> None:
-    """Raise ValueError naming `what` if _hermitian_checks refuses A."""
-    if A.shape[-2:] != (4, 4):
-        raise ValueError(f"{what}: expected 4x4 matrices, got shape {A.shape}")
-    message = _first_refusal(_hermitian_checks(A, what))
-    if message is not None:
-        raise ValueError(message)
 
 
 def partial_transpose(rho, subsystem: int) -> np.ndarray:

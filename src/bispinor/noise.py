@@ -31,7 +31,7 @@ import math
 import numpy as np
 
 from .dirac import DiracParams, operator_stacks
-from .linalg import _first_refusal, _require_hermitian
+from .linalg import _hermitian_checks, _refuse
 from .values import ValueType
 
 #: qubits whose level differs between row and column of each entry: the
@@ -61,7 +61,7 @@ class NoiseParams(ValueType):
 
 
 def _time_checks(times) -> tuple:
-    """Times as a 1-D float array, and the _first_refusal pairs each time must pass.
+    """Times as a 1-D float array, and the _refuse pairs each time must pass.
 
     A time must be finite and nonnegative.
     """
@@ -88,9 +88,7 @@ def build_kraus_set(noise: NoiseParams, times) -> np.ndarray:
     factors, so a fault in those still shows against this reference.
     """
     times, checks = _time_checks(times)
-    message = _first_refusal(checks)
-    if message is not None:
-        raise ValueError(message)
+    _refuse(checks)
     decay = np.array([math.exp(-noise.gamma_rate * t) for t in times.tolist()])
     # (T, 2, 2): the diagonals of diag(1, gamma) and diag(0, omega)
     factors = np.stack([np.ones_like(decay), np.sqrt(decay), np.zeros_like(decay),
@@ -154,15 +152,12 @@ def evolve_noisy_stack(rho0, params: DiracParams, noise: NoiseParams,
     if rho0.shape != (4, 4):
         raise ValueError(f"expected a 4x4 initial state, got shape {rho0.shape}")
     H = operator_stacks([params])[0][0]
-    _require_hermitian(H, "evolution generator")
+    _refuse(_hermitian_checks(H, "evolution generator"))
     lam, V = np.linalg.eigh(H)
     with np.errstate(over="ignore", invalid="ignore"):
         phases = np.multiply.outer(times, lam)
-    message = _first_refusal((*time_checks, (
-        np.all(np.isfinite(phases), axis=1),
-        lambda k: f"phase of exp(-i H t) overflows at t = {times[k]:g}")))
-    if message is not None:
-        raise ValueError(message)
+    _refuse((*time_checks, (np.all(np.isfinite(phases), axis=1),
+                            lambda k: f"phase of exp(-i H t) overflows at t = {times[k]:g}")))
     gamma = _coherence_factors(noise, times)
     Vh = V.conj().T
     b0, b1, b2 = ((Vh @ (F * rho0)) @ V for F in _FLIP_MASKS)

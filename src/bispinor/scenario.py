@@ -27,7 +27,7 @@ import numpy as np
 from .correlations import COLUMNS, sample_correlations_stack
 from .dirac import DiracParams
 from .errors import InvariantViolation, UsageError
-from .linalg import _first_refusal, _require_hermitian
+from .linalg import _hermitian_checks, _refuse
 from .noise import NoiseParams, evolve_noisy_stack
 from .values import ValueType
 
@@ -97,6 +97,10 @@ class ScenarioConfig(ValueType):
                 raise UsageError(f"{key} must be finite, got {value!r}")
             if value < 0 and key in _NONNEGATIVE_KEYS:
                 raise UsageError(f"{key} must be nonnegative, got {value!r}")
+        # a sample below eps_dead and above eps_alive would be dead and alive at once
+        if self.eps_dead > self.eps_alive:
+            raise UsageError(f"need eps_dead <= eps_alive, "
+                             f"got {self.eps_dead!r} > {self.eps_alive!r}")
         if not (self.t_max > 0 and self.dt > 0 and self.dt <= self.t_max):
             raise UsageError("need t_max > 0, dt > 0 and dt <= t_max")
         # compared as a float, so a huge ratio never builds an int or a grid
@@ -167,7 +171,7 @@ def initial_state(name: str, custom=None) -> np.ndarray:
             if np.isfinite(rho).all() and big > _MAX_ENTRY:
                 raise ValueError(f"entry of magnitude {big:g} exceeds {_MAX_ENTRY:.12g}, "
                                  f"the most a state passing the checks can hold")
-            _require_hermitian(rho, "custom state")
+            _refuse(_hermitian_checks(rho, "custom state"))
             _check_block(sample_correlations_stack(rho[None], [0.0]))
         except ValueError as exc:
             message = str(exc)
@@ -195,7 +199,7 @@ def _check_block(c: dict) -> None:
     """Check every sample of a block of columns against its invariants.
 
     Each check is the condition that must hold, so a NaN fails it. The
-    error names the sample and check that linalg._first_refusal picks:
+    error names the sample and check that linalg._refuse picks:
     the earliest failing sample, and its first failing check in the order
     below.
     """
@@ -204,7 +208,7 @@ def _check_block(c: dict) -> None:
     def check(name, ok, values):
         return ok, lambda k: f"{name} violated at t = {t[k]:g} (value {values[k]:g})"
 
-    message = _first_refusal((
+    _refuse((
         check("trace deviation", np.abs(c["trace_deviation"]) <= TRACE_TOL, c["trace_deviation"]),
         check("positivity", c["min_eigenvalue"] >= -PSD_TOL, c["min_eigenvalue"]),
         check("purity range", (0.25 - PSD_TOL <= pur) & (pur <= 1.0 + PSD_TOL), pur),
@@ -212,9 +216,7 @@ def _check_block(c: dict) -> None:
         check("discord_1 range", (0.0 <= d1) & (d1 <= 0.5 + MEASURE_TOL), d1),
         check("discord_2 range", (0.0 <= d2) & (d2 <= 0.5 + MEASURE_TOL), d2),
         check("hierarchy (N/2)^2 <= D1", (neg / 2.0) ** 2 <= d1 + MEASURE_TOL, neg),
-    ))
-    if message is not None:
-        raise InvariantViolation(message)
+    ), error=InvariantViolation)
 
 
 def scenario_params(config: ScenarioConfig) -> DiracParams:
@@ -274,10 +276,13 @@ def detect_features(columns: dict,
 
     columns is run_trajectory's dict. A death interval is a maximal run
     of at least two consecutive samples with negativity below eps_dead; it
-    counts as revived when any later sample exceeds eps_alive.
-    residual_discord_in_death is the smallest discord_1 seen inside death
-    intervals (None when there are none).
+    counts as revived when any later sample exceeds eps_alive, and
+    eps_dead > eps_alive is refused. residual_discord_in_death is the
+    smallest discord_1 seen inside death intervals (None when there are
+    none).
     """
+    if eps_dead > eps_alive:
+        raise ValueError(f"need eps_dead <= eps_alive, got {eps_dead!r} > {eps_alive!r}")
     neg, times, d1 = columns["negativity"], columns["t"], columns["discord_1"]
     if not neg.size:
         raise ValueError("empty trajectory")

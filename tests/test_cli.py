@@ -326,6 +326,7 @@ def test_non_hermitian_custom_state_exits_two(tmp_path, capsys, monkeypatch, ent
     "gamma_over_p = inf",
     "E_over_p = nan",
     "eps_dead = nan",
+    "eps_dead = 0.5",      # above the default eps_alive = 0.01
     "t_max = inf",
     "dt = 1e-9",
     "m_over_p = 1.0, 1.0",

@@ -94,7 +94,8 @@ def test_negativity_isotropic_family():
 
 
 def test_negativity_schmidt_closed_form():
-    for chi in (0.0, 0.1, math.pi / 8, 0.6, math.pi / 4):
+    # chi = 5e-12 gives N = 1e-11, which a clamp of 1e-10 would zero
+    for chi in (0.0, 5e-12, 0.1, math.pi / 8, 0.6, math.pi / 4):
         assert measures(schmidt_state(chi))["negativity"] == pytest.approx(
             abs(math.sin(2.0 * chi)), abs=1e-12)
 

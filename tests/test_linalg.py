@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bispinor.linalg import (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, _require_hermitian,
-                             partial_transpose, top_eigenvalue_3x3)
+from bispinor.linalg import (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, _hermitian_checks,
+                             _refuse, partial_transpose, top_eigenvalue_3x3)
 from stack_contract import check_case
 
 RNG = np.random.default_rng(20260814)
@@ -76,9 +76,14 @@ def test_partial_transpose_takes_stacks_only():
             partial_transpose(np.zeros(shape), 1)
 
 
+def require_hermitian(A, what):
+    """Raise ValueError naming `what` if the package's Hermiticity check refuses A."""
+    _refuse(_hermitian_checks(A, what))
+
+
 def test_require_hermitian_on_a_stack():
     stack = np.array([random_density() for _ in range(5)])
-    _require_hermitian(stack, "state")
+    require_hermitian(stack, "state")
     # a 1e-9 fault at any of the 16 positions of one matrix is caught, on
     # or below the diagonal too, where the residual is not read
     for i in range(4):
@@ -88,19 +93,19 @@ def test_require_hermitian_on_a_stack():
                 bad = stack.copy()
                 bad[2, i, j] += fault
                 with pytest.raises(ValueError, match=r"^state must be Hermitian$"):
-                    _require_hermitian(bad, "state")
+                    require_hermitian(bad, "state")
             bad = stack.copy()
             bad[2, i, j] = np.nan
             with pytest.raises(ValueError, match=r"^state entries must be finite$"):
-                _require_hermitian(bad, "state")
+                require_hermitian(bad, "state")
     # bad keeps its NaN in matrix 2: the first refused matrix refuses the
     # stack, with its own first failing check (finite, then Hermitian)
     bad[1, 0, 1] += 1e-9
     with pytest.raises(ValueError, match=r"^state must be Hermitian$"):
-        _require_hermitian(bad, "state")
+        require_hermitian(bad, "state")
     bad[1, 0, 0] = np.inf
     with pytest.raises(ValueError, match=r"^state entries must be finite$"):
-        _require_hermitian(bad, "state")
+        require_hermitian(bad, "state")
 
 
 def test_require_hermitian_scales_with_the_largest_entry():
@@ -108,14 +113,14 @@ def test_require_hermitian_scales_with_the_largest_entry():
     stack = 300.0 * np.array([random_density() for _ in range(3)])
     scale = np.max(np.abs(stack[1]))
     assert scale > 1.0
-    _require_hermitian(stack, "generator")
+    require_hermitian(stack, "generator")
     near = stack.copy()
     near[1, 0, 3] += 0.5e-12 * scale
-    _require_hermitian(near, "generator")
+    require_hermitian(near, "generator")
     far = stack.copy()
     far[1, 3, 0] += 2e-12 * scale
     with pytest.raises(ValueError, match=r"^generator must be Hermitian$"):
-        _require_hermitian(far, "generator")
+        require_hermitian(far, "generator")
 
 
 # closed form against LAPACK: |error| <= TOP_TOL * max(1, max|K_ij|), fixed

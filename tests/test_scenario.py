@@ -129,6 +129,9 @@ def test_config_validation():
         ScenarioConfig(initial_state="a", custom_state=(1.0,) * 16)
     with pytest.raises(UsageError, match="outputs"):
         ScenarioConfig(outputs="")
+    with pytest.raises(UsageError, match="eps_dead <= eps_alive"):
+        ScenarioConfig(eps_dead=0.5, eps_alive=0.01)
+    ScenarioConfig(eps_dead=0.01, eps_alive=0.01)  # equal thresholds are accepted
     with pytest.raises(UsageError, match="t_max"):
         ScenarioConfig(**dict(ScenarioConfig()._asdict(), t_max=0.0))  # a rebuilt copy
     with pytest.raises(TypeError, match="flux"):
@@ -260,6 +263,8 @@ def test_run_trajectory_deterministic():
 def test_detect_features_sine_oracle():
     """|sin t| on a 0.01 grid: three dips at 0, pi and 2pi."""
     traj = sine_trajectory()
+    with pytest.raises(ValueError, match="eps_dead <= eps_alive"):
+        detect_features(traj, eps_dead=0.5, eps_alive=1e-2)
     report = detect_features(traj, eps_dead=1e-2, eps_alive=1e-2)
     got = [(round(a, 6), round(b, 6)) for a, b in report.death_intervals]
     assert got == [(0.0, 0.01), (3.14, 3.15), (6.28, 6.29)]

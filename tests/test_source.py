@@ -81,12 +81,15 @@ def test_acceptance_imports_no_private_name():
 
 
 def raised_names(tree):
-    """Names of the exceptions a module's raise statements raise."""
+    """Names of the exceptions a module raises: by raise statements, or as _refuse's error."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Raise) and node.exc is not None:
             exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
             if isinstance(exc, ast.Name):
                 yield exc.id
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_refuse":
+            errors = [*node.args[1:], *(kw.value for kw in node.keywords if kw.arg == "error")]
+            yield from (error.id for error in errors if isinstance(error, ast.Name))
 
 
 def test_every_error_class_is_raised():

@@ -12,6 +12,8 @@ selects, and writes into OUT (which must not exist yet):
   with `--plots`;
 - `plan.txt`: `plan` of those four configs;
 - `selftest.txt`: `selftest`, with its elapsed times masked;
+- `refusals.txt`: the exit code and printed line of each refused
+  single-point config of REFUSALS;
 - `<run>.stdout` and `exit_codes.txt`: what each run printed and returned.
 
 The figure and sweep configs are read from `perfbench/workloads.py`. Two
@@ -48,6 +50,25 @@ outputs = out
 CONFIGS = {"figure": FIGURE_CONFIG, "sweep_seed1": sweep_config(1),
            "sweep_seed7": sweep_config(7), "custom": CUSTOM_CONFIG}
 
+
+def _custom(entries: dict) -> str:
+    """Config lines for a custom start: zeros but for the given {flat index: text} entries."""
+    row = ["0"] * 16
+    for k, text in entries.items():
+        row[k] = text
+    return f"initial_state = custom\ncustom_state = {', '.join(row)}\n"
+
+
+#: single-point configs (t_max = 2, dt = 0.01) the CLI refuses, by name
+REFUSALS = {
+    "phase_overflow": "m_over_p = 1e308\n",
+    "generator_not_finite": "E_over_p = 1e308\nkappa = 1e200\n",
+    "custom_trace_2": _custom({0: "1", 15: "1"}),
+    "custom_not_hermitian": _custom({0: "1", 1: "0.5"}),
+    "custom_entry_1e6": _custom({0: "1e6"}),
+    "eps_dead_above_eps_alive": "initial_state = cat\neps_dead = 0.5\neps_alive = 0.01\n",
+}
+
 #: "elapsed 1.2 s" in criterion 11's detail and "(3.4 s)" in the last line
 _ELAPSED = re.compile(r"(elapsed |\()\d+\.\d s")
 
@@ -76,6 +97,12 @@ def snapshot(out: Path) -> None:
     code, printed = _run(["selftest"])
     Path("selftest.txt").write_text(_ELAPSED.sub(r"\1? s", printed))
     codes.append(f"selftest: {code}")
+    refusals = []
+    for name, lines in REFUSALS.items():
+        Path(f"{name}.cfg").write_text(f"t_max = 2.0\ndt = 0.01\noutputs = {name}\n{lines}")
+        code, printed = _run(["simulate", "--config", f"{name}.cfg"])
+        refusals.append(f"{name}: exit {code}: {printed}")
+    Path("refusals.txt").write_text("".join(refusals))
     Path("exit_codes.txt").write_text("\n".join(codes) + "\n")
 
 
