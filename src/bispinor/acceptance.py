@@ -241,7 +241,7 @@ def criterion_06(cache) -> tuple:
     iso = 0.5 * bell + 0.5 * np.eye(4) / 4.0
     # bell, then three uncorrelated states, then the isotropic mixture
     states = np.array([bell, initial_state("a"), product, np.eye(4, dtype=complex) / 4.0, iso])
-    c = sample_correlations_stack(states, np.zeros(len(states)))
+    c = sample_correlations_stack(states)
     neg, d1, d2 = c["negativity"], c["discord_1"], c["discord_2"]
     devs = np.concatenate([[abs(neg[0] - 1.0), abs(d1[0] - 0.5), abs(neg[4] - 0.25)],
                            np.abs(neg[1:4]), np.abs(d1[1:4]), np.abs(d2[1:4])])
@@ -293,8 +293,7 @@ def criterion_10(cache) -> tuple:
     """Schmidt-state closed forms: N = |sin 2chi|, D = sin^2(2chi)/2."""
     chis = [k * math.pi / 16.0 for k in range(5)]
     vecs = np.array([[math.cos(chi), 0.0, 0.0, math.sin(chi)] for chi in chis], dtype=complex)
-    c = sample_correlations_stack(vecs[:, :, None] * vecs.conj()[:, None, :],
-                                  np.zeros(len(chis)))
+    c = sample_correlations_stack(vecs[:, :, None] * vecs.conj()[:, None, :])
     sin2 = np.array([math.sin(2.0 * chi) for chi in chis])
     worst = np.max([np.max(np.abs(c["negativity"] - np.abs(sin2))),
                     np.max(np.abs(c["discord_1"] - sin2 ** 2 / 2.0))])

@@ -11,8 +11,8 @@ and their partial transposes together. The Fano data are one product of
 the flattened states with the 15 Pauli products, the top eigenvalues of
 both discord sides come from one closed-form call on a (2B, 3, 3) stack
 (linalg.top_eigenvalue_3x3) and the purity is the sum of |rho_ij|^2. A
-trajectory stack, or one state as a one-row stack rho[None], is measured
-into the seven float64 columns named by COLUMNS.
+stack of states, or one state as a one-row stack rho[None], is measured
+into the six float64 columns COLUMNS[1:], from the states alone.
 """
 
 from __future__ import annotations
@@ -116,24 +116,19 @@ def _purity_stack(stack: np.ndarray) -> np.ndarray:
     return np.sum(flat.real ** 2 + flat.imag ** 2, axis=1)
 
 
-def sample_correlations_stack(rhos, times) -> dict:
-    """All measures and diagnostics of a (B, 4, 4) stack of trajectory states.
+def sample_correlations_stack(rhos) -> dict:
+    """All measures and diagnostics of a (B, 4, 4) stack of states.
 
-    Returns the seven COLUMNS as length-B float64 arrays, in COLUMNS
-    order and in stack order; the t column is the length-B array times.
-    One batched LAPACK call gives the spectra of the states (for
-    min_eigenvalue) and of their partial transposes (for negativity);
-    the k_max of both discord sides come from one closed-form call on
-    their 3x3 K matrices. A refused state refuses the stack by
-    linalg._refuse.
+    Returns the six COLUMNS[1:] as length-B float64 arrays, in COLUMNS
+    order and in stack order. One batched LAPACK call gives the spectra
+    of the states (for min_eigenvalue) and of their partial transposes
+    (for negativity); the k_max of both discord sides come from one
+    closed-form call on their 3x3 K matrices. A refused state refuses
+    the stack by linalg._refuse.
     """
     stack, fano = _checked_stack(rhos)
-    times = np.asarray(times, dtype=float)
-    if times.shape != stack.shape[:1]:
-        raise ValueError(f"{stack.shape[0]} states but times of shape {times.shape}")
     state_eigs, pt_eigs = _spectra(stack)
-    return dict(zip(COLUMNS, (
-        times,
+    return dict(zip(COLUMNS[1:], (
         _negativity_stack(pt_eigs),
         *_discord_stacks(fano),
         _purity_stack(stack),

@@ -73,6 +73,12 @@ _ZZ = np.kron(SIGMA_Z, SIGMA_Z)
 _YZ = np.kron(SIGMA_Y, SIGMA_Z)
 
 
+def _fields(grid) -> np.ndarray:
+    """The (N, 7) float64 (m, p, kappa, mu, E, cos theta, sin theta) of every point of grid."""
+    return np.array([(q.m, q.p, q.kappa, q.mu, q.E_field, math.cos(q.theta),
+                      math.sin(q.theta)) for q in grid], dtype=float).reshape(-1, 7)
+
+
 def operator_stacks(grid) -> tuple:
     """H and O of every point of a sequence of DiracParams, as (N, 4, 4) stacks.
 
@@ -91,9 +97,7 @@ def operator_stacks(grid) -> tuple:
     products overflow give inf or NaN entries without a numpy warning;
     noise.evolve_noisy_stack refuses such an H as not finite.
     """
-    fields = np.array([(q.m, q.p, q.kappa, q.mu, q.E_field, math.cos(q.theta),
-                        math.sin(q.theta)) for q in grid], dtype=float).reshape(-1, 7)
-    m, p, kappa, mu, E, cos, sin = (column[:, None, None] for column in fields.T)
+    m, p, kappa, mu, E, cos, sin = (column[:, None, None] for column in _fields(grid).T)
     with np.errstate(over="ignore", invalid="ignore"):
         ex = E * cos
         ey = E * sin
@@ -111,16 +115,15 @@ def operator_stacks(grid) -> tuple:
 
 def _closed_form(grid) -> tuple:
     """closed_form_spectrum's (N, 4) eigenvalues and the (N,) g2 of every point of grid."""
-    fields = [(q.m, q.p, q.kappa, q.mu, q.E_field, math.cos(q.theta), math.sin(q.theta))
-              for q in grid]
-    m, p, k, mu, E, cos, sin = np.array(fields, dtype=float).reshape(-1, 7).T
-    inner = m * m * k * k + (mu * mu + k * k) * p * p * (sin * sin)
-    mass, field = p * p + m * m, (k * k + mu * mu) * E * E
-    plus = mass + field + 2.0 * (E * np.sqrt(inner))
-    det = (mass - field) ** 2 + 4.0 * (field * p * p * (cos * cos) + E * E * m * m * mu * mu)
-    # lambda_(0,0) = 0 only where H = 0, and then det H = 0 too
-    lam = np.sqrt(np.stack((plus, det / np.where(plus > 0.0, plus, 1.0)), axis=1))
-    return lam[:, [0, 0, 1, 1]] * np.array([1.0, -1.0, 1.0, -1.0]), E * E * inner
+    m, p, k, mu, E, cos, sin = _fields(grid).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        inner = m * m * k * k + (mu * mu + k * k) * p * p * (sin * sin)
+        mass, field = p * p + m * m, (k * k + mu * mu) * E * E
+        plus = mass + field + 2.0 * (E * np.sqrt(inner))
+        det = (mass - field) ** 2 + 4.0 * (field * p * p * (cos * cos) + E * E * m * m * mu * mu)
+        # lambda_(0,0) = 0 only where H = 0, and then det H = 0 too
+        lam = np.sqrt(np.stack((plus, det / np.where(plus > 0.0, plus, 1.0)), axis=1))
+        return lam[:, [0, 0, 1, 1]] * np.array([1.0, -1.0, 1.0, -1.0]), E * E * inner
 
 
 def closed_form_spectrum(grid) -> np.ndarray:
@@ -155,16 +158,17 @@ def spectral_stacks(grid) -> tuple:
     projectors are the closed-form check on the numeric evolution
     (noise.evolve_noisy_stack), which needs none.
 
-    Raises DegenerateSpectrumError when g2 or any |lambda| of a point
-    falls below 1e-12, by linalg._refuse on a stack.
+    Raises DegenerateSpectrumError, by linalg._refuse on a stack, when a
+    point's spectrum or g2 is not finite, or g2 or any |lambda| is below 1e-12.
     """
     H, O = operator_stacks(grid)
     lambdas, g2 = _closed_form(grid)
     _refuse((
-        # stated as a refusal, so a NaN g2 is not refused
-        (~(g2 <= DEGENERACY_TOL),
+        (np.isfinite(g2) & np.all(np.isfinite(lambdas), axis=1),
+         lambda k: f"closed-form spectrum is not finite (g2 = {g2[k]:g})"),
+        (g2 > DEGENERACY_TOL,
          lambda k: f"g2 = {g2[k]:g} is degenerate; use numeric diagonalization"),
-        (~np.any(np.abs(lambdas) <= DEGENERACY_TOL, axis=1),
+        (np.all(np.abs(lambdas) > DEGENERACY_TOL, axis=1),
          lambda _: "an eigenvalue magnitude is ~0; use numeric diagonalization")),
         error=DegenerateSpectrumError)
     # (-1)^n / |lambda_(n,s)| = 1 / lambda_(n,s), and (-1)^s / sqrt(g2)

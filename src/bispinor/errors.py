@@ -6,7 +6,7 @@ class InvariantViolation(ValueError):
 
 
 class DegenerateSpectrumError(ValueError):
-    """Analytic projector construction is undefined (g2 or an eigenvalue is ~0)."""
+    """Analytic projector construction is undefined (g2 or an eigenvalue is ~0 or not finite)."""
 
 
 class UsageError(ValueError):

@@ -9,10 +9,10 @@ one resolved point; a comma-separated m_over_p list turns a run into a
 sweep writing one subdirectory per grid point plus an index file.
 
 The trajectory runner walks its time axis in blocks of BLOCK_SAMPLES
-samples; each block is evolved and measured as one (B, 4, 4) stack into
-the seven correlations.COLUMNS, checked as arrays and copied into the
-trajectory: a dict of seven read-only float64 columns in CSV order.
-Feature detection and the CSV writer read the columns.
+samples; each block is evolved, measured as one (B, 4, 4) stack, checked
+beside its times and copied into the trajectory: a dict of seven
+read-only float64 columns in CSV order, whose t column is the time axis
+itself. Feature detection and the CSV writer read the columns.
 """
 
 from __future__ import annotations
@@ -172,7 +172,7 @@ def initial_state(name: str, custom=None) -> np.ndarray:
                 raise ValueError(f"entry of magnitude {big:g} exceeds {_MAX_ENTRY:.12g}, "
                                  f"the most a state passing the checks can hold")
             _refuse(_hermitian_checks(rho, "custom state"))
-            _check_block(sample_correlations_stack(rho[None], [0.0]))
+            _check_block([0.0], sample_correlations_stack(rho[None]))
         except ValueError as exc:
             message = str(exc)
             raise InvariantViolation(message if message.startswith("custom state")
@@ -195,15 +195,15 @@ MEASURE_TOL = 1e-9
 _MAX_ENTRY = 1.0 + 3 * PSD_TOL + TRACE_TOL + 1e-11
 
 
-def _check_block(c: dict) -> None:
-    """Check every sample of a block of columns against its invariants.
+def _check_block(t, c: dict) -> None:
+    """Check every sample of a block against its invariants.
 
+    t holds the block's times and c its sample_correlations_stack columns.
     Each check is the condition that must hold, so a NaN fails it. The
-    error names the sample and check that linalg._refuse picks:
-    the earliest failing sample, and its first failing check in the order
-    below.
+    error names the sample and check that linalg._refuse picks: the
+    earliest failing sample, and its first failing check in the order below.
     """
-    t, neg, d1, d2, pur = c["t"], c["negativity"], c["discord_1"], c["discord_2"], c["purity"]
+    neg, d1, d2, pur = c["negativity"], c["discord_1"], c["discord_2"], c["purity"]
 
     def check(name, ok, values):
         return ok, lambda k: f"{name} violated at t = {t[k]:g} (value {values[k]:g})"
@@ -230,28 +230,29 @@ def run_trajectory(config: ScenarioConfig) -> dict:
 
     Returns a dict mapping each name of correlations.COLUMNS, in CSV
     order, to a read-only float64 array with one entry per sample in time
-    order. Sample k sits at t = k * dt. The axis is evaluated in blocks of
-    BLOCK_SAMPLES; the t = 0 row is computed from the initial state
-    itself. Every block is checked against the invariants before the
-    next one runs; a violation aborts with a diagnostic naming the check
-    and the time of the earliest failing sample. The pipeline has no
-    randomness and its results do not depend on the block size, so
+    order. Sample k sits at t = k * dt, and the t column is the time axis
+    itself. The axis is evaluated in blocks of BLOCK_SAMPLES, whose six
+    measured columns are copied in; the t = 0 row is computed from the
+    initial state itself. Every block is checked against the invariants
+    before the next one runs; a violation aborts with a diagnostic naming
+    the check and the time of the earliest failing sample. The pipeline
+    has no randomness and its results do not depend on the block size, so
     identical configs give identical columns.
     """
     params = scenario_params(config)
     noise = NoiseParams(gamma_rate=config.gamma_over_p)
     rho0 = initial_state(config.initial_state, config.custom_state)
     times = np.arange(config.n_samples) * config.dt
-    columns = {name: np.empty(len(times)) for name in COLUMNS}
+    columns = {"t": times, **{name: np.empty(len(times)) for name in COLUMNS[1:]}}
     for start in range(0, len(times), BLOCK_SAMPLES):
         block = times[start:start + BLOCK_SAMPLES]
         rhos = evolve_noisy_stack(rho0, params, noise, block)
         if start == 0:
             rhos[0] = rho0
-        measured = sample_correlations_stack(rhos, block)
-        _check_block(measured)
-        for name in COLUMNS:
-            columns[name][start:start + len(block)] = measured[name]
+        measured = sample_correlations_stack(rhos)
+        _check_block(block, measured)
+        for name, values in measured.items():
+            columns[name][start:start + len(block)] = values
     for values in columns.values():
         values.flags.writeable = False
     return columns

@@ -166,9 +166,8 @@ CASES = {
                   st.builds(NoiseParams, rates)),
         times, engine_refused_times,
         (((ROUNDING_STATE, MIXED_GRID[0], NoiseParams(ROUNDING_RATE)), ROUNDING_TIMES),)),
-    # each state at t = 0, which the t column passes through
     "sample_correlations_stack": Case(
-        lambda _, rhos: sample_correlations_stack(rhos, np.zeros(len(rhos))), _NONE,
+        lambda _, rhos: sample_correlations_stack(rhos), _NONE,
         density_matrices(), st.sampled_from(REFUSED_STATES),
         # and two refused states, whichever check reads which first; a NaN or
         # an inf entry, whose Pauli traces are NaN, refuses before the traces

@@ -119,9 +119,9 @@ def with_nan_entry(func):
 
 def with_nan_in(column):
     def plant(func):
-        def planted(rhos, times):
-            columns = func(rhos, times)
-            columns[column] = np.where(np.arange(len(times)) == 1, np.nan, columns[column])
+        def planted(rhos):
+            columns = func(rhos)
+            columns[column] = np.where(np.arange(len(rhos)) == 1, np.nan, columns[column])
             return columns
         return planted
     return plant

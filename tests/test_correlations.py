@@ -36,9 +36,8 @@ def isotropic(q):
 
 
 def measures(rho):
-    """The seven columns of one state, measured as a one-row stack."""
-    return {name: values[0] for name, values in
-            sample_correlations_stack(rho[None], [0.0]).items()}
+    """The six measured columns of one state, measured as a one-row stack."""
+    return {name: values[0] for name, values in sample_correlations_stack(rho[None]).items()}
 
 
 def fano_data(rho):
@@ -174,9 +173,8 @@ def test_non_hermitian_state_with_real_pauli_traces_is_refused():
 def test_sample_correlations_fields():
     rho = schmidt_state(math.pi / 4)
     s = {name: values.tolist() for name, values in
-         sample_correlations_stack(rho[None], [2.5]).items()}
-    assert tuple(s) == COLUMNS
-    assert s["t"] == [2.5]
+         sample_correlations_stack(rho[None]).items()}
+    assert tuple(s) == COLUMNS[1:]
     assert s["negativity"] == [pytest.approx(1.0, abs=1e-12)]
     assert s["discord_1"] == [pytest.approx(0.5, abs=1e-12)]
     assert s["discord_2"] == [pytest.approx(0.5, abs=1e-12)]
@@ -186,5 +184,5 @@ def test_sample_correlations_fields():
 
 
 def test_sample_correlations_flags_trace_drift():
-    s = sample_correlations_stack(np.eye(4, dtype=complex)[None] / 3.9, [0.0])
+    s = sample_correlations_stack(np.eye(4, dtype=complex)[None] / 3.9)
     assert abs(s["trace_deviation"][0]) > 1e-3

@@ -352,3 +352,20 @@ def test_degenerate_refusals_keep_their_one_point_messages():
         spectral_stacks([zero_eigenvalue])
     with pytest.raises(DegenerateSpectrumError, match="^an eigenvalue magnitude is ~0"):
         spectral_stacks([MIXED_GRID[0], zero_eigenvalue, zero_field])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("huge", [{"m": 1e155}, {"m": 1e200}, {"kappa": 1e200}])
+def test_an_overflowing_closed_form_is_refused_without_a_warning(huge):
+    # the squares of the closed form overflow to [inf, -inf, nan, nan]; the
+    # operators stay finite, so only the spectrum's own check can refuse
+    point = DiracParams(**dict(MIXED_GRID[0]._asdict(), **huge))
+    message = r"^closed-form spectrum is not finite \(g2 = inf\)$"
+    with pytest.raises(DegenerateSpectrumError, match=message):
+        spectral_stacks([point])
+    with pytest.raises(DegenerateSpectrumError, match=message):
+        spectral_stacks([MIXED_GRID[0], point])
+    # the first refused point decides the message
+    zero_field = MIXED_GRID[3]
+    with pytest.raises(DegenerateSpectrumError, match="^g2 = 0 is degenerate"):
+        spectral_stacks([zero_field, point])

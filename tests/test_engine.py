@@ -9,6 +9,7 @@ engine reorders the arithmetic, so the two are compared at a tolerance
 fixed beforehand (1e-12 absolute on quantities of order one).
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -83,17 +84,16 @@ def reference_measures(rho):
     }
 
 
-def assert_matches_reference(columns, k, rho, t):
+def assert_matches_reference(columns, k, rho):
     """Row k of a column table against the reference measures of rho."""
-    assert columns["t"][k] == t
     want = reference_measures(rho)
     for field in FIELDS:
         assert abs(columns[field][k] - want[field]) <= TOL, field
 
 
-def assert_same_columns(got, want):
-    assert tuple(got) == tuple(want) == COLUMNS
-    for name in COLUMNS:
+def assert_same_columns(got, want, names=COLUMNS):
+    assert tuple(got) == tuple(want) == names
+    for name in names:
         assert np.array_equal(got[name], want[name]), name
 
 
@@ -171,13 +171,12 @@ def test_kraus_stack_rows_are_one_row_calls():
 @PROPERTY
 @given(st.lists(density_matrices(), min_size=1, max_size=5))
 def test_correlation_stack_matches_loop_reference(states):
-    ts = [0.1 * k for k in range(len(states))]
-    columns = sample_correlations_stack(np.array(states), ts)
-    assert tuple(columns) == COLUMNS
+    columns = sample_correlations_stack(np.array(states))
+    assert tuple(columns) == COLUMNS[1:]
     for values in columns.values():
         assert values.shape == (len(states),) and values.dtype == np.float64
-    for k, (rho, t) in enumerate(zip(states, ts)):
-        assert_matches_reference(columns, k, rho, t)
+    for k, rho in enumerate(states):
+        assert_matches_reference(columns, k, rho)
 
 
 def test_stack_rows_equal_one_row_calls():
@@ -191,14 +190,6 @@ def test_block_sized_stack_rows_equal_one_row_calls():
     # length at either end (a BLAS product, for one, picks its kernel by it)
     for length in (1, 2, 3, 4, 5, len(BLOCK_STATES)):
         assert check_stack("sample_correlations_stack", None, list(BLOCK_STATES[:length])) is None
-
-
-def test_stack_checks_every_state():
-    # a refused state anywhere in a stack is the contract's case above; the
-    # times must match the states too
-    good = initial_state("cat")
-    with pytest.raises(ValueError, match="times"):
-        sample_correlations_stack(np.array([good, good]), [0.0])
 
 
 # ------------------------------------------------------------- trajectory
@@ -218,7 +209,8 @@ def _check_against_reference(columns, cfg):
     for k in range(cfg.n_samples):
         t = k * cfg.dt
         rho = rho0 if k == 0 else reference_state(rho0, params, noise, t)
-        assert_matches_reference(columns, k, rho, t)
+        assert columns["t"][k] == t
+        assert_matches_reference(columns, k, rho)
 
 
 @pytest.mark.parametrize("block, n_samples", [
@@ -263,8 +255,8 @@ def test_initial_row_is_the_initial_state_itself():
     psi /= np.linalg.norm(psi)
     rho0 = np.outer(psi, psi.conj())
     cfg = _trajectory_config(3, initial_state="custom", custom_state=tuple(rho0.ravel()))
-    first = {name: values[:1] for name, values in run_trajectory(cfg).items()}
-    assert_same_columns(first, sample_correlations_stack(rho0[None], [0.0]))
+    first = {name: values[:1] for name, values in run_trajectory(cfg).items() if name != "t"}
+    assert_same_columns(first, sample_correlations_stack(rho0[None]), COLUMNS[1:])
 
 
 @PROPERTY
@@ -277,7 +269,7 @@ def test_clamp_gives_exact_zeros_on_product_states(entries):
         assume(np.trace(sigma).real > 1e-3)
         factors.append(sigma / np.trace(sigma).real)
     rho = np.kron(*factors)
-    columns = sample_correlations_stack(rho[None], [0.0])
+    columns = sample_correlations_stack(rho[None])
     for name in ("negativity", "discord_1", "discord_2"):
         (value,) = columns[name].tolist()
         assert value == 0.0 and math.copysign(1.0, value) == 1.0
@@ -290,12 +282,13 @@ def test_clamp_gives_exact_zeros_on_product_states(entries):
 ])
 def test_violation_mid_block_raises_for_earliest_time(monkeypatch, bad_indices, earliest):
     cfg = _trajectory_config(12)
-    bad_times = [k * cfg.dt for k in bad_indices]
     real_stack = scenario.sample_correlations_stack
+    # the running row count across the blocks of 4 is the sample index
+    rows = itertools.count()
 
-    def corrupting_stack(rhos, block):
-        columns = real_stack(rhos, block)
-        bad = np.isin(columns["t"], bad_times)
+    def corrupting_stack(rhos):
+        columns = real_stack(rhos)
+        bad = np.isin([next(rows) for _ in rhos], bad_indices)
         columns["trace_deviation"] = np.where(bad, 1e-3, columns["trace_deviation"])
         return columns
 

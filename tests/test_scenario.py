@@ -180,7 +180,8 @@ def test_config_sample_cap():
 
 def test_check_sample_diagnostics():
     good = synthetic_record([0.5] * 6, dt=0.5)  # t = 0, 0.5, ..., 2.5
-    _check_block(good)  # no raise
+    t = good.pop("t")  # the times go beside the six measured columns
+    _check_block(t, good)  # no raise
 
     def block(k, **cells):
         """The good block with the given cells of sample k replaced."""
@@ -194,10 +195,10 @@ def test_check_sample_diagnostics():
         return pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$")
 
     with raises("trace deviation", 2.5, 0.001):
-        _check_block(block(5, trace_deviation=1e-3))
+        _check_block(t, block(5, trace_deviation=1e-3))
     with raises("hierarchy (N/2)^2 <= D1", 1, 0.9):
-        _check_block(block(2, negativity=0.9, discord_1=0.05))
-    # a NaN fails the check that reads its column (t is read by none)
+        _check_block(t, block(2, negativity=0.9, discord_1=0.05))
+    # a NaN fails the check that reads its column
     for name, check in (("trace_deviation", "trace deviation"),
                         ("min_eigenvalue", "positivity"),
                         ("purity", "purity range"),
@@ -205,13 +206,13 @@ def test_check_sample_diagnostics():
                         ("discord_1", "discord_1 range"),
                         ("discord_2", "discord_2 range")):
         with raises(check, 1, "nan"):
-            _check_block(block(2, **{name: math.nan}))
+            _check_block(t, block(2, **{name: math.nan}))
     # the earliest bad sample wins over a later one failing an earlier
     # check; at that sample the first failing check in order is named
     columns = block(1, negativity=1.5, discord_2=0.7)  # also breaks the hierarchy
     columns["trace_deviation"][3] = 1e-3
     with raises("negativity range", 0.5, 1.5):
-        _check_block(columns)
+        _check_block(t, columns)
 
 
 def test_run_trajectory_grid():
@@ -583,9 +584,9 @@ def test_custom_sweep_checks_each_start_where_its_point_runs(tmp_path, monkeypat
     # three samples; no pass over the sweep checks the starts beforehand
     rows = []
 
-    def counted(rhos, times):
+    def counted(rhos):
         rows.append(len(rhos))
-        return sample_correlations_stack(rhos, times)
+        return sample_correlations_stack(rhos)
 
     monkeypatch.setattr(scenario, "sample_correlations_stack", counted)
     text = (f"m_over_p = 0.5, 1.0, 2.0\ninitial_state = custom\n"

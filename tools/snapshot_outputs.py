@@ -14,6 +14,8 @@ selects, and writes into OUT (which must not exist yet):
 - `selftest.txt`: `selftest`, with its elapsed times masked;
 - `refusals.txt`: the exit code and printed line of each refused
   single-point config of REFUSALS;
+- `refused_sweep.txt`: the exit code, the printed line and the sorted
+  files left under the outputs of REFUSED_SWEEP, refused at run time;
 - `<run>.stdout` and `exit_codes.txt`: what each run printed and returned.
 
 The figure and sweep configs are read from `perfbench/workloads.py`. Two
@@ -69,6 +71,9 @@ REFUSALS = {
     "eps_dead_above_eps_alive": "initial_state = cat\neps_dead = 0.5\neps_alive = 0.01\n",
 }
 
+#: a sweep (t_max = 2, dt = 0.01) whose second point the CLI refuses at run time
+REFUSED_SWEEP = "m_over_p = 1.0, 1e308\n"
+
 #: "elapsed 1.2 s" in criterion 11's detail and "(3.4 s)" in the last line
 _ELAPSED = re.compile(r"(elapsed |\()\d+\.\d s")
 
@@ -79,6 +84,12 @@ def _run(argv) -> tuple:
     with contextlib.redirect_stdout(text), contextlib.redirect_stderr(text):
         code = main(argv)
     return code, text.getvalue()
+
+
+def _refused(name: str, lines: str) -> tuple:
+    """simulate's exit code and printed output on a t_max = 2, dt = 0.01 config into name/."""
+    Path(f"{name}.cfg").write_text(f"t_max = 2.0\ndt = 0.01\noutputs = {name}\n{lines}")
+    return _run(["simulate", "--config", f"{name}.cfg"])
 
 
 def snapshot(out: Path) -> None:
@@ -99,10 +110,13 @@ def snapshot(out: Path) -> None:
     codes.append(f"selftest: {code}")
     refusals = []
     for name, lines in REFUSALS.items():
-        Path(f"{name}.cfg").write_text(f"t_max = 2.0\ndt = 0.01\noutputs = {name}\n{lines}")
-        code, printed = _run(["simulate", "--config", f"{name}.cfg"])
+        code, printed = _refused(name, lines)
         refusals.append(f"{name}: exit {code}: {printed}")
     Path("refusals.txt").write_text("".join(refusals))
+    code, printed = _refused("refused_sweep", REFUSED_SWEEP)
+    left = sorted(path.as_posix() for path in Path("refused_sweep").rglob("*") if path.is_file())
+    Path("refused_sweep.txt").write_text(f"exit {code}: {printed}" + "".join(
+        f"{path}\n" for path in left))
     Path("exit_codes.txt").write_text("\n".join(codes) + "\n")
 
 
