@@ -28,7 +28,7 @@ from .dirac import (SPECTRAL_KEYS, DiracParams, closed_form_spectrum, operator_s
 from .errors import DegenerateSpectrumError, InvariantViolation, UsageError
 from .ionmap import IonParams, assemble_ion_stack, dirac_to_ion
 from .linalg import partial_transpose, top_eigenvalue_3x3
-from .noise import NoiseParams, apply_channel, build_kraus_set, evolve_noisy_stack
+from .noise import apply_channel, build_kraus_set, evolve_noisy_stack
 from .scenario import (FeatureReport, ScenarioConfig, detect_features, emit_outputs,
                        initial_state, load_config, parse_config_text, run_scenario,
                        run_trajectory)
@@ -42,7 +42,6 @@ __all__ = [
     "FeatureReport",
     "InvariantViolation",
     "IonParams",
-    "NoiseParams",
     "SPECTRAL_KEYS",
     "ScenarioConfig",
     "UsageError",

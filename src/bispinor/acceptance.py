@@ -50,8 +50,7 @@ import numpy as np
 from .correlations import sample_correlations_stack
 from .dirac import DiracParams, closed_form_spectrum, operator_stacks, spectral_stacks
 from .ionmap import assemble_ion_stack, dirac_to_ion
-from .noise import (KRAUS_TOL, NoiseParams, apply_channel, build_kraus_set,
-                    evolve_noisy_stack)
+from .noise import KRAUS_TOL, apply_channel, build_kraus_set, evolve_noisy_stack
 from .scenario import (MEASURE_TOL, PSD_TOL, TRACE_TOL, ScenarioConfig, death_runs,
                        initial_state, run_scenario, run_trajectory)
 
@@ -67,7 +66,7 @@ FIG_KWARGS = dict(E_over_p=1.0, kappa=1.0, mu=1.0, gamma_over_p=0.5,
 
 #: no Hamiltonian: eigh of the zero matrix returns V = I, so the engine
 #: applies the channel alone
-NO_HAMILTONIAN = DiracParams(m=0.0, p=0.0, kappa=0.0, mu=0.0, E_field=0.0)
+NO_HAMILTONIAN = np.zeros((4, 4))
 
 
 def _product_state() -> np.ndarray:
@@ -176,11 +175,10 @@ def criterion_04(cache) -> tuple:
     times = (0.0, 0.7, 5.0, 50.0)
     state = _product_state()
     for gamma in (0.0, 0.5, 2.0):
-        noise = NoiseParams(gamma)
-        ks = build_kraus_set(noise, times)  # (t, k, 4, 4)
+        ks = build_kraus_set(gamma, times)  # (t, k, 4, 4)
         total = np.sum(np.swapaxes(ks.conj(), -1, -2) @ ks, axis=1)
         worst_kraus = np.maximum(worst_kraus, np.max(np.abs(total - np.eye(4))))
-        outs = evolve_noisy_stack(state, NO_HAMILTONIAN, noise, times)
+        outs = evolve_noisy_stack(state, NO_HAMILTONIAN, gamma, times)
         worst_engine = np.maximum(worst_engine,
                                   np.max(np.abs(outs - apply_channel(state, ks))))
     worst_trace = float(np.max(np.abs(cache.column("trace_deviation")), initial=0.0))
@@ -209,24 +207,23 @@ def criterion_05(cache) -> tuple:
     """
     times = np.array([0.5, 1.0, 5.0, 20.0])
     params = DiracParams(m=1.0, p=1.0, kappa=1.0, mu=1.0, E_field=1.0)
-    _, _, _, lambdas, P = spectral_stacks([params])
+    H, _, _, lambdas, P = spectral_stacks([params])
     terms = np.exp(-1j * np.multiply.outer(times, lambdas[0]))[..., None, None] * P[0]
     zero_field = DiracParams(m=1.0, p=1.0, kappa=1.0, mu=1.0, E_field=0.0)
     w = math.hypot(zero_field.m, zero_field.p)
-    H = operator_stacks([zero_field])[0][0]
+    H_zero_field = operator_stacks([zero_field])[0][0]
     U_zero_field = (np.cos(w * times)[:, None, None] * np.eye(4)
-                    - 1j * (np.sin(w * times) / w)[:, None, None] * H)
+                    - 1j * (np.sin(w * times) / w)[:, None, None] * H_zero_field)
     starts = [initial_state(name) for name in ("a", "cat", "werner")] + [_product_state()]
-    cases = ((params, terms[:, 0] + terms[:, 1] + terms[:, 2] + terms[:, 3], starts),
-             (zero_field, U_zero_field, starts[-1:]))
+    cases = ((H[0], terms[:, 0] + terms[:, 1] + terms[:, 2] + terms[:, 3], starts),
+             (H_zero_field, U_zero_field, starts[-1:]))
     worst = [0.0, 0.0]
     for gamma in (0.0, 0.5, 2.0):
-        noise = NoiseParams(gamma)
-        ks = build_kraus_set(noise, times)
-        for case, (point, U, rhos) in enumerate(cases):
+        ks = build_kraus_set(gamma, times)
+        for case, (generator, U, rhos) in enumerate(cases):
             Uh = np.swapaxes(U.conj(), -1, -2)
             for rho0 in rhos:
-                dev = np.max(np.abs(evolve_noisy_stack(rho0, point, noise, times)
+                dev = np.max(np.abs(evolve_noisy_stack(rho0, generator, gamma, times)
                                     - U @ apply_channel(rho0, ks) @ Uh))
                 worst[case] = np.maximum(worst[case], dev)
     ok = bool(worst[0] <= 1e-10 and worst[1] <= 1e-10)

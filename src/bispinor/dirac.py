@@ -95,7 +95,8 @@ def operator_stacks(grid) -> tuple:
     sin are math.cos and math.sin per point (np.cos can differ in the
     last bit), and every other step is elementwise. Parameters whose
     products overflow give inf or NaN entries without a numpy warning;
-    noise.evolve_noisy_stack refuses such an H as not finite.
+    the engine, noise.evolve_noisy_stack, takes one row of H as its
+    generator and refuses such a row as not finite.
     """
     m, p, kappa, mu, E, cos, sin = (column[:, None, None] for column in _fields(grid).T)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -155,8 +156,8 @@ def spectral_stacks(grid) -> tuple:
     The eigenvalues (closed_form_spectrum's, bit for bit) and g2 come from
     the parameters, not from H or O, so nothing cancels. Every step is per
     point or elementwise, so row i has the bits of a one-row call. The
-    projectors are the closed-form check on the numeric evolution
-    (noise.evolve_noisy_stack), which needs none.
+    projectors are the closed-form check on the numeric evolution of the
+    same H (noise.evolve_noisy_stack), which needs none.
 
     Raises DegenerateSpectrumError, by linalg._refuse on a stack, when a
     point's spectrum or g2 is not finite, or g2 or any |lambda| is below 1e-12.

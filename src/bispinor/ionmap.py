@@ -103,13 +103,16 @@ def assemble_ion_stack(ions, momenta) -> np.ndarray:
     acts back on (a,d), (b,c). The y pseudotensor term carries the pair
     order (a,d) minus (b,c): the opposite order fails the entrywise
     equality with the direct builder (see the sign tests). Row i does
-    not depend on the other rows, bit for bit.
+    not depend on the other rows, bit for bit. Coefficients that overflow
+    give inf or NaN entries without a numpy warning, as in
+    dirac.operator_stacks; noise.evolve_noisy_stack refuses such an H.
     """
     coef = np.array([(2.0 * ion.delta, 2.0 * ion.eta_delta_omega * p,
                       *(2.0 * w for w in ion.omega1), *(2.0 * w for w in ion.omega2))
                      for ion, p in zip(ions, momenta, strict=True)], dtype=float).reshape(-1, 8)
-    terms = coef.T[:, :, None, None] * _PAIR_SUMS[:, None]
-    H = terms[0]
-    for term in terms[1:]:
-        H = H + term
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = coef.T[:, :, None, None] * _PAIR_SUMS[:, None]
+        H = terms[0]
+        for term in terms[1:]:
+            H = H + term
     return H

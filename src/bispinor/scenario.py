@@ -25,10 +25,10 @@ from pathlib import Path
 import numpy as np
 
 from .correlations import COLUMNS, sample_correlations_stack
-from .dirac import DiracParams
+from .dirac import DiracParams, operator_stacks
 from .errors import InvariantViolation, UsageError
 from .linalg import _hermitian_checks, _refuse
-from .noise import NoiseParams, evolve_noisy_stack
+from .noise import evolve_noisy_stack
 from .values import ValueType
 
 _CATALOG = {"a": (0,), "b": (1,), "c": (2,), "d": (3,), "cat": (0, 3), "werner": (1, 2)}
@@ -231,22 +231,21 @@ def run_trajectory(config: ScenarioConfig) -> dict:
     Returns a dict mapping each name of correlations.COLUMNS, in CSV
     order, to a read-only float64 array with one entry per sample in time
     order. Sample k sits at t = k * dt, and the t column is the time axis
-    itself. The axis is evaluated in blocks of BLOCK_SAMPLES, whose six
-    measured columns are copied in; the t = 0 row is computed from the
-    initial state itself. Every block is checked against the invariants
+    itself. H is built once; the axis is evaluated in blocks of
+    BLOCK_SAMPLES, whose six measured columns are copied in; the t = 0
+    row is computed from the initial state itself. Every block is checked against the invariants
     before the next one runs; a violation aborts with a diagnostic naming
     the check and the time of the earliest failing sample. The pipeline
     has no randomness and its results do not depend on the block size, so
     identical configs give identical columns.
     """
-    params = scenario_params(config)
-    noise = NoiseParams(gamma_rate=config.gamma_over_p)
+    H = operator_stacks([scenario_params(config)])[0][0]
     rho0 = initial_state(config.initial_state, config.custom_state)
     times = np.arange(config.n_samples) * config.dt
     columns = {"t": times, **{name: np.empty(len(times)) for name in COLUMNS[1:]}}
     for start in range(0, len(times), BLOCK_SAMPLES):
         block = times[start:start + BLOCK_SAMPLES]
-        rhos = evolve_noisy_stack(rho0, params, noise, block)
+        rhos = evolve_noisy_stack(rho0, H, config.gamma_over_p, block)
         if start == 0:
             rhos[0] = rho0
         measured = sample_correlations_stack(rhos)

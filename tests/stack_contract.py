@@ -25,11 +25,11 @@ from bispinor.correlations import sample_correlations_stack
 from bispinor.dirac import DiracParams, closed_form_spectrum, operator_stacks, spectral_stacks
 from bispinor.ionmap import IonParams, assemble_ion_stack, dirac_to_ion
 from bispinor.linalg import partial_transpose, top_eigenvalue_3x3
-from bispinor.noise import NoiseParams, apply_channel, build_kraus_set, evolve_noisy_stack
+from bispinor.noise import apply_channel, build_kraus_set, evolve_noisy_stack
 
 BLOCK = scenario.BLOCK_SAMPLES + 37
 #: H = 0: the engine applies the dephasing channel alone
-NO_HAMILTONIAN = DiracParams(m=0.0, p=0.0, kappa=0.0, mu=0.0, E_field=0.0)
+NO_HAMILTONIAN = np.zeros((4, 4))
 
 
 def same_bits(a, b):
@@ -65,6 +65,10 @@ ion_points = (st.builds(lambda params: (dirac_to_ion(params), params.p), dirac_p
                                     omega1=st.tuples(couplings, couplings, couplings),
                                     omega2=st.tuples(couplings, couplings, couplings)),
                           energies))
+#: generators from both routes, and H = 0
+generators = (dirac_points.map(hamiltonian)
+              | ion_points.map(lambda point: assemble_ion_stack([point[0]], [point[1]])[0])
+              | st.just(NO_HAMILTONIAN))
 
 
 @st.composite
@@ -85,14 +89,14 @@ HUGE_TIME = 1e308
 
 
 def engine_refused_times(context):
-    """The times the engine refuses in a (state, params, noise) context."""
+    """The times the engine refuses in a (state, H, rate) context."""
     refused = st.sampled_from(REFUSED_TIMES)
-    top = float(np.max(np.abs(closed_form_spectrum([context[1]]))))
+    top = float(np.max(np.abs(np.linalg.eigvalsh(context[1]))))
     return refused | st.just(HUGE_TIME) if top >= 2.0 else refused
 
 
 #: Kraus rows that fail completeness: K_0 (a 1 on its diagonal) scaled, and NaN
-BROKEN_KRAUS_ROWS = (build_kraus_set(NoiseParams(0.5), [1.0])[0]
+BROKEN_KRAUS_ROWS = (build_kraus_set(0.5, [1.0])[0]
                      * np.array([1.0 + 1e-9, 1.0, 1.0, 1.0])[:, None, None],
                      np.full((4, 4, 4), np.nan))
 _SKEW = np.zeros((4, 4))
@@ -152,20 +156,17 @@ CASES = {
         _NONE, ion_points, None,
         ((None, [(IonParams(v[0], v[1], tuple(v[2:5]), tuple(v[5:8])), v[8])
                  for v in _UNIFORM.tolist()]),), 100),
-    "build_kraus_set": Case(build_kraus_set, st.builds(NoiseParams, rates), times,
-                            st.sampled_from(REFUSED_TIMES),
-                            ((NoiseParams(ROUNDING_RATE), ROUNDING_TIMES),)),
+    "build_kraus_set": Case(build_kraus_set, rates, times, st.sampled_from(REFUSED_TIMES),
+                            ((ROUNDING_RATE, ROUNDING_TIMES),)),
     "apply_channel": Case(
         apply_channel, density_matrices(),
-        st.builds(lambda rate, t: build_kraus_set(NoiseParams(rate), [t])[0], rates, times),
+        st.builds(lambda rate, t: build_kraus_set(rate, [t])[0], rates, times),
         st.sampled_from(BROKEN_KRAUS_ROWS),
-        ((ROUNDING_STATE, build_kraus_set(NoiseParams(ROUNDING_RATE), ROUNDING_TIMES)),)),
+        ((ROUNDING_STATE, build_kraus_set(ROUNDING_RATE, ROUNDING_TIMES)),)),
     "evolve_noisy_stack": Case(
         lambda context, ts: evolve_noisy_stack(*context, ts),
-        st.tuples(density_matrices(), dirac_points | st.just(NO_HAMILTONIAN),
-                  st.builds(NoiseParams, rates)),
-        times, engine_refused_times,
-        (((ROUNDING_STATE, MIXED_GRID[0], NoiseParams(ROUNDING_RATE)), ROUNDING_TIMES),)),
+        st.tuples(density_matrices(), generators, rates), times, engine_refused_times,
+        (((ROUNDING_STATE, hamiltonian(MIXED_GRID[0]), ROUNDING_RATE), ROUNDING_TIMES),)),
     "sample_correlations_stack": Case(
         lambda _, rhos: sample_correlations_stack(rhos), _NONE,
         density_matrices(), st.sampled_from(REFUSED_STATES),

@@ -186,11 +186,10 @@ def test_criterion_05_zero_rate_limit(cache):
 def test_criterion_05_catches_a_wrong_rotation(monkeypatch):
     # the reference must not share the engine's rotation: an engine that
     # rotates backwards in time, exp(+i H t), has to fail the check
-    def backwards(grid):
-        H, O = dirac.operator_stacks(grid)
-        return -H, O
+    def backwards(rho0, H, gamma_rate, times):
+        return noise.evolve_noisy_stack(rho0, -H, gamma_rate, times)
 
-    monkeypatch.setattr(noise, "operator_stacks", backwards)
+    monkeypatch.setattr(acceptance, "evolve_noisy_stack", backwards)
     ok, detail = acceptance.criterion_05(acceptance.AcceptanceCache())
     assert not ok, detail
 
@@ -198,10 +197,10 @@ def test_criterion_05_catches_a_wrong_rotation(monkeypatch):
 def test_criterion_05_catches_rotation_before_the_channel(monkeypatch):
     # Phi_t(U rho0 U^dag) agrees with the engine at Gamma = 0 only, so a
     # check of the noiseless limit alone passes it
-    def rotate_first(rho0, params, noise_params, times):
-        rotated = noise.evolve_noisy_stack(rho0, params, noise.NoiseParams(0.0), times)
+    def rotate_first(rho0, H, gamma_rate, times):
+        rotated = noise.evolve_noisy_stack(rho0, H, 0.0, times)
         return np.array([noise.evolve_noisy_stack(rho, acceptance.NO_HAMILTONIAN,
-                                                  noise_params, [t])[0]
+                                                  gamma_rate, [t])[0]
                          for rho, t in zip(rotated, times)])
 
     monkeypatch.setattr(acceptance, "evolve_noisy_stack", rotate_first)

@@ -22,10 +22,10 @@ from bispinor.correlations import COLUMNS, sample_correlations_stack
 from bispinor.dirac import DiracParams, operator_stacks, spectral_stacks
 from bispinor.errors import InvariantViolation
 from bispinor.linalg import IDENTITY_2, PAULI, partial_transpose
-from bispinor.noise import NoiseParams, apply_channel, build_kraus_set, evolve_noisy_stack
+from bispinor.noise import apply_channel, build_kraus_set, evolve_noisy_stack
 from bispinor.scenario import ScenarioConfig, initial_state, run_trajectory
 from stack_contract import (BLOCK_STATES, NO_HAMILTONIAN, ROUNDING_RATE, ROUNDING_TIMES, check_case,
-                            check_stack, density_matrices, rates, times, unit)
+                            check_stack, density_matrices, hamiltonian, rates, times, unit)
 
 TOL = 1e-12
 PROPERTY = settings(max_examples=40)
@@ -50,10 +50,10 @@ def reference_evolution(params, t):
     return sum(np.exp(-1j * lam * t) * P for lam, P in zip(lambdas[0], projectors[0]))
 
 
-def reference_state(rho0, params, noise, t):
+def reference_state(rho0, params, rate, t):
     """Kraus channel, then U(t) rho U(t)^dag with the closed-form U."""
     U = reference_evolution(params, t)
-    return U @ apply_channel(rho0, build_kraus_set(noise, [t]))[0] @ U.conj().T
+    return U @ apply_channel(rho0, build_kraus_set(rate, [t]))[0] @ U.conj().T
 
 
 def _clamped(value):
@@ -123,11 +123,10 @@ degenerate_params = st.one_of(
 @given(density_matrices(), nondegenerate_params | degenerate_params, rates,
        st.lists(times, min_size=1, max_size=6))
 def test_evolve_noisy_stack_matches_kraus_reference(rho0, params, rate, ts):
-    noise = NoiseParams(rate)
-    got = evolve_noisy_stack(rho0, params, noise, ts)
+    got = evolve_noisy_stack(rho0, hamiltonian(params), rate, ts)
     assert got.shape == (len(ts), 4, 4)
     for state, t in zip(got, ts):
-        np.testing.assert_allclose(state, reference_state(rho0, params, noise, t),
+        np.testing.assert_allclose(state, reference_state(rho0, params, rate, t),
                                    rtol=0, atol=TOL)
 
 
@@ -149,14 +148,14 @@ def mask_equals_kraus_coefficients(context, t, mask):
 def test_dephasing_mask_equals_kraus_coefficients(rate, ts):
     # at H = 0 the engine applies the channel alone, and on the all-ones
     # matrix it returns the channel's elementwise coefficients, row by row
-    context = (np.ones((4, 4)), NO_HAMILTONIAN, NoiseParams(rate))
+    context = (np.ones((4, 4)), NO_HAMILTONIAN, rate)
     assert check_stack("evolve_noisy_stack", context, ts, mask_equals_kraus_coefficients) is None
 
 
 def test_dephasing_mask_rejects_negative_time():
     # at H = 0, as at any H: the first refused time refuses the stack
     refusal = check_stack("evolve_noisy_stack",
-                          (np.ones((4, 4)), NO_HAMILTONIAN, NoiseParams(0.5)),
+                          (np.ones((4, 4)), NO_HAMILTONIAN, 0.5),
                           [0.0, 1.0, -0.01, math.nan])
     assert "forward in time" in str(refusal)
 
@@ -204,11 +203,10 @@ def _trajectory_config(n_samples, dt=0.01, **overrides):
 
 def _check_against_reference(columns, cfg):
     params = scenario.scenario_params(cfg)
-    noise = NoiseParams(cfg.gamma_over_p)
     rho0 = initial_state(cfg.initial_state)
     for k in range(cfg.n_samples):
         t = k * cfg.dt
-        rho = rho0 if k == 0 else reference_state(rho0, params, noise, t)
+        rho = rho0 if k == 0 else reference_state(rho0, params, cfg.gamma_over_p, t)
         assert columns["t"][k] == t
         assert_matches_reference(columns, k, rho)
 

@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from bispinor.dirac import DiracParams
 from bispinor.ionmap import IonParams, assemble_ion_stack, dirac_to_ion, pair_sigma
+from bispinor.noise import evolve_noisy_stack
 from stack_contract import check_case, hamiltonian, same_bits
 
 RNG = np.random.default_rng(99)
@@ -155,3 +157,13 @@ def test_stacked_assembly_matches_one_point_builds_bitwise():
     # every stack row is a one-row call, bit for bit, and the level-pair
     # sums built once give the term-by-term bits
     check_case("assemble_ion_stack", assemble_ion_stack=assembly_matches_formula)
+
+
+def test_an_overflowing_ion_generator_is_refused_without_a_warning():
+    # 2 delta = inf, and inf times the zeros of the other pair sums is NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        H = ion_hamiltonian(IonParams(1e308, 0.5, (0, 0, 0), (0, 0, 0)), 1.0)
+        assert not np.all(np.isfinite(H))
+        with pytest.raises(ValueError, match="^evolution generator entries must be finite$"):
+            evolve_noisy_stack(np.eye(4) / 4.0, H, 0.5, [0.0, 1.0])

@@ -70,6 +70,35 @@ def test_module_reads_every_top_level_name(path):
     assert not unread, f"{path.name} defines {unread} and no package module reads them"
 
 
+#: the package modules each module imports, nested imports included: the
+#: layering from linalg, values and errors up to acceptance and cli. The
+#: engine, noise, takes its generator and rate as plain inputs, so it sits
+#: on linalg alone
+PACKAGE_IMPORTS = {
+    "acceptance.py": {"correlations", "dirac", "ionmap", "noise", "scenario"},
+    "cli.py": {"acceptance", "errors", "ionmap", "scenario"},
+    "correlations.py": {"linalg"},
+    "dirac.py": {"errors", "linalg", "values"},
+    "errors.py": set(),
+    "ionmap.py": {"dirac", "values"},
+    "linalg.py": set(),
+    "noise.py": {"linalg"},
+    "scenario.py": {"correlations", "dirac", "errors", "linalg", "noise", "values"},
+    "values.py": set(),
+}
+
+
+def package_imports(path):
+    """The package modules a module imports, by its relative imports."""
+    return {node.module for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.ImportFrom) and node.level > 0}
+
+
+def test_modules_import_the_package_layering():
+    # a new package import changes the layering on purpose, here, or not at all
+    assert {path.name: package_imports(path) for path in MODULES} == PACKAGE_IMPORTS
+
+
 def test_acceptance_imports_no_private_name():
     # the shipped battery checks what users can call, not internals
     path = PACKAGE / "acceptance.py"

@@ -5,11 +5,21 @@ import pickle
 
 import pytest
 
-from bispinor import DiracParams, FeatureReport, IonParams, NoiseParams, ScenarioConfig
+from bispinor import DiracParams, FeatureReport, IonParams, ScenarioConfig
+from bispinor.values import ValueType
+
+
+class Rate(ValueType):
+    """A value type of one field, as the package's types are built."""
+
+    __slots__ = ("gamma_rate",)
+
+    def __init__(self, gamma_rate: float):
+        super().__init__(gamma_rate)
 
 VALUES = [
     lambda: DiracParams(1.0, 1.0, 0.5, -0.5, 2.0),
-    lambda: NoiseParams(0.5),
+    lambda: Rate(0.5),
     lambda: IonParams(1.0, 0.5, (0.1, 0.2, 0.3), (0.0, 0.0, 0.4)),
     lambda: FeatureReport(((1.0, 2.0),), 1, 0.0, 0.8, 0.01, 0.6),
     lambda: ScenarioConfig(m_over_p=2.5, initial_state="custom",
