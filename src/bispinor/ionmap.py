@@ -111,8 +111,8 @@ def assemble_ion_stack(ions, momenta) -> np.ndarray:
                       *(2.0 * w for w in ion.omega1), *(2.0 * w for w in ion.omega2))
                      for ion, p in zip(ions, momenta, strict=True)], dtype=float).reshape(-1, 8)
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = coef.T[:, :, None, None] * _PAIR_SUMS[:, None]
-        H = terms[0]
-        for term in terms[1:]:
-            H = H + term
+        # each term is added as it is formed: one (N, 4, 4) term at a time
+        H = coef[:, 0, None, None] * _PAIR_SUMS[0]
+        for c, S in zip(coef.T[1:], _PAIR_SUMS[1:]):
+            H += c[:, None, None] * S
     return H

@@ -153,9 +153,14 @@ def evolve_noisy_stack(rho0, H, gamma_rate: float, times) -> np.ndarray:
     T = (V.T[:, None, :, None] * Vh[None, :, None, :]).reshape(16, 16)
     p = np.exp(-1j * phases)
     g = gamma[:, None, None]
-    # Y = Phi o (b0 + g b1 + g^2 b2). Complex sums commute bit for bit but
-    # complex products need not, so each product keeps its operand order
-    Y = (p[:, :, None] * p.conj()[:, None, :]) * (b0 + g * b1 + g * g * b2)
+    # Y = Phi o (b0 + g b1 + g^2 b2), built in place. Complex sums commute bit
+    # for bit but complex products need not, so each product keeps its
+    # operand order; no block-sized partial sum outlives its next step
+    B = g * b1
+    B += b0
+    B += (g * g) * b2
+    Y = p[:, :, None] * p.conj()[:, None, :]
+    Y *= B
     # one (1, 16) @ (16, 16) product per row: a flat (B, 16) product rounds
     # differently with the number of rows
     return (Y.reshape(-1, 1, 16) @ T).reshape(-1, 4, 4)

@@ -55,7 +55,9 @@ MAX_SAMPLES = 1_000_000
 #:       256     32.2 MB       33.0 MB          16.3 ms
 #:
 #: 512 keeps most of the saving; smaller blocks save 0.3-0.5 MB more and
-#: pay numpy's per-call overhead more often.
+#: pay numpy's per-call overhead more often. The table predates the
+#: engine's in-place Y and the streamed ion assembly, which took selftest
+#: at 512 from 33.47 to 33.20 MB and left figure at 32.6-32.7 MB.
 BLOCK_SAMPLES = 512
 
 #: the config schema: every config key in order, with the default a config
@@ -264,8 +266,9 @@ def death_runs(negativities, eps_dead: float) -> list:
     lone dead sample is a run of length one.
     """
     dead = np.asarray(negativities, dtype=float) < eps_dead
-    # +1 where a run starts, -1 one past where it ends
-    edges = np.flatnonzero(np.diff(dead.astype(np.int8), prepend=0, append=0))
+    # the boolean diff is True where the mask flips: at a run's first sample
+    # and one past its last; False padding keeps it boolean, 1 B a sample
+    edges = np.flatnonzero(np.diff(dead, prepend=False, append=False))
     return list(zip(edges[0::2].tolist(), (edges[1::2] - 1).tolist()))
 
 
@@ -287,8 +290,11 @@ def detect_features(columns: dict,
     if not neg.size:
         raise ValueError("empty trajectory")
     intervals = [(k0, k1) for k0, k1 in death_runs(neg, eps_dead) if k1 > k0]
-    alive = np.flatnonzero(neg > eps_alive)
-    last_alive = int(alive[-1]) if alive.size else -1
+    # argmax finds the first alive sample of the reversed mask; when none is
+    # alive it gives 0, so k is the last sample and alive[k] is False
+    alive = neg > eps_alive
+    k = neg.size - 1 - int(np.argmax(alive[::-1]))
+    last_alive = k if alive[k] else -1
     residual = None
     if intervals:
         residual = min(float(d1[k0:k1 + 1].min()) for k0, k1 in intervals)

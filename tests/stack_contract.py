@@ -13,6 +13,7 @@ than hypothesis's mostly simple draws, and BLAS picks kernels by length.
 """
 
 import math
+import tracemalloc
 from typing import NamedTuple
 
 import numpy as np
@@ -39,6 +40,22 @@ def same_bits(a, b):
 def hamiltonian(params):
     """H of one point, as a one-row call."""
     return operator_stacks([params])[0][0]
+
+
+def traced_peak(call) -> int:
+    """Bytes call() allocates at its peak under tracemalloc, after a warm call.
+
+    numpy's buffers are traced too; what call() keeps is counted.
+    """
+    call()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 # ------------------------------------------------------------- rows

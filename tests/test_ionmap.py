@@ -4,10 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
+from bispinor import acceptance
 from bispinor.dirac import DiracParams
 from bispinor.ionmap import IonParams, assemble_ion_stack, dirac_to_ion, pair_sigma
 from bispinor.noise import evolve_noisy_stack
-from stack_contract import check_case, hamiltonian, same_bits
+from stack_contract import check_case, hamiltonian, same_bits, traced_peak
 
 RNG = np.random.default_rng(99)
 
@@ -157,6 +158,18 @@ def test_stacked_assembly_matches_one_point_builds_bitwise():
     # every stack row is a one-row call, bit for bit, and the level-pair
     # sums built once give the term-by-term bits
     check_case("assemble_ion_stack", assemble_ion_stack=assembly_matches_formula)
+
+
+def test_the_assembly_holds_one_term_at_a_time():
+    # the 240 tilted grid points give a 60 KiB output. Adding each
+    # coefficient-times-sum term as it is formed peaks at 259 KiB under
+    # tracemalloc, most of it the coefficient rows built from Python
+    # floats; the (8, N, 4, 4) term stack took it to 755 KiB
+    grid = acceptance._tilted_grid()
+    ions = [dirac_to_ion(params) for params in grid]
+    momenta = [params.p for params in grid]
+    peak = traced_peak(lambda: assemble_ion_stack(ions, momenta))
+    assert peak <= 300 * 1024, peak / 1024
 
 
 def test_an_overflowing_ion_generator_is_refused_without_a_warning():

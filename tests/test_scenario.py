@@ -1,7 +1,6 @@
 import json
 import math
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +14,7 @@ from bispinor.scenario import (BLOCK_SAMPLES, CSV_HEADER, MAX_SAMPLES, ScenarioC
                                _check_block, death_runs, detect_features,
                                emit_outputs, initial_state, load_config,
                                parse_config_text, run_scenario, run_trajectory)
-from stack_contract import density_matrices, unit
+from stack_contract import density_matrices, traced_peak, unit
 
 CAT_ENTRIES = "0.5,0,0,0.5," "0,0,0,0," "0,0,0,0," "0.5,0,0,0.5"
 
@@ -235,20 +234,13 @@ def test_run_trajectory_initial_row():
 
 def test_a_figure_trajectory_holds_one_block_at_a_time():
     # the tracemalloc peak of the figure run (2001 samples) after a warm call,
-    # numpy's buffers included: 1000 KiB at BLOCK_SAMPLES = 512, 1302 at 768
-    # and 1565 at 1024. The seven columns take 110 KiB of it; the rest is the
-    # working set of one block
+    # numpy's buffers included: 903 KiB at BLOCK_SAMPLES = 512 with the
+    # engine's in-place Y (1003 KiB with the plain expression, 1302 at 768
+    # and 1565 at 1024). The seven columns take 110 KiB of it; the rest is
+    # the working set of one block
     cfg = ScenarioConfig(initial_state="cat", m_over_p=1.0, t_max=20.0, dt=0.01)
-    run_trajectory(cfg)
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        run_trajectory(cfg)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1100 * 1024, peak / 1024
+    peak = traced_peak(lambda: run_trajectory(cfg))
+    assert peak <= 950 * 1024, peak / 1024
 
 
 def test_run_trajectory_deterministic():
@@ -306,6 +298,60 @@ def test_death_runs_are_maximal():
     assert death_runs(np.array([]), 1e-6) == []
     assert death_runs(np.full(5, 1e-8), 1e-6) == [(0, 4)]
     assert death_runs(np.array([0.5, 0.5, 1e-8]), 1e-6) == [(2, 2)]
+
+
+def scanned_features(neg, eps_dead, eps_alive):
+    """Death runs and the last alive index of a plain Python scan."""
+    runs, start = [], None
+    for k, value in enumerate(neg):
+        if value < eps_dead:
+            start = k if start is None else start
+        elif start is not None:
+            runs.append((start, k - 1))
+            start = None
+    if start is not None:
+        runs.append((start, len(neg) - 1))
+    alive = [k for k, value in enumerate(neg) if value > eps_alive]
+    return runs, alive[-1] if alive else -1
+
+
+#: dead, between the thresholds, alive and NaN (neither dead nor alive)
+SCAN_VALUES = (1e-8, 1e-4, 0.5, math.nan)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.sampled_from(SCAN_VALUES), max_size=40))
+@example([1e-8] * 7)
+@example([0.5] * 7)
+@example([1e-8, 1e-8, 0.5, math.nan, 1e-8, 1e-8])
+@example([math.nan] * 3)
+def test_death_runs_and_revivals_match_a_plain_scan(neg):
+    runs, last_alive = scanned_features(neg, 1e-6, 1e-2)
+    assert death_runs(neg, 1e-6) == runs
+    assert death_runs(np.array(neg), 1e-6) == runs
+    assume(neg)
+    report = detect_features(synthetic_record(neg, dt=1.0))
+    intervals = [(k0, k1) for k0, k1 in runs if k1 > k0]
+    assert report.death_intervals == tuple((float(k0), float(k1)) for k0, k1 in intervals)
+    assert report.revival_count == sum(k1 < last_alive for _, k1 in intervals)
+
+
+def test_the_feature_scan_holds_a_few_bytes_a_sample():
+    # a 200,001-sample column set: a mid-run death interval, alive samples,
+    # and a terminal one. The scan's masks take 1 B a sample each; the
+    # tracemalloc peak was 18.0 B a sample with an int8 diff promoted to
+    # int64 and an int64 index of every alive sample, and is 3.0 B now
+    n = 200_001
+    neg = np.full(n, 0.5)
+    neg[50_000:60_000] = 1e-8
+    neg[190_000:] = 1e-8
+    columns = synthetic_record(neg, dt=0.01)
+    peak = traced_peak(lambda: detect_features(columns))
+    assert peak <= 4 * n, peak / n
+    report = detect_features(columns)
+    assert report.death_intervals == (
+        (columns["t"][50_000], columns["t"][59_999]), (columns["t"][190_000], 2000.0))
+    assert report.revival_count == 1
 
 
 def test_emit_outputs_files(tmp_path):

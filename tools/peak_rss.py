@@ -1,14 +1,17 @@
-"""Peak RSS of the benchmark's three workloads, each run in plain-fork children.
+"""Peak RSS of the benchmark's three workloads and one long run, in plain-fork children.
 
     PYTHONPATH=src python tools/peak_rss.py [N]
 
 runs `python -m bispinor.cli` N times (default 5) for each of the
 benchmark's workloads (figure, sweep, selftest), on the package that
-PYTHONPATH selects. Each run gets a fresh working directory holding the
-inputs `perfbench/workloads.py` writes for it, and is a child started by
-`os.fork` and `os.execve`. The rounds interleave the workloads. Prints
-each workload's median, min and max `ru_maxrss` in MB, and exits 1 if a
-run returned another exit code than its workload expects.
+PYTHONPATH selects, and for a fourth, fixed run: `long`, the figure
+config at t_max = 2000 (200,001 samples), where the columns and the
+feature scan, not one block's working set, set the peak. Each run gets a
+fresh working directory holding the inputs `perfbench/workloads.py`
+writes for it (for `long`, the figure config with its t_max changed),
+and is a child started by `os.fork` and `os.execve`. The rounds
+interleave the runs. Prints each run's median, min and max `ru_maxrss`
+in MB, and exits 1 if a run returned another exit code than expected.
 
 Why a plain fork: `subprocess` starts its children by vfork, and a vfork
 child shares its parent's memory until exec, which folds the parent's
@@ -28,7 +31,21 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-from workloads import DEFAULT_SEED, WORKLOADS, prepare  # noqa: E402
+from workloads import DEFAULT_SEED, FIGURE_CONFIG, WORKLOADS, prepare  # noqa: E402
+
+#: the figure config at t_max = 2000: 200,001 samples
+LONG_CONFIG = FIGURE_CONFIG.replace("t_max = 20.0\n", "t_max = 2000.0\n")
+assert LONG_CONFIG != FIGURE_CONFIG
+#: each run's expected exit code, in round order
+EXPECTED_EXIT = {**{name: w.expected_exit for name, w in WORKLOADS.items()}, "long": 0}
+
+
+def prepare_run(name: str, unit_dir: Path) -> list:
+    """Write run name's inputs into unit_dir and return the CLI arguments."""
+    if name != "long":
+        return prepare(name, DEFAULT_SEED, unit_dir)
+    (unit_dir / "run.cfg").write_text(LONG_CONFIG)
+    return ["simulate", "--config", "run.cfg"]
 
 
 def run_forked(argv: list, cwd: Path, env: dict) -> tuple:
@@ -58,17 +75,17 @@ def main(runs: int) -> int:
         # TMPDIR keeps selftest's temporary directory in here too
         env = dict(os.environ, TMPDIR=tmp,
                    PYTHONPATH=os.pathsep.join(str(Path(p).resolve()) for p in paths if p))
-        peaks = {name: [] for name in WORKLOADS}
+        peaks = {name: [] for name in EXPECTED_EXIT}
         for k in range(runs):
-            for name, workload in WORKLOADS.items():
+            for name, expected in EXPECTED_EXIT.items():
                 unit_dir = Path(tmp) / f"{name}_{k}"
                 unit_dir.mkdir()
-                args = prepare(name, DEFAULT_SEED, unit_dir)
+                args = prepare_run(name, unit_dir)
                 code, peak = run_forked([sys.executable, "-m", "bispinor.cli", *args],
                                         unit_dir, env)
-                if code != workload.expected_exit:
+                if code != expected:
                     failed = True
-                    print(f"{name} run {k}: exit {code}, expected {workload.expected_exit}: "
+                    print(f"{name} run {k}: exit {code}, expected {expected}: "
                           f"{(unit_dir / 'stderr.txt').read_text()[-300:]}", file=sys.stderr)
                 peaks[name].append(peak)
     for name, values in peaks.items():
