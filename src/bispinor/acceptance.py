@@ -77,7 +77,7 @@ def _product_state() -> np.ndarray:
 
 
 def _grid(theta=math.pi / 4) -> list:
-    return [DiracParams(m=m, p=1.0, kappa=k, mu=mu, E_field=E, theta=theta)
+    return [DiracParams(m=m, kappa=k, mu=mu, E_field=E, theta=theta)
             for m, E, k, mu in itertools.product(GRID_M, GRID_E, GRID_COUPLING,
                                                  GRID_COUPLING)]
 
@@ -121,7 +121,7 @@ def criterion_01(cache) -> tuple:
     GRID_THETA and two anchors.
     """
     grid = _tilted_grid()
-    anchors = [DiracParams(m, 1.0, 1.0, 1.0, 1.0) for m in (0.0, 1.0)]
+    anchors = [DiracParams(m=m, kappa=1.0, mu=1.0, E_field=1.0) for m in (0.0, 1.0)]
     closed = np.sort(closed_form_spectrum(grid + anchors))
     numeric = np.linalg.eigvalsh(operator_stacks(grid)[0])
     worst = float(np.max(np.abs(closed[:-2] - numeric) / np.abs(closed[:-2])))
@@ -153,8 +153,7 @@ def criterion_03(cache) -> tuple:
     """Ion assembly equals the direct builder entrywise to 1e-12, at every angle."""
     grid = _tilted_grid()
     direct = operator_stacks(grid)[0]
-    mapped = assemble_ion_stack([dirac_to_ion(params) for params in grid],
-                                [params.p for params in grid])
+    mapped = assemble_ion_stack([dirac_to_ion(params) for params in grid])
     worst = float(np.max(np.abs(direct - mapped)))
     return worst <= 1e-12, (f"worst entrywise deviation {worst:.3g} over {len(grid)} "
                             f"grid points at {len(GRID_THETA)} angles")
@@ -201,16 +200,16 @@ def criterion_05(cache) -> tuple:
     engine that rotates before the channel fails. At E = 1 it is
     sum_k exp(-i lambda_k t) P_k from the closed-form projectors. At
     E = 0 the spectrum is degenerate and has no projectors, but
-    H^2 = w^2 I with w^2 = m^2 + p^2, so U(t) = cos(w t) I - i sin(w t) H / w;
+    H^2 = w^2 I with w^2 = m^2 + 1, so U(t) = cos(w t) I - i sin(w t) H / w;
     the product start, whose 16 entries are all nonzero, is evolved there.
     Gamma = 0 (Kraus set {I, 0, 0, 0}) is the noiseless limit.
     """
     times = np.array([0.5, 1.0, 5.0, 20.0])
-    params = DiracParams(m=1.0, p=1.0, kappa=1.0, mu=1.0, E_field=1.0)
+    params = DiracParams(m=1.0, kappa=1.0, mu=1.0, E_field=1.0)
     H, _, _, lambdas, P = spectral_stacks([params])
     terms = np.exp(-1j * np.multiply.outer(times, lambdas[0]))[..., None, None] * P[0]
-    zero_field = DiracParams(m=1.0, p=1.0, kappa=1.0, mu=1.0, E_field=0.0)
-    w = math.hypot(zero_field.m, zero_field.p)
+    zero_field = DiracParams(m=1.0, kappa=1.0, mu=1.0, E_field=0.0)
+    w = math.hypot(zero_field.m, 1.0)
     H_zero_field = operator_stacks([zero_field])[0][0]
     U_zero_field = (np.cos(w * times)[:, None, None] * np.eye(4)
                     - 1j * (np.sin(w * times) / w)[:, None, None] * H_zero_field)

@@ -5,8 +5,8 @@ the parity (F) degree of freedom, qubit 2 the spin (M) one, with basis
 order (|a>,|b>,|c>,|d>) = (|00>,|01>,|10>,|11>). The generator combines a
 mass term, a kinetic term for momentum p along x, and tensor/pseudotensor
 couplings (kappa, mu) to an electric-type field of magnitude E in the xy
-plane at angle theta. Units are natural (hbar = c = 1), so every quantity
-is an energy in units of p.
+plane at angle theta. Units are natural (hbar = c = 1), and p is the unit
+of energy: every quantity is in units of p, so p = 1 and is no parameter.
 
 The commuting invariant operator built here squares to a scalar g2, which
 yields a closed-form spectrum and four rank-1 analytic spectral projectors.
@@ -39,21 +39,21 @@ SPECTRAL_KEYS = ((0, 0), (1, 0), (0, 1), (1, 1))
 
 
 class DiracParams(ValueType):
-    """Physical configuration (all energies in units of hbar = c = 1).
+    """Physical configuration in units of p (hbar = c = 1); keywords only.
 
-    m, p and E_field must be nonnegative and finite; theta defaults to
+    m and E_field must be nonnegative and finite; theta defaults to
     pi/4, the field angle of the paper's figures.
     """
 
-    __slots__ = ("m", "p", "kappa", "mu", "E_field", "theta")
+    __slots__ = ("m", "kappa", "mu", "E_field", "theta")
 
-    def __init__(self, m: float, p: float, kappa: float, mu: float, E_field: float,
+    def __init__(self, *, m: float, kappa: float, mu: float, E_field: float,
                  theta: float = math.pi / 4):
-        super().__init__(m, p, kappa, mu, E_field, theta)
-        if not all(math.isfinite(v) for v in (m, p, kappa, mu, E_field, theta)):
+        super().__init__(m, kappa, mu, E_field, theta)
+        if not all(math.isfinite(v) for v in (m, kappa, mu, E_field, theta)):
             raise ValueError("all parameters must be finite")
-        if m < 0 or p < 0 or E_field < 0:
-            raise ValueError("m, p and E_field must be nonnegative")
+        if m < 0 or E_field < 0:
+            raise ValueError("m and E_field must be nonnegative")
 
 
 # fixed two-qubit representation: beta = sz (x) I, alpha_i = sx (x) s_i,
@@ -74,21 +74,21 @@ _YZ = np.kron(SIGMA_Y, SIGMA_Z)
 
 
 def _fields(grid) -> np.ndarray:
-    """The (N, 7) float64 (m, p, kappa, mu, E, cos theta, sin theta) of every point of grid."""
-    return np.array([(q.m, q.p, q.kappa, q.mu, q.E_field, math.cos(q.theta),
-                      math.sin(q.theta)) for q in grid], dtype=float).reshape(-1, 7)
+    """The (N, 6) float64 (m, kappa, mu, E, cos theta, sin theta) of every point of grid."""
+    return np.array([(q.m, q.kappa, q.mu, q.E_field, math.cos(q.theta),
+                      math.sin(q.theta)) for q in grid], dtype=float).reshape(-1, 6)
 
 
 def operator_stacks(grid) -> tuple:
     """H and O of every point of a sequence of DiracParams, as (N, 4, 4) stacks.
 
-    H = m*beta + p*alpha_x + kappa*(beta Sigma . E_vec)
+    H = m*beta + alpha_x + kappa*(beta Sigma . E_vec)
         + i*mu*(beta alpha . E_vec)
-    with E_vec = E*(cos theta, sin theta, 0) and momentum (p, 0, 0), and
-    the invariant operator, which commutes with H and squares to g2 * I,
+    with E_vec = E*(cos theta, sin theta, 0) and momentum (1, 0, 0) (p is the
+    unit), and the invariant operator, which commutes with H and squares to g2 I,
 
     O = m*kappa*(Sigma . E_vec) + mu*(beta Sigma . (p x E))
-        - i*kappa*(beta alpha . (p x E)), where p x E = p*E*sin(theta) zhat.
+        - i*kappa*(beta alpha . (p x E)), where p x E = E*sin(theta) zhat.
 
     The package's one builder of both operators; one point is a one-row
     call. Row i does not depend on the other rows, bit for bit: cos and
@@ -98,15 +98,15 @@ def operator_stacks(grid) -> tuple:
     the engine, noise.evolve_noisy_stack, takes one row of H as its
     generator and refuses such a row as not finite.
     """
-    m, p, kappa, mu, E, cos, sin = (column[:, None, None] for column in _fields(grid).T)
+    m, kappa, mu, E, cos, sin = (column[:, None, None] for column in _fields(grid).T)
     with np.errstate(over="ignore", invalid="ignore"):
         ex = E * cos
         ey = E * sin
-        H = m * BETA + p * ALPHA_X
+        H = m * BETA + ALPHA_X
         # beta*Sigma_i = sz (x) s_i ; i*beta*alpha_i = -sy (x) s_i
         H = H + kappa * (ex * _ZX + ey * _ZY)
         H = H - mu * (ex * _YX + ey * _YY)
-        cross_z = p * E * sin
+        cross_z = E * sin
         O = m * kappa * (ex * _IX + ey * _IY)
         O = O + mu * cross_z * _ZZ
         # -i*beta*alpha_z = sy (x) sz
@@ -116,12 +116,12 @@ def operator_stacks(grid) -> tuple:
 
 def _closed_form(grid) -> tuple:
     """closed_form_spectrum's (N, 4) eigenvalues and the (N,) g2 of every point of grid."""
-    m, p, k, mu, E, cos, sin = _fields(grid).T
+    m, k, mu, E, cos, sin = _fields(grid).T
     with np.errstate(over="ignore", invalid="ignore"):
-        inner = m * m * k * k + (mu * mu + k * k) * p * p * (sin * sin)
-        mass, field = p * p + m * m, (k * k + mu * mu) * E * E
+        inner = m * m * k * k + (mu * mu + k * k) * (sin * sin)
+        mass, field = 1.0 + m * m, (k * k + mu * mu) * E * E
         plus = mass + field + 2.0 * (E * np.sqrt(inner))
-        det = (mass - field) ** 2 + 4.0 * (field * p * p * (cos * cos) + E * E * m * m * mu * mu)
+        det = (mass - field) ** 2 + 4.0 * (field * (cos * cos) + E * E * m * m * mu * mu)
         # lambda_(0,0) = 0 only where H = 0, and then det H = 0 too
         lam = np.sqrt(np.stack((plus, det / np.where(plus > 0.0, plus, 1.0)), axis=1))
         return lam[:, [0, 0, 1, 1]] * np.array([1.0, -1.0, 1.0, -1.0]), E * E * inner
@@ -130,13 +130,13 @@ def _closed_form(grid) -> tuple:
 def closed_form_spectrum(grid) -> np.ndarray:
     """The eigenvalues of every point of grid, as (N, 4), from the parameters alone.
 
-    lambda_(n,s) = (-1)^n sqrt(p^2 + m^2 + (kappa^2 + mu^2) E^2 + 2 (-1)^s sqrt(g2)),
-    g2 = E^2 (m^2 kappa^2 + (mu^2 + kappa^2) p^2 sin^2 theta), in SPECTRAL_KEYS
-    order, at any theta; the paper's formula is the case sin^2 theta = 1/2. H is
-    never read, so the closed form stays an independent route to the spectrum.
+    lambda_(n,s) = (-1)^n sqrt(1 + m^2 + (kappa^2 + mu^2) E^2 + 2 (-1)^s sqrt(g2)),
+    g2 = E^2 (m^2 kappa^2 + (mu^2 + kappa^2) sin^2 theta), in SPECTRAL_KEYS order,
+    in units of p, at any theta; the paper's formula is the case sin^2 theta = 1/2.
+    H is never read, so the closed form stays an independent route to the spectrum.
     The s = 1 radicand would cancel; it is det H / lambda_(0,0)^2, with the sum of
-    squares det H = (p^2 + m^2 - (kappa^2 + mu^2) E^2)^2 + 4 E^2 ((kappa^2 + mu^2)
-    p^2 cos^2 theta + m^2 mu^2); only inputs whose squares underflow (|x| < 1e-154)
+    squares det H = (1 + m^2 - (kappa^2 + mu^2) E^2)^2 + 4 E^2 ((kappa^2 + mu^2)
+    cos^2 theta + m^2 mu^2); only inputs whose squares underflow (|x| < 1e-154)
     still give 0. Row i does not depend on the other rows, bit for bit.
     """
     return _closed_form(grid)[0]

@@ -28,15 +28,16 @@ class IonParams(ValueType):
     delta is the carrier detuning, eta_delta_omega the combined
     sideband coupling eta * Delta * Omega-tilde (the velocity analog,
     c/2 = 1/2 in natural units), omega1 and omega2 the three carrier
-    Rabi frequencies of the tensor and pseudotensor channels.
+    Rabi frequencies of the tensor and pseudotensor channels, as tuples.
     """
 
     __slots__ = ("delta", "eta_delta_omega", "omega1", "omega2")
 
-    def __init__(self, delta: float, eta_delta_omega: float, omega1: tuple, omega2: tuple):
-        super().__init__(delta, eta_delta_omega, omega1, omega2)
+    def __init__(self, delta: float, eta_delta_omega: float, omega1, omega2):
+        # checked before float(), which would parse a str entry that isfinite refuses
         if not all(math.isfinite(v) for v in (delta, eta_delta_omega, *omega1, *omega2)):
             raise ValueError("all ion parameters must be finite")
+        super().__init__(delta, eta_delta_omega, *(tuple(map(float, w)) for w in (omega1, omega2)))
         if delta < 0:
             raise ValueError("delta must be nonnegative")
         if len(omega1) != 3 or len(omega2) != 3:
@@ -92,24 +93,23 @@ _PAIR_SUMS = np.array([
 ])
 
 
-def assemble_ion_stack(ions, momenta) -> np.ndarray:
-    """Ionic Hamiltonians of paired sequences of IonParams and momenta, (N, 4, 4).
+def assemble_ion_stack(ions) -> np.ndarray:
+    """Ionic Hamiltonians of a sequence of IonParams, (N, 4, 4), in units of p.
 
     The package's one ion assembly, from Pauli operators on level pairs:
-    H = sum_k c_k S_k over _PAIR_SUMS with
-    c = 2 (delta, eta_delta_omega p, omega1, omega2), summed in that
-    order. Mass and kinetic parts act on the (a,d) and (b,c) pairs; the
-    tensor channel couples (a,b) against (c,d); the pseudotensor channel
-    acts back on (a,d), (b,c). The y pseudotensor term carries the pair
-    order (a,d) minus (b,c): the opposite order fails the entrywise
-    equality with the direct builder (see the sign tests). Row i does
-    not depend on the other rows, bit for bit. Coefficients that overflow
-    give inf or NaN entries without a numpy warning, as in
-    dirac.operator_stacks; noise.evolve_noisy_stack refuses such an H.
+    H = sum_k c_k S_k over _PAIR_SUMS with c = 2 (delta, eta_delta_omega, omega1,
+    omega2), summed in that order; dirac_to_ion makes the kinetic coefficient
+    2 eta_delta_omega 1, the unit. Mass and kinetic parts act on the (a,d) and
+    (b,c) pairs; the tensor channel couples (a,b) against (c,d); the pseudotensor
+    channel acts back on (a,d), (b,c). The y pseudotensor term carries the pair
+    order (a,d) minus (b,c): the opposite order fails the entrywise equality with
+    the direct builder (see the sign tests). Row i does not depend on the other
+    rows, bit for bit. Overflowing coefficients give inf or NaN entries without a
+    numpy warning, as in dirac.operator_stacks; noise.evolve_noisy_stack refuses them.
     """
-    coef = np.array([(2.0 * ion.delta, 2.0 * ion.eta_delta_omega * p,
+    coef = np.array([(2.0 * ion.delta, 2.0 * ion.eta_delta_omega,
                       *(2.0 * w for w in ion.omega1), *(2.0 * w for w in ion.omega2))
-                     for ion, p in zip(ions, momenta, strict=True)], dtype=float).reshape(-1, 8)
+                     for ion in ions], dtype=float).reshape(-1, 8)
     with np.errstate(over="ignore", invalid="ignore"):
         # each term is added as it is formed: one (N, 4, 4) term at a time
         H = coef[:, 0, None, None] * _PAIR_SUMS[0]

@@ -1,7 +1,7 @@
 """Scenario catalog, trajectory runner, feature detection and file outputs.
 
 A scenario fixes the physical ratios (everything is expressed in units of
-the momentum p, which is set to 1 internally), an initial state from the
+the momentum p, the unit of every builder), an initial state from the
 catalog, a sampling grid and output options. Configs are flat key=value
 text files over one schema, _CONFIG_DEFAULTS: every key with its default,
 whose type is the key's type. A ScenarioConfig, a values.ValueType, holds
@@ -92,6 +92,11 @@ class ScenarioConfig(ValueType):
         unknown = values.keys() - _CONFIG_DEFAULTS.keys()
         if unknown:
             raise TypeError(f"ScenarioConfig got unexpected keywords {sorted(unknown)}")
+        if values.get("custom_state") is not None:  # a tuple, to hash and compare by value
+            state = tuple(values["custom_state"])  # checked before complex() would parse a str
+            if not all(map(cmath.isfinite, state)):
+                raise UsageError("custom_state entries must be finite")
+            values["custom_state"] = tuple(map(complex, state))
         super().__init__(*dict(_CONFIG_DEFAULTS, **values).values())
         for key in _FLOAT_KEYS:
             value = getattr(self, key)
@@ -120,9 +125,6 @@ class ScenarioConfig(ValueType):
             raise UsageError("initial_state = custom requires a custom_state entry")
         if self.initial_state != "custom" and self.custom_state is not None:
             raise UsageError("custom_state is only meaningful with initial_state = custom")
-        if self.custom_state is not None and not all(
-                cmath.isfinite(z) for z in self.custom_state):
-            raise UsageError("custom_state entries must be finite")
         # an empty path would write into the working directory
         if not self.outputs:
             raise UsageError("outputs must name a directory")
@@ -222,9 +224,9 @@ def _check_block(t, c: dict) -> None:
 
 
 def scenario_params(config: ScenarioConfig) -> DiracParams:
-    """DiracParams of a config point, with p = 1 fixing the unit system."""
-    return DiracParams(m=config.m_over_p, p=1.0, kappa=config.kappa,
-                       mu=config.mu, E_field=config.E_over_p, theta=config.theta)
+    """DiracParams of a config point; its ratios to p are DiracParams' units."""
+    return DiracParams(m=config.m_over_p, kappa=config.kappa, mu=config.mu,
+                       E_field=config.E_over_p, theta=config.theta)
 
 
 def run_trajectory(config: ScenarioConfig) -> dict:
@@ -312,8 +314,7 @@ def config_echo(config: ScenarioConfig) -> dict:
     """Every config field in schema order; custom entries as [re, im] pairs."""
     echo = config._asdict()
     if config.custom_state is not None:
-        echo["custom_state"] = [[complex(z).real, complex(z).imag]
-                                for z in config.custom_state]
+        echo["custom_state"] = [[z.real, z.imag] for z in config.custom_state]
     return echo
 
 

@@ -69,22 +69,21 @@ angles = st.floats(0.0, 2.0 * math.pi) | st.just(math.pi / 4)
 
 
 def _points(E_field=energies, kappa=couplings, mu=couplings):
-    return st.builds(DiracParams, m=energies, p=energies, kappa=kappa, mu=mu,
-                     E_field=E_field, theta=angles)
+    return st.builds(DiracParams, m=energies, kappa=kappa, mu=mu, E_field=E_field,
+                     theta=angles)
 
 
 #: random points, with E = 0 and kappa = mu = 0 (degenerate spectra) among them
 dirac_points = _points() | _points(E_field=st.just(0.0)) | _points(kappa=st.just(0.0),
                                                                    mu=st.just(0.0))
-#: (ion, p) pairs: mapped points, and free ion settings
-ion_points = (st.builds(lambda params: (dirac_to_ion(params), params.p), dirac_points)
-              | st.tuples(st.builds(IonParams, delta=energies, eta_delta_omega=couplings,
-                                    omega1=st.tuples(couplings, couplings, couplings),
-                                    omega2=st.tuples(couplings, couplings, couplings)),
-                          energies))
+#: IonParams: mapped points, and free ion settings
+ion_points = (st.builds(dirac_to_ion, dirac_points)
+              | st.builds(IonParams, delta=energies, eta_delta_omega=couplings,
+                          omega1=st.tuples(couplings, couplings, couplings),
+                          omega2=st.tuples(couplings, couplings, couplings)))
 #: generators from both routes, and H = 0
 generators = (dirac_points.map(hamiltonian)
-              | ion_points.map(lambda point: assemble_ion_stack([point[0]], [point[1]])[0])
+              | ion_points.map(lambda ion: assemble_ion_stack([ion])[0])
               | st.just(NO_HAMILTONIAN))
 
 
@@ -127,12 +126,13 @@ REFUSED_STATES = (np.diag([0.25, 0.25, 0.25, np.nan]), np.eye(4) / 4.0 + 1e-9 * 
 
 # ------------------------------------------------------------- fixed stacks
 
-#: spectral_stacks accepts the first point and refuses the second (g2 = 0)
-MIXED_GRID = [DiracParams(m=1.0, p=1.0, kappa=1.0, mu=1.0, E_field=1.0),
-              DiracParams(m=0.5, p=1.0, kappa=0.0, mu=0.0, E_field=2.0, theta=1.3),
-              DiracParams(m=2.0, p=0.7, kappa=-1.5, mu=0.4, E_field=0.8, theta=5.9),
-              DiracParams(m=1.0, p=1.0, kappa=1.0, mu=1.0, E_field=0.0)]
-_UNIFORM = np.random.default_rng(5).uniform(0.0, 5.0, (BLOCK, 9))
+#: spectral_stacks accepts the first point and refuses the second (g2 = 0);
+#: the third is the point m = 2, E = 0.8 at p = 0.7, in units of p
+MIXED_GRID = [DiracParams(m=1.0, kappa=1.0, mu=1.0, E_field=1.0),
+              DiracParams(m=0.5, kappa=0.0, mu=0.0, E_field=2.0, theta=1.3),
+              DiracParams(m=2.0 / 0.7, kappa=-1.5, mu=0.4, E_field=0.8 / 0.7, theta=5.9),
+              DiracParams(m=1.0, kappa=1.0, mu=1.0, E_field=0.0)]
+_UNIFORM = np.random.default_rng(5).uniform(0.0, 5.0, (BLOCK, 8))
 _ROUNDING = np.random.default_rng(5)
 _G = _ROUNDING.normal(size=(4, 4)) + 1j * _ROUNDING.normal(size=(4, 4))
 ROUNDING_STATE = _G @ _G.conj().T / np.trace(_G @ _G.conj().T).real
@@ -157,7 +157,9 @@ class Case(NamedTuple):
 
 
 _NONE = st.none()
-_DIRAC_STACKS = ((None, MIXED_GRID), (None, [DiracParams(*v) for v in _UNIFORM[:, :6]]))
+_DIRAC_STACKS = ((None, MIXED_GRID),
+                 (None, [DiracParams(m=m, kappa=kappa, mu=mu, E_field=E, theta=theta)
+                         for m, kappa, mu, E, theta in _UNIFORM[:, :5].tolist()]))
 
 
 def _dirac_case(stacked, refused=None):
@@ -169,10 +171,8 @@ CASES = {
     "spectral_stacks": _dirac_case(spectral_stacks, _points(E_field=st.just(0.0))),
     "closed_form_spectrum": _dirac_case(closed_form_spectrum),
     "assemble_ion_stack": Case(
-        lambda _, points: assemble_ion_stack([ion for ion, _ in points], [p for _, p in points]),
-        _NONE, ion_points, None,
-        ((None, [(IonParams(v[0], v[1], tuple(v[2:5]), tuple(v[5:8])), v[8])
-                 for v in _UNIFORM.tolist()]),), 100),
+        lambda _, ions: assemble_ion_stack(ions), _NONE, ion_points, None,
+        ((None, [IonParams(v[0], v[1], v[2:5], v[5:8]) for v in _UNIFORM.tolist()]),), 100),
     "build_kraus_set": Case(build_kraus_set, rates, times, st.sampled_from(REFUSED_TIMES),
                             ((ROUNDING_RATE, ROUNDING_TIMES),)),
     "apply_channel": Case(

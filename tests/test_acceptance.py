@@ -70,9 +70,9 @@ def test_criterion_02_catches_one_off_projector_entry(monkeypatch):
 
 def test_criterion_03_catches_one_off_ion_entry(monkeypatch):
     # one entry of the ion assembly at one grid point, off by 1e-11
-    def planted(ions, momenta):
+    def planted(ions):
         assert ions[FAULT_INDEX] == ionmap.dirac_to_ion(FAULT_POINT)
-        H = ionmap.assemble_ion_stack(ions, momenta)
+        H = ionmap.assemble_ion_stack(ions)
         H[FAULT_INDEX, 3, 0] += 1e-11
         return H
 
@@ -107,6 +107,19 @@ def test_criterion_03_catches_x_and_y_swapped(monkeypatch):
     monkeypatch.setattr(acceptance, "dirac_to_ion", swapped)
     ok, detail = acceptance.criterion_03(None)
     assert not ok, detail
+
+
+def test_criterion_03_catches_a_wrong_sideband_coupling(monkeypatch):
+    # the ion map with eta*Delta*Omega = 0.6 instead of 1/2: the kinetic
+    # coefficient, the momentum in units of p, reads 1.2, off by 0.2
+    def rescaled(params):
+        ion = ionmap.dirac_to_ion(params)
+        return ionmap.IonParams(ion.delta, 0.6, ion.omega1, ion.omega2)
+
+    monkeypatch.setattr(acceptance, "dirac_to_ion", rescaled)
+    ok, detail = acceptance.criterion_03(None)
+    assert not ok, detail
+    assert detail.startswith("worst entrywise deviation 0.2 "), detail
 
 
 def with_nan_entry(func):

@@ -375,11 +375,14 @@ def test_plan_prints_ion_parameters(tmp_path, capsys):
     cfg = write_config(tmp_path, "m_over_p = 1.2\nE_over_p = 2.0\n"
                                  "kappa = 1.0\nmu = 0.5\nt_max = 1.0\ndt = 0.1\n")
     assert main(["plan", "--config", str(cfg)]) == 0
-    out = capsys.readouterr().out
-    assert "m_over_p=1.2:" in out
-    assert "detuning delta        = 0.6" in out
-    assert "eta*Delta*Omega-tilde = 0.5" in out
-    assert "Omega^(1)" in out and "Omega^(2)" in out
+    # the whole text: delta = m/2, the unit sideband coupling 1/2, and
+    # Omega_j = coupling * E_j / 2 with E_x = E_y = sqrt(2) at theta = pi/4
+    assert capsys.readouterr().out == (
+        "m_over_p=1.2:\n"
+        "  detuning delta        = 0.6\n"
+        "  eta*Delta*Omega-tilde = 0.5\n"
+        "  Omega^(1) (tensor)    = (0.707106781187, 0.707106781187, 0)\n"
+        "  Omega^(2) (pseudo)    = (0.353553390593, 0.353553390593, 0)\n")
 
 
 def test_plan_sweep_lists_every_point(tmp_path, capsys):

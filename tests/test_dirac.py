@@ -16,7 +16,7 @@ RNG = np.random.default_rng(41)
 
 
 def random_params(theta=math.pi / 4):
-    return DiracParams(m=float(RNG.uniform(0.0, 3.0)), p=1.0,
+    return DiracParams(m=float(RNG.uniform(0.0, 3.0)),
                        kappa=float(RNG.uniform(-2.0, 2.0)),
                        mu=float(RNG.uniform(-2.0, 2.0)),
                        E_field=float(RNG.uniform(0.1, 3.0)), theta=theta)
@@ -42,27 +42,27 @@ def test_representation_blocks():
 
 def test_hamiltonian_explicit_entries():
     """Free case plus both couplings, checked entry by entry."""
-    params = DiracParams(m=2.0, p=3.0, kappa=0.0, mu=0.0, E_field=0.0)
+    params = DiracParams(m=2.0, kappa=0.0, mu=0.0, E_field=0.0)
     H = hamiltonian(params)
     want = 2.0 * np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
-    want[0, 3] = want[1, 2] = want[2, 1] = want[3, 0] = 3.0
+    want[0, 3] = want[1, 2] = want[2, 1] = want[3, 0] = 1.0
     assert np.array_equal(H, want)
 
     # theta = 0 puts the field on x; tensor block is sz (x) sx,
-    # pseudotensor block is -sy (x) sx
-    params = DiracParams(m=0.0, p=0.0, kappa=1.0, mu=0.0, E_field=1.0, theta=0.0)
+    # pseudotensor block is -sy (x) sx, each beside the kinetic alpha_x
+    params = DiracParams(m=0.0, kappa=1.0, mu=0.0, E_field=1.0, theta=0.0)
     H = hamiltonian(params)
-    want = np.zeros((4, 4), dtype=complex)
+    want = ALPHA_X.copy()
     want[0, 1] = want[1, 0] = 1.0
     want[2, 3] = want[3, 2] = -1.0
     assert np.allclose(H, want)
 
-    params = DiracParams(m=0.0, p=0.0, kappa=0.0, mu=1.0, E_field=1.0, theta=0.0)
+    params = DiracParams(m=0.0, kappa=0.0, mu=1.0, E_field=1.0, theta=0.0)
     H = hamiltonian(params)
     want = np.zeros((4, 4), dtype=complex)
     want[0, 3] = want[1, 2] = 1.0j
     want[3, 0] = want[2, 1] = -1.0j
-    assert np.allclose(H, want)
+    assert np.allclose(H, want + ALPHA_X)
 
 
 def test_hamiltonian_is_hermitian_and_traceless():
@@ -75,11 +75,17 @@ def test_hamiltonian_is_hermitian_and_traceless():
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        DiracParams(m=-1.0, p=1.0, kappa=1.0, mu=1.0, E_field=1.0)
+        DiracParams(m=-1.0, kappa=1.0, mu=1.0, E_field=1.0)
     with pytest.raises(ValueError):
-        DiracParams(m=1.0, p=-0.5, kappa=1.0, mu=1.0, E_field=1.0)
+        DiracParams(m=1.0, kappa=1.0, mu=1.0, E_field=-0.5)
     with pytest.raises(ValueError):
-        DiracParams(m=1.0, p=1.0, kappa=1.0, mu=1.0, E_field=float("inf"))
+        DiracParams(m=1.0, kappa=1.0, mu=1.0, E_field=float("inf"))
+    # keywords only: a positional call written for the fields with p would
+    # otherwise read its p as kappa and shift every later field
+    with pytest.raises(TypeError, match="positional"):
+        DiracParams(1.0, 1.0, 0.5, -0.5, 2.0)
+    with pytest.raises(TypeError, match="positional"):
+        DiracParams(1.0, kappa=0.5, mu=-0.5, E_field=2.0)
 
 
 def test_invariant_commutes_and_squares_to_scalar():
@@ -93,8 +99,8 @@ def test_invariant_commutes_and_squares_to_scalar():
             g2 = spectrum(params)[0]
             assert np.max(np.abs(O @ O - g2 * np.eye(4))) < 1e-10
     # degenerate spectra have no projectors; g2 is then the trace formula's
-    for params in (DiracParams(m=1.0, p=1.0, kappa=1.0, mu=1.0, E_field=0.0),
-                   DiracParams(m=1.0, p=1.0, kappa=0.0, mu=0.0, E_field=1.0)):
+    for params in (DiracParams(m=1.0, kappa=1.0, mu=1.0, E_field=0.0),
+                   DiracParams(m=1.0, kappa=0.0, mu=0.0, E_field=1.0)):
         g2 = trace_formula_g2(hamiltonian(params))
         O = invariant(params)
         assert np.max(np.abs(O @ O - g2 * np.eye(4))) < 1e-10
@@ -114,20 +120,20 @@ def test_invariant_equals_shifted_hamiltonian_square():
 def test_g2_closed_form_at_quarter_pi():
     for _ in range(20):
         params = random_params()
-        m, p, k, mu, E = params.m, params.p, params.kappa, params.mu, params.E_field
-        want = E * E * (m * m * k * k + 0.5 * (mu * mu + k * k) * p * p)
+        m, k, mu, E = params.m, params.kappa, params.mu, params.E_field
+        want = E * E * (m * m * k * k + 0.5 * (mu * mu + k * k))
         assert spectrum(params)[0] == pytest.approx(want, abs=1e-10)
 
 
 def test_closed_form_anchor_massless():
-    params = DiracParams(m=0.0, p=1.0, kappa=1.0, mu=1.0, E_field=1.0)
+    params = DiracParams(m=0.0, kappa=1.0, mu=1.0, E_field=1.0)
     got = np.sort(closed_form_spectrum([params])[0])
     np.testing.assert_allclose(got, [-math.sqrt(5.0), -1.0, 1.0, math.sqrt(5.0)],
                                rtol=1e-15, atol=0)
 
 
 def test_closed_form_anchor_unit_mass():
-    params = DiracParams(m=1.0, p=1.0, kappa=1.0, mu=1.0, E_field=1.0)
+    params = DiracParams(m=1.0, kappa=1.0, mu=1.0, E_field=1.0)
     got = np.sort(closed_form_spectrum([params])[0])
     want = sorted(sgn * math.sqrt(4.0 + pm * 2.0 * math.sqrt(2.0))
                   for sgn in (1, -1) for pm in (1, -1))
@@ -135,7 +141,7 @@ def test_closed_form_anchor_unit_mass():
 
 
 def test_closed_form_is_keyed_in_spectral_order():
-    params = DiracParams(m=1.0, p=1.0, kappa=1.0, mu=1.0, E_field=1.0)
+    params = DiracParams(m=1.0, kappa=1.0, mu=1.0, E_field=1.0)
     lam = closed_form_spectrum([params])[0]
     assert lam.shape == (4,)
     assert lam[SPECTRAL_KEYS.index((1, 0))] == -lam[SPECTRAL_KEYS.index((0, 0))] < 0.0
@@ -144,12 +150,14 @@ def test_closed_form_is_keyed_in_spectral_order():
 
 
 def test_closed_form_reads_a_rounded_negative_radicand_as_zero():
-    # p = mu = 0 and m = kappa E: lambda_(0,1) = |m - kappa E| = 0 exactly,
-    # where q - 2 sqrt(g2) rounds to -8.9e-16. det H / lambda_(0,0)^2 is
-    # never negative, and what is left of m^2 - (kappa E)^2's rounding
-    # (~1.2e-16) is within eigvalsh's own error, a few ulps of |lambda_(0,0)|
-    m, kappa = 1.910885061964363, 0.8823814699152238
-    params = DiracParams(m=m, p=0.0, kappa=kappa, mu=0.0, E_field=m / kappa)
+    # mu = 0, theta = pi/2 and kappa E = sqrt(1 + m^2): lambda_(0,1) =
+    # |sqrt(1 + m^2) - kappa E| ~ 0, where q - 2 sqrt(g2) rounds to -8.9e-16.
+    # det H / lambda_(0,0)^2 is never negative, and what is left of the
+    # rounding (~1.3e-16) is within eigvalsh's own error, a few ulps of
+    # |lambda_(0,0)|
+    m, kappa = 1.6337447237016287, 0.8154312097957965
+    params = DiracParams(m=m, kappa=kappa, mu=0.0, E_field=math.sqrt(1.0 + m * m) / kappa,
+                         theta=math.pi / 2)
     lam = closed_form_spectrum([params])[0]
     assert lam[SPECTRAL_KEYS.index((0, 1))] == -lam[SPECTRAL_KEYS.index((1, 1))] >= 0.0
     numeric = np.linalg.eigvalsh(hamiltonian(params))
@@ -176,7 +184,7 @@ def test_projectors_resolve_the_hamiltonian():
 
 
 def test_projector_eigenvalues_match_closed_form():
-    params = DiracParams(m=0.5, p=1.0, kappa=1.2, mu=0.7, E_field=0.9)
+    params = DiracParams(m=0.5, kappa=1.2, mu=0.7, E_field=0.9)
     lam = spectrum(params)[1]
     # the projectors take their eigenvalues from the closed form, bit for bit
     assert same_bits(lam, closed_form_spectrum([params])[0])
@@ -186,7 +194,7 @@ def test_projector_eigenvalues_match_closed_form():
 
 
 def test_projectors_work_off_the_quarter_pi_line():
-    params = DiracParams(m=0.8, p=1.0, kappa=1.0, mu=0.4, E_field=1.1, theta=0.77)
+    params = DiracParams(m=0.8, kappa=1.0, mu=0.4, E_field=1.1, theta=0.77)
     _, lambdas, projectors = spectrum(params)
     H = hamiltonian(params)
     for lam, P in zip(lambdas, projectors):
@@ -196,10 +204,10 @@ def test_projectors_work_off_the_quarter_pi_line():
 
 def test_degenerate_field_refused():
     with pytest.raises(DegenerateSpectrumError):
-        spectral_stacks([DiracParams(m=1.0, p=1.0, kappa=1.0, mu=1.0, E_field=0.0)])
+        spectral_stacks([DiracParams(m=1.0, kappa=1.0, mu=1.0, E_field=0.0)])
     # kappa = 0 with mu = 0 kills the invariant the same way
     with pytest.raises(DegenerateSpectrumError):
-        spectral_stacks([DiracParams(m=1.0, p=1.0, kappa=0.0, mu=0.0, E_field=1.0)])
+        spectral_stacks([DiracParams(m=1.0, kappa=0.0, mu=0.0, E_field=1.0)])
 
 
 # ------------------------------------------- builders against their formulas
@@ -208,7 +216,7 @@ def formula_hamiltonian(params):
     """H term by term, each Pauli product from np.kron."""
     ex = params.E_field * math.cos(params.theta)
     ey = params.E_field * math.sin(params.theta)
-    H = params.m * BETA + params.p * ALPHA_X
+    H = params.m * BETA + ALPHA_X
     H = H + params.kappa * (ex * np.kron(SIGMA_Z, SIGMA_X)
                             + ey * np.kron(SIGMA_Z, SIGMA_Y))
     H = H - params.mu * (ex * np.kron(SIGMA_Y, SIGMA_X)
@@ -220,7 +228,7 @@ def formula_invariant(params):
     """O term by term, each Pauli product from np.kron."""
     ex = params.E_field * math.cos(params.theta)
     ey = params.E_field * math.sin(params.theta)
-    cross_z = params.p * params.E_field * math.sin(params.theta)
+    cross_z = params.E_field * math.sin(params.theta)
     O = params.m * params.kappa * (ex * np.kron(IDENTITY_2, SIGMA_X)
                                    + ey * np.kron(IDENTITY_2, SIGMA_Y))
     O = O + params.mu * cross_z * np.kron(SIGMA_Z, SIGMA_Z)
@@ -243,10 +251,10 @@ def loop_projectors(H, O, g2, lambdas):
 
 
 def formula_g2(params):
-    """g2 = E^2 (m^2 kappa^2 + (mu^2 + kappa^2) p^2 sin^2 theta), one point at a time."""
-    m, p, k, mu, E = params.m, params.p, params.kappa, params.mu, params.E_field
+    """g2 = E^2 (m^2 kappa^2 + (mu^2 + kappa^2) sin^2 theta), one point at a time."""
+    m, k, mu, E = params.m, params.kappa, params.mu, params.E_field
     sin = math.sin(params.theta)
-    return E * E * (m * m * k * k + (mu * mu + k * k) * p * p * (sin * sin))
+    return E * E * (m * m * k * k + (mu * mu + k * k) * (sin * sin))
 
 
 def formula_radicand(params, s):
@@ -255,21 +263,21 @@ def formula_radicand(params, s):
     lambda_(0,1)^2 is det H / lambda_(0,0)^2, with det H written as its
     sum of squares, and 0 where lambda_(0,0) = 0.
     """
-    m, p, k, mu, E = params.m, params.p, params.kappa, params.mu, params.E_field
+    m, k, mu, E = params.m, params.kappa, params.mu, params.E_field
     cos, sin = math.cos(params.theta), math.sin(params.theta)
-    inner = m * m * k * k + (mu * mu + k * k) * p * p * (sin * sin)
-    mass, field = p * p + m * m, (k * k + mu * mu) * E * E
+    inner = m * m * k * k + (mu * mu + k * k) * (sin * sin)
+    mass, field = 1.0 + m * m, (k * k + mu * mu) * E * E
     plus = mass + field + 2.0 * (E * math.sqrt(inner))
     if s == 0:
         return plus
     gap = mass - field
-    det = gap * gap + 4.0 * (field * p * p * (cos * cos) + E * E * m * m * mu * mu)
+    det = gap * gap + 4.0 * (field * (cos * cos) + E * E * m * m * mu * mu)
     return det / plus if plus > 0.0 else 0.0
 
 
 @settings(max_examples=100)
-@given(st.builds(DiracParams, m=energies, p=energies, kappa=couplings, mu=couplings,
-                 E_field=energies, theta=angles))
+@given(st.builds(DiracParams, m=energies, kappa=couplings, mu=couplings, E_field=energies,
+                 theta=angles))
 def test_builders_match_the_tensor_product_formula_bitwise(params):
     H = hamiltonian(params)
     O = invariant(params)
@@ -308,30 +316,36 @@ signed = sizes | sizes.map(lambda x: -x)
 
 
 @settings(max_examples=200)
-@given(st.lists(st.builds(DiracParams, m=sizes, p=sizes, kappa=signed, mu=signed,
-                          E_field=sizes, theta=st.floats(-math.pi, math.pi,
-                                                         exclude_min=True, exclude_max=True)),
+@given(st.lists(st.tuples(st.floats(1e-3, 5.0), sizes, signed, signed, sizes,
+                          st.floats(-math.pi, math.pi, exclude_min=True, exclude_max=True)),
                 min_size=1, max_size=5))
-def test_closed_form_matches_numeric(grid):
+def test_closed_form_matches_numeric(points):
     # at any angle, to 1e-10 of each point's largest |lambda|, and to
     # 1e-10 absolute where that is larger than 1. Near a zero eigenvalue
-    # the closed form keeps its digits too (the test below)
-    closed = closed_form_spectrum(grid)
-    numeric = np.linalg.eigvalsh(operator_stacks(grid)[0])
+    # the closed form keeps its digits too (the test below). Each point is
+    # drawn at a momentum p and given in units of p, so m/p and E/p reach
+    # 5000: H(m, p, kappa, mu, E) = p H(m/p, 1, kappa, mu, E/p)
+    p = np.array([[point[0]] for point in points])
+    grid = [DiracParams(m=m / q, kappa=kappa, mu=mu, E_field=E / q, theta=theta)
+            for q, m, kappa, mu, E, theta in points]
+    closed = p * np.sort(closed_form_spectrum(grid))
+    numeric = p * np.linalg.eigvalsh(operator_stacks(grid)[0])
     scale = np.minimum(np.max(np.abs(numeric), axis=1, keepdims=True), 1.0)
-    assert np.all(np.abs(np.sort(closed) - numeric) <= 1e-10 * scale)
+    assert np.all(np.abs(closed - numeric) <= 1e-10 * scale)
 
 
 def test_closed_form_keeps_its_digits_near_a_zero_eigenvalue():
     # m ~ 0, theta ~ pi/2 and p ~ sqrt(kappa^2 + mu^2) E put lambda_(0,1)
-    # near 0, where q - 2 sqrt(g2) cancels; det H / lambda_(0,0)^2 does not
+    # near 0, where q - 2 sqrt(g2) cancels; det H / lambda_(0,0)^2 does not.
+    # Each point is drawn at a momentum p and given in units of p: H(m, p,
+    # kappa, mu, E) = p H(m/p, 1, kappa, mu, E/p)
     rng = np.random.default_rng(44)
     grid = []
     for _ in range(5000):
         kappa, mu, E = rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0), rng.uniform(0.1, 3.0)
         p = math.hypot(kappa, mu) * E * (1.0 + rng.uniform(-1e-6, 1e-6))
-        grid.append(DiracParams(m=abs(rng.normal(0.0, 1e-6)), p=p, kappa=kappa, mu=mu,
-                                E_field=E, theta=math.pi / 2 + rng.uniform(-1e-6, 1e-6)))
+        grid.append(DiracParams(m=abs(rng.normal(0.0, 1e-6)) / p, kappa=kappa, mu=mu,
+                                E_field=E / p, theta=math.pi / 2 + rng.uniform(-1e-6, 1e-6)))
     closed = np.sort(closed_form_spectrum(grid), axis=1)
     numeric = np.linalg.eigvalsh(operator_stacks(grid)[0])
     scale = np.max(np.abs(numeric), axis=1, keepdims=True)
@@ -339,15 +353,15 @@ def test_closed_form_keeps_its_digits_near_a_zero_eigenvalue():
 
 
 def test_degenerate_refusals_keep_their_one_point_messages():
-    zero_field = DiracParams(m=1.0, p=1.0, kappa=1.0, mu=1.0, E_field=0.0)
+    zero_field = DiracParams(m=1.0, kappa=1.0, mu=1.0, E_field=0.0)
     with pytest.raises(DegenerateSpectrumError, match="^g2 = 0 is degenerate"):
         spectral_stacks([zero_field])
     with pytest.raises(DegenerateSpectrumError, match="^g2 = 0 is degenerate"):
         spectral_stacks(MIXED_GRID)
-    # at theta = 0, p = mu = 0: lambda^2 = (|m| -+ |kappa E|)^2, which is
-    # exactly 0 for m = kappa E = 1 while g2 = 1; the first refused point
-    # decides the message
-    zero_eigenvalue = DiracParams(m=1.0, p=0.0, kappa=1.0, mu=0.0, E_field=1.0, theta=0.0)
+    # at theta = pi/2, m = mu = 0: lambda^2 = (1 -+ |kappa E|)^2, which is
+    # ~4e-33 (cos(pi/2) = 6e-17 in floats) for kappa = E = 1 while g2 = 1;
+    # the first refused point decides the message
+    zero_eigenvalue = DiracParams(m=0.0, kappa=1.0, mu=0.0, E_field=1.0, theta=math.pi / 2)
     with pytest.raises(DegenerateSpectrumError, match="^an eigenvalue magnitude is ~0"):
         spectral_stacks([zero_eigenvalue])
     with pytest.raises(DegenerateSpectrumError, match="^an eigenvalue magnitude is ~0"):

@@ -38,12 +38,12 @@ FIELDS = ("negativity", "discord_1", "discord_2", "purity", "min_eigenvalue",
 def reference_evolution(params, t):
     """U(t) = exp(-i H t) from closed forms, without a numeric eigensolver.
 
-    With E = 0 or kappa = mu = 0 the field terms vanish, H = m beta + p alpha_x
-    squares to (m^2 + p^2) I and U = cos(w t) I - i sin(w t) H / w. Otherwise
+    With E = 0 or kappa = mu = 0 the field terms vanish, H = m beta + alpha_x
+    squares to (m^2 + 1) I and U = cos(w t) I - i sin(w t) H / w. Otherwise
     U = sum_k exp(-i lambda_k t) P_k over the analytic projectors.
     """
     if params.E_field == 0.0 or params.kappa == params.mu == 0.0:
-        w = math.hypot(params.m, params.p)
+        w = math.hypot(params.m, 1.0)
         H = operator_stacks([params])[0][0]
         return math.cos(w * t) * np.eye(4) - 1j * (math.sin(w * t) / w) * H
     _, _, _, lambdas, projectors = spectral_stacks([params])
@@ -102,7 +102,7 @@ def assert_same_columns(got, want, names=COLUMNS):
 # bounded away from a degenerate spectrum, where the analytic projectors
 # are ill-conditioned or undefined
 nondegenerate_params = st.builds(
-    lambda m, E, k, mu, theta: DiracParams(m=m, p=1.0, kappa=k, mu=mu,
+    lambda m, E, k, mu, theta: DiracParams(m=m, kappa=k, mu=mu,
                                            E_field=E, theta=theta),
     st.floats(0.0, 3.0), st.floats(0.25, 2.0),
     st.floats(0.25, 1.5), st.floats(-1.5, -0.25) | st.floats(0.25, 1.5),
@@ -110,9 +110,9 @@ nondegenerate_params = st.builds(
 )
 # E = 0, or kappa = mu = 0: degenerate spectrum, no analytic projectors
 degenerate_params = st.one_of(
-    st.builds(lambda m, k, mu: DiracParams(m=m, p=1.0, kappa=k, mu=mu, E_field=0.0),
+    st.builds(lambda m, k, mu: DiracParams(m=m, kappa=k, mu=mu, E_field=0.0),
               st.floats(0.0, 3.0), st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
-    st.builds(lambda m, E: DiracParams(m=m, p=1.0, kappa=0.0, mu=0.0, E_field=E),
+    st.builds(lambda m, E: DiracParams(m=m, kappa=0.0, mu=0.0, E_field=E),
               st.floats(0.0, 3.0), st.floats(0.0, 2.0)),
 )
 

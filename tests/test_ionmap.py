@@ -13,16 +13,17 @@ from stack_contract import check_case, hamiltonian, same_bits, traced_peak
 RNG = np.random.default_rng(99)
 
 
-def random_params():
-    return DiracParams(m=float(RNG.uniform(0.0, 3.0)), p=float(RNG.uniform(0.2, 2.0)),
-                       kappa=float(RNG.uniform(-2.0, 2.0)),
+def random_point():
+    """A unit-momentum point and a momentum p in [0.2, 2], drawn in that field order."""
+    m, p = float(RNG.uniform(0.0, 3.0)), float(RNG.uniform(0.2, 2.0))
+    return DiracParams(m=m, kappa=float(RNG.uniform(-2.0, 2.0)),
                        mu=float(RNG.uniform(-2.0, 2.0)),
                        E_field=float(RNG.uniform(0.1, 3.0)),
-                       theta=float(RNG.uniform(0.0, 2.0 * math.pi)))
+                       theta=float(RNG.uniform(0.0, 2.0 * math.pi))), p
 
 
-def ion_hamiltonian(ion, p):
-    return assemble_ion_stack([ion], [p])[0]
+def ion_hamiltonian(ion):
+    return assemble_ion_stack([ion])[0]
 
 
 def test_pair_sigma_entries():
@@ -59,32 +60,39 @@ def test_ion_params_validation():
 
 
 def test_assembly_equals_direct_builder():
-    """The ionic construction and the direct one agree entrywise."""
+    """The ionic construction and the direct one agree entrywise, at momenta p.
+
+    At momentum p the sideband coupling is p/2 and the direct H is
+    p H(m/p, kappa, mu, E/p) of the unit-momentum builder.
+    """
     for _ in range(30):
-        params = random_params()
-        direct = hamiltonian(params)
-        mapped = ion_hamiltonian(dirac_to_ion(params), params.p)
-        assert np.max(np.abs(direct - mapped)) < 1e-12
+        params, p = random_point()
+        ion = dirac_to_ion(params)
+        ion = IonParams(delta=ion.delta, eta_delta_omega=p / 2.0,
+                        omega1=ion.omega1, omega2=ion.omega2)
+        direct = p * hamiltonian(DiracParams(m=params.m / p, kappa=params.kappa, mu=params.mu,
+                                             E_field=params.E_field / p, theta=params.theta))
+        assert np.max(np.abs(direct - ion_hamiltonian(ion))) < 1e-12
 
 
 def test_assembly_pseudotensor_y_sign():
     # the y channel must enter as (a,d) minus (b,c); the flipped order is
     # a different operator and misses the direct builder by 4*w2y
-    params = DiracParams(m=0.4, p=1.0, kappa=0.9, mu=1.3, E_field=1.5)
+    params = DiracParams(m=0.4, kappa=0.9, mu=1.3, E_field=1.5)
     ion = dirac_to_ion(params)
     direct = hamiltonian(params)
     flipped = IonParams(delta=ion.delta, eta_delta_omega=ion.eta_delta_omega,
                         omega1=ion.omega1,
                         omega2=(ion.omega2[0], -ion.omega2[1], ion.omega2[2]))
-    bad = ion_hamiltonian(flipped, params.p)
+    bad = ion_hamiltonian(flipped)
     dev = np.max(np.abs(direct - bad))
     assert dev > 4.0 * abs(ion.omega2[1]) - 1e-12
-    good = ion_hamiltonian(ion, params.p)
+    good = ion_hamiltonian(ion)
     assert np.max(np.abs(direct - good)) < 1e-12
 
 
 def test_forward_map_values():
-    params = DiracParams(m=1.2, p=1.0, kappa=0.8, mu=0.5, E_field=2.0,
+    params = DiracParams(m=1.2, kappa=0.8, mu=0.5, E_field=2.0,
                          theta=math.pi / 3)
     ion = dirac_to_ion(params)
     assert ion.delta == pytest.approx(0.6)
@@ -103,9 +111,8 @@ def test_inverse_map_zero_tensor_channel():
     """
     ion = IonParams(delta=0.5, eta_delta_omega=0.5,
                     omega1=(0.0, 0.0, 0.0), omega2=(0.3, 0.4, 0.0))
-    params = DiracParams(m=1.0, p=1.0, kappa=0.0, mu=1.0, E_field=1.0,
-                         theta=math.atan2(0.4, 0.3))
-    H0 = ion_hamiltonian(ion, 1.0)
+    params = DiracParams(m=1.0, kappa=0.0, mu=1.0, E_field=1.0, theta=math.atan2(0.4, 0.3))
+    H0 = ion_hamiltonian(ion)
     H1 = hamiltonian(params)
     assert np.max(np.abs(H0 - H1)) < 1e-12
 
@@ -113,21 +120,23 @@ def test_inverse_map_zero_tensor_channel():
 def test_inverse_map_rescaled_sideband():
     """A sideband coupling other than 1/2 lands in the effective momentum.
 
-    eta*delta*Omega = 0.8 at p = 1 stands for the momentum p = 1.6 of the
-    direct builder, with the field carried by the tensor channel alone.
+    eta*delta*Omega = 0.8 stands for the momentum p = 1.6 of the direct
+    builder, with m = E = 1 and the field carried by the tensor channel
+    alone. In units of p that point is m = E = 1/1.6, and its H is
+    1.6 times the one of the unit-momentum builder.
     """
     ion = IonParams(delta=0.5, eta_delta_omega=0.8,
                     omega1=(0.4, 0.3, 0.0), omega2=(0.0, 0.0, 0.0))
-    params = DiracParams(m=1.0, p=1.6, kappa=1.0, mu=0.0, E_field=1.0,
+    params = DiracParams(m=1.0 / 1.6, kappa=1.0, mu=0.0, E_field=1.0 / 1.6,
                          theta=math.atan2(0.3, 0.4))
-    H0 = ion_hamiltonian(ion, 1.0)
-    H1 = hamiltonian(params)
+    H0 = ion_hamiltonian(ion)
+    H1 = 1.6 * hamiltonian(params)
     assert np.max(np.abs(H0 - H1)) < 1e-12
 
 
 # ------------------------------------------- stacked assembly against one point
 
-def formula_ion_hamiltonian(ion, p):
+def formula_ion_hamiltonian(ion):
     """The ion assembly term by term, every level-pair operator from pair_sigma."""
     def sx(j, k):
         return pair_sigma("x", j, k)
@@ -141,7 +150,7 @@ def formula_ion_hamiltonian(ion, p):
     w1x, w1y, w1z = ion.omega1
     w2x, w2y, w2z = ion.omega2
     H = 2.0 * ion.delta * (sz("a", "d") + sz("b", "c"))
-    H = H + 2.0 * ion.eta_delta_omega * p * (sx("a", "d") + sx("b", "c"))
+    H = H + 2.0 * ion.eta_delta_omega * (sx("a", "d") + sx("b", "c"))
     H = H + 2.0 * w1x * (sx("a", "b") - sx("c", "d"))
     H = H + 2.0 * w1y * (sy("a", "b") - sy("c", "d"))
     H = H + 2.0 * w1z * (sz("a", "b") - sz("c", "d"))
@@ -150,8 +159,8 @@ def formula_ion_hamiltonian(ion, p):
     return H + 2.0 * w2z * (sy("b", "d") - sy("a", "c"))
 
 
-def assembly_matches_formula(_, point, H):
-    assert same_bits(H[0], formula_ion_hamiltonian(*point)), point
+def assembly_matches_formula(_, ion, H):
+    assert same_bits(H[0], formula_ion_hamiltonian(ion)), ion
 
 
 def test_stacked_assembly_matches_one_point_builds_bitwise():
@@ -167,8 +176,7 @@ def test_the_assembly_holds_one_term_at_a_time():
     # floats; the (8, N, 4, 4) term stack took it to 755 KiB
     grid = acceptance._tilted_grid()
     ions = [dirac_to_ion(params) for params in grid]
-    momenta = [params.p for params in grid]
-    peak = traced_peak(lambda: assemble_ion_stack(ions, momenta))
+    peak = traced_peak(lambda: assemble_ion_stack(ions))
     assert peak <= 300 * 1024, peak / 1024
 
 
@@ -176,7 +184,7 @@ def test_an_overflowing_ion_generator_is_refused_without_a_warning():
     # 2 delta = inf, and inf times the zeros of the other pair sums is NaN
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        H = ion_hamiltonian(IonParams(1e308, 0.5, (0, 0, 0), (0, 0, 0)), 1.0)
+        H = ion_hamiltonian(IonParams(1e308, 0.5, (0, 0, 0), (0, 0, 0)))
         assert not np.all(np.isfinite(H))
         with pytest.raises(ValueError, match="^evolution generator entries must be finite$"):
             evolve_noisy_stack(np.eye(4) / 4.0, H, 0.5, [0.0, 1.0])

@@ -10,7 +10,7 @@ from stack_contract import NO_HAMILTONIAN, check_stack, hamiltonian
 
 RNG = np.random.default_rng(3)
 
-PARAMS = DiracParams(m=1.0, p=1.0, kappa=1.0, mu=1.0, E_field=1.0)
+PARAMS = DiracParams(m=1.0, kappa=1.0, mu=1.0, E_field=1.0)
 GENERATOR = hamiltonian(PARAMS)
 QUIET = 0.0  # no dephasing
 
@@ -172,7 +172,7 @@ def test_noiseless_evolution_matches_unitary_conjugation():
 
 def test_noiseless_evolution_degenerate_fallback():
     # E = 0: degenerate spectrum, no analytic projectors; still unitary
-    free = DiracParams(m=1.0, p=1.0, kappa=1.0, mu=1.0, E_field=0.0)
+    free = DiracParams(m=1.0, kappa=1.0, mu=1.0, E_field=0.0)
     rho = bell_state()
     out = evolve_noisy_stack(rho, hamiltonian(free), QUIET, [1.3])[0]
     assert abs(np.trace(out).real - 1.0) < 1e-12

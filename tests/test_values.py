@@ -3,6 +3,7 @@
 import copy
 import pickle
 
+import numpy as np
 import pytest
 
 from bispinor import DiracParams, FeatureReport, IonParams, ScenarioConfig
@@ -18,7 +19,7 @@ class Rate(ValueType):
         super().__init__(gamma_rate)
 
 VALUES = [
-    lambda: DiracParams(1.0, 1.0, 0.5, -0.5, 2.0),
+    lambda: DiracParams(m=1.0, kappa=0.5, mu=-0.5, E_field=2.0),
     lambda: Rate(0.5),
     lambda: IonParams(1.0, 0.5, (0.1, 0.2, 0.3), (0.0, 0.0, 0.4)),
     lambda: FeatureReport(((1.0, 2.0),), 1, 0.0, 0.8, 0.01, 0.6),
@@ -56,3 +57,29 @@ def test_value_types_copy_and_pickle(make):
         assert type(twin) is type(value) and twin == value and hash(twin) == hash(value)
         with pytest.raises(AttributeError):
             setattr(twin, type(value).__slots__[0], None)
+
+
+_CAT = (0.5,) + (0.0,) * 14 + (0.5,)
+
+#: the sequence fields of a value type, given as a tuple, a list and an array
+SEQUENCE_FIELDS = [
+    pytest.param(lambda seq: IonParams(0.5, 0.5, seq((0.1, 0.2, 0.0)), seq((0.0, 0.0, 0.0))),
+                 id="IonParams"),
+    pytest.param(lambda seq: ScenarioConfig(initial_state="custom", custom_state=seq(_CAT)),
+                 id="ScenarioConfig"),
+]
+
+
+@pytest.mark.parametrize("make", SEQUENCE_FIELDS)
+def test_sequence_fields_are_stored_as_tuples(make):
+    # a list or an array field would make the value unhashable, or its ==
+    # ambiguous, and unequal to its tuple-built twin
+    value = make(tuple)
+    for twin in (make(list), make(np.array)):
+        assert all(type(field) is tuple for field in twin._fields() if not np.isscalar(field))
+        assert twin == value and hash(twin) == hash(value) and repr(twin) == repr(value)
+        assert pickle.loads(pickle.dumps(twin)) == value
+    # a str, or a list of str, is refused, not parsed entry by entry
+    for text in (lambda seq: "1" * len(seq), lambda seq: [str(x) for x in seq]):
+        with pytest.raises(TypeError):
+            make(text)

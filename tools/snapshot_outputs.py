@@ -16,6 +16,9 @@ selects, and writes into OUT (which must not exist yet):
   single-point config of REFUSALS;
 - `refused_sweep.txt`: the exit code, the printed line and the sorted
   files left under the outputs of REFUSED_SWEEP, refused at run time;
+- `python_api.txt`: what the `python` block of README.md prints, read
+  from the README beside the package PYTHONPATH selects, so each
+  checkout runs its own example on its own package;
 - `<run>.stdout` and `exit_codes.txt`: what each run printed and returned.
 
 The figure and sweep configs are read from `perfbench/workloads.py`. Two
@@ -36,7 +39,11 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 from workloads import FIGURE_CONFIG, sweep_config  # noqa: E402
 
+import bispinor  # noqa: E402
 from bispinor.cli import main  # noqa: E402
+
+#: the README of the checkout whose src/ holds the package under test
+README = Path(bispinor.__file__).resolve().parents[2] / "README.md"
 
 _CAT = ["0"] * 16
 _CAT[0] = _CAT[3] = _CAT[12] = _CAT[15] = "0.5"
@@ -86,6 +93,16 @@ def _run(argv) -> tuple:
     return code, text.getvalue()
 
 
+def _python_api() -> str:
+    """Everything the README's one `python` block prints."""
+    (example,) = re.findall(r"^```python\n(.*?)^```$", README.read_text(),
+                            re.DOTALL | re.MULTILINE)
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        exec(compile(example, str(README), "exec"), {})
+    return text.getvalue()
+
+
 def _refused(name: str, lines: str) -> tuple:
     """simulate's exit code and printed output on a t_max = 2, dt = 0.01 config into name/."""
     Path(f"{name}.cfg").write_text(f"t_max = 2.0\ndt = 0.01\noutputs = {name}\n{lines}")
@@ -117,6 +134,7 @@ def snapshot(out: Path) -> None:
     left = sorted(path.as_posix() for path in Path("refused_sweep").rglob("*") if path.is_file())
     Path("refused_sweep.txt").write_text(f"exit {code}: {printed}" + "".join(
         f"{path}\n" for path in left))
+    Path("python_api.txt").write_text(_python_api())
     Path("exit_codes.txt").write_text("\n".join(codes) + "\n")
 
 
