@@ -69,10 +69,9 @@ def _cmd_plan(args) -> int:
         print(f"m_over_p={cfg.m_over_p:g}:")
         print(f"  detuning delta        = {ion.delta:.12g}")
         print(f"  eta*Delta*Omega-tilde = {ion.eta_delta_omega:.12g}")
-        print(f"  Omega^(1) (tensor)    = ({ion.omega1[0]:.12g}, "
-              f"{ion.omega1[1]:.12g}, {ion.omega1[2]:.12g})")
-        print(f"  Omega^(2) (pseudo)    = ({ion.omega2[0]:.12g}, "
-              f"{ion.omega2[1]:.12g}, {ion.omega2[2]:.12g})")
+        # each channel's z drive is the model's fixed 0
+        print(f"  Omega^(1) (tensor)    = ({ion.omega1[0]:.12g}, {ion.omega1[1]:.12g}, 0)")
+        print(f"  Omega^(2) (pseudo)    = ({ion.omega2[0]:.12g}, {ion.omega2[1]:.12g}, 0)")
     return 0
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -84,7 +85,12 @@ _NONNEGATIVE_KEYS = ("m_over_p", "E_over_p", "gamma_over_p", "eps_dead", "eps_al
 
 
 class ScenarioConfig(ValueType):
-    """One resolved grid point of a run (ratios are in units of p); keywords only."""
+    """One resolved grid point of a run (ratios are in units of p); keywords only.
+
+    Each key is stored as its schema type: a float key as float (a bool or
+    str is a TypeError), emit_plots as a bool and outputs as a str (a path
+    is stored as os.fspath of it), so equal configs echo the same text.
+    """
 
     __slots__ = tuple(_CONFIG_DEFAULTS)
 
@@ -92,18 +98,30 @@ class ScenarioConfig(ValueType):
         unknown = values.keys() - _CONFIG_DEFAULTS.keys()
         if unknown:
             raise TypeError(f"ScenarioConfig got unexpected keywords {sorted(unknown)}")
-        if values.get("custom_state") is not None:  # a tuple, to hash and compare by value
-            state = tuple(values["custom_state"])  # checked before complex() would parse a str
+        config = dict(_CONFIG_DEFAULTS, **values)
+        if config["custom_state"] is not None:  # a tuple, to hash and compare by value
+            state = tuple(config["custom_state"])  # checked before complex() would parse a str
             if not all(map(cmath.isfinite, state)):
                 raise UsageError("custom_state entries must be finite")
-            values["custom_state"] = tuple(map(complex, state))
-        super().__init__(*dict(_CONFIG_DEFAULTS, **values).values())
+            if len(state) != 16:
+                raise UsageError(f"custom_state expects 16 entries, got {len(state)}")
+            config["custom_state"] = tuple(map(complex, state))
         for key in _FLOAT_KEYS:
-            value = getattr(self, key)
+            value = config[key]
+            if isinstance(value, bool):
+                raise TypeError(f"{key} expects a number, got {value!r}")
+            # isfinite refuses a str with TypeError before float() could parse it
             if not math.isfinite(value):
                 raise UsageError(f"{key} must be finite, got {value!r}")
             if value < 0 and key in _NONNEGATIVE_KEYS:
                 raise UsageError(f"{key} must be nonnegative, got {value!r}")
+            config[key] = float(value)
+        if not isinstance(config["emit_plots"], bool):
+            raise TypeError(f"emit_plots expects a bool, got {config['emit_plots']!r}")
+        config["outputs"] = os.fspath(config["outputs"])
+        if not isinstance(config["outputs"], str):
+            raise TypeError(f"outputs expects a str or path, got {config['outputs']!r}")
+        super().__init__(*config.values())
         # a sample below eps_dead and above eps_alive would be dead and alive at once
         if self.eps_dead > self.eps_alive:
             raise UsageError(f"need eps_dead <= eps_alive, "
@@ -465,11 +483,8 @@ def parse_config_text(text: str) -> list:
         if key in raw and key not in ("m_over_p", "custom_state"):
             kwargs[key] = parsers[type(default)](raw[key], key)
     if "custom_state" in raw:
-        tokens = [tok.strip() for tok in raw["custom_state"].split(",")]
-        if len(tokens) != 16:
-            raise UsageError(f"custom_state expects 16 entries, got {len(tokens)}")
         try:
-            kwargs["custom_state"] = tuple(complex(tok) for tok in tokens)
+            kwargs["custom_state"] = tuple(map(complex, raw["custom_state"].split(",")))
         except ValueError:
             raise UsageError("custom_state entries must parse as complex numbers") from None
 
@@ -502,14 +517,20 @@ def run_scenario(configs: list) -> list:
 
     A single point writes straight into its outputs directory. A sweep
     writes one m_<value> subdirectory per grid point plus index.json at
-    the root; a sweep listing one mass twice is refused. A rerun of the
-    same kind overwrites, but the two kinds never share a directory, and
-    a sweep never shares one with another sweep's m_<value> points.
-    The points share one custom_state: the first point's run_trajectory
-    refuses a bad one before anything evolves or any file is written.
+    the root; a sweep whose points differ in any key but m_over_p, or
+    that lists one mass twice, is refused. A rerun of the same kind
+    overwrites, but the two kinds never share a directory, and a sweep
+    never shares one with another sweep's m_<value> points. The points
+    share one custom_state: the first point's run_trajectory refuses a
+    bad one before anything evolves or any file is written.
     """
     if not configs:
         raise UsageError("nothing to run")
+    differ = [key for key in _CONFIG_DEFAULTS if key != "m_over_p"
+              and any(getattr(cfg, key) != getattr(configs[0], key) for cfg in configs)]
+    if differ:
+        raise UsageError(f"a sweep's points may differ only in m_over_p, "
+                         f"not in {', '.join(differ)}")
     masses = [cfg.m_over_p for cfg in configs]
     if len(set(masses)) != len(masses):
         raise UsageError(f"m_over_p lists a value twice: {masses}")

@@ -79,11 +79,23 @@ dirac_points = _points() | _points(E_field=st.just(0.0)) | _points(kappa=st.just
 #: IonParams: mapped points, and free ion settings
 ion_points = (st.builds(dirac_to_ion, dirac_points)
               | st.builds(IonParams, delta=energies, eta_delta_omega=couplings,
-                          omega1=st.tuples(couplings, couplings, couplings),
-                          omega2=st.tuples(couplings, couplings, couplings)))
-#: generators from both routes, and H = 0
+                          omega1=st.tuples(couplings, couplings),
+                          omega2=st.tuples(couplings, couplings)))
+
+
+@st.composite
+def hermitian_matrices(draw):
+    """G + G^dag of a random complex G: Hermitian bit for bit, in every direction."""
+    entries = np.array(draw(st.lists(couplings, min_size=32, max_size=32)))
+    G = entries[:16].reshape(4, 4) + 1j * entries[16:].reshape(4, 4)
+    return G + G.conj().T
+
+
+#: generators from both routes, random Hermitian ones (which reach the
+#: directions neither route drives, such as sigma_z (x) sigma_z), and H = 0
 generators = (dirac_points.map(hamiltonian)
               | ion_points.map(lambda ion: assemble_ion_stack([ion])[0])
+              | hermitian_matrices()
               | st.just(NO_HAMILTONIAN))
 
 
@@ -132,6 +144,8 @@ MIXED_GRID = [DiracParams(m=1.0, kappa=1.0, mu=1.0, E_field=1.0),
               DiracParams(m=0.5, kappa=0.0, mu=0.0, E_field=2.0, theta=1.3),
               DiracParams(m=2.0 / 0.7, kappa=-1.5, mu=0.4, E_field=0.8 / 0.7, theta=5.9),
               DiracParams(m=1.0, kappa=1.0, mu=1.0, E_field=0.0)]
+#: BLOCK rows of uniform draws: a Dirac point reads the first five columns,
+#: an ion setting the first six
 _UNIFORM = np.random.default_rng(5).uniform(0.0, 5.0, (BLOCK, 8))
 _ROUNDING = np.random.default_rng(5)
 _G = _ROUNDING.normal(size=(4, 4)) + 1j * _ROUNDING.normal(size=(4, 4))
@@ -172,7 +186,7 @@ CASES = {
     "closed_form_spectrum": _dirac_case(closed_form_spectrum),
     "assemble_ion_stack": Case(
         lambda _, ions: assemble_ion_stack(ions), _NONE, ion_points, None,
-        ((None, [IonParams(v[0], v[1], v[2:5], v[5:8]) for v in _UNIFORM.tolist()]),), 100),
+        ((None, [IonParams(v[0], v[1], v[2:4], v[4:6]) for v in _UNIFORM.tolist()]),), 100),
     "build_kraus_set": Case(build_kraus_set, rates, times, st.sampled_from(REFUSED_TIMES),
                             ((ROUNDING_RATE, ROUNDING_TIMES),)),
     "apply_channel": Case(

@@ -101,8 +101,8 @@ def test_criterion_03_catches_x_and_y_swapped(monkeypatch):
     # the ion map with the x and y drives of both channels exchanged
     def swapped(params):
         ion = ionmap.dirac_to_ion(params)
-        (x1, y1, z1), (x2, y2, z2) = ion.omega1, ion.omega2
-        return ionmap.IonParams(ion.delta, ion.eta_delta_omega, (y1, x1, z1), (y2, x2, z2))
+        (x1, y1), (x2, y2) = ion.omega1, ion.omega2
+        return ionmap.IonParams(ion.delta, ion.eta_delta_omega, (y1, x1), (y2, x2))
 
     monkeypatch.setattr(acceptance, "dirac_to_ion", swapped)
     ok, detail = acceptance.criterion_03(None)

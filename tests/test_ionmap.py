@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from bispinor import acceptance
+from bispinor import acceptance, ionmap
 from bispinor.dirac import DiracParams
 from bispinor.ionmap import IonParams, assemble_ion_stack, dirac_to_ion, pair_sigma
 from bispinor.noise import evolve_noisy_stack
@@ -51,12 +51,14 @@ def test_pair_sigma_algebra():
 
 def test_ion_params_validation():
     with pytest.raises(ValueError):
-        IonParams(delta=-0.1, eta_delta_omega=0.5, omega1=(0, 0, 0), omega2=(0, 0, 0))
+        IonParams(delta=-0.1, eta_delta_omega=0.5, omega1=(0, 0), omega2=(0, 0))
+    # the drives are in-plane: a z entry is refused
+    with pytest.raises(ValueError, match="2-vectors"):
+        IonParams(delta=0.1, eta_delta_omega=0.5, omega1=(0, 0, 0), omega2=(0, 0))
+    with pytest.raises(ValueError, match="2-vectors"):
+        IonParams(delta=0.1, eta_delta_omega=0.5, omega1=(0, 0), omega2=(0,))
     with pytest.raises(ValueError):
-        IonParams(delta=0.1, eta_delta_omega=0.5, omega1=(0, 0), omega2=(0, 0, 0))
-    with pytest.raises(ValueError):
-        IonParams(delta=0.1, eta_delta_omega=float("nan"),
-                  omega1=(0, 0, 0), omega2=(0, 0, 0))
+        IonParams(delta=0.1, eta_delta_omega=float("nan"), omega1=(0, 0), omega2=(0, 0))
 
 
 def test_assembly_equals_direct_builder():
@@ -83,12 +85,24 @@ def test_assembly_pseudotensor_y_sign():
     direct = hamiltonian(params)
     flipped = IonParams(delta=ion.delta, eta_delta_omega=ion.eta_delta_omega,
                         omega1=ion.omega1,
-                        omega2=(ion.omega2[0], -ion.omega2[1], ion.omega2[2]))
+                        omega2=(ion.omega2[0], -ion.omega2[1]))
     bad = ion_hamiltonian(flipped)
     dev = np.max(np.abs(direct - bad))
     assert dev > 4.0 * abs(ion.omega2[1]) - 1e-12
     good = ion_hamiltonian(ion)
     assert np.max(np.abs(direct - good)) < 1e-12
+
+
+def test_every_ion_term_is_driven_on_the_acceptance_grid():
+    # criterion 3 pins a term's sign only where dirac_to_ion gives it a
+    # nonzero coefficient. The pair sums are orthogonal in the trace inner
+    # product, so projecting the assembled H onto each reads its coefficient
+    S = ionmap._PAIR_SUMS
+    norms = np.einsum("kij,lij->kl", S.conj(), S).real
+    assert np.array_equal(norms, np.diag(np.diag(norms)))
+    H = assemble_ion_stack([dirac_to_ion(params) for params in acceptance._tilted_grid()])
+    coef = np.einsum("kij,nij->nk", S.conj(), H).real / np.diag(norms)
+    assert np.all(np.any(coef != 0.0, axis=0)), np.flatnonzero(~np.any(coef != 0.0, axis=0))
 
 
 def test_forward_map_values():
@@ -98,8 +112,8 @@ def test_forward_map_values():
     assert ion.delta == pytest.approx(0.6)
     assert ion.eta_delta_omega == 0.5
     ex, ey = 2.0 * math.cos(math.pi / 3), 2.0 * math.sin(math.pi / 3)
-    np.testing.assert_allclose(ion.omega1, (0.8 * ex / 2.0, 0.8 * ey / 2.0, 0.0))
-    np.testing.assert_allclose(ion.omega2, (0.5 * ex / 2.0, 0.5 * ey / 2.0, 0.0))
+    np.testing.assert_allclose(ion.omega1, (0.8 * ex / 2.0, 0.8 * ey / 2.0))
+    np.testing.assert_allclose(ion.omega2, (0.5 * ex / 2.0, 0.5 * ey / 2.0))
 
 
 def test_inverse_map_zero_tensor_channel():
@@ -110,7 +124,7 @@ def test_inverse_map_zero_tensor_channel():
     E = 2*|omega2| and theta its direction.
     """
     ion = IonParams(delta=0.5, eta_delta_omega=0.5,
-                    omega1=(0.0, 0.0, 0.0), omega2=(0.3, 0.4, 0.0))
+                    omega1=(0.0, 0.0), omega2=(0.3, 0.4))
     params = DiracParams(m=1.0, kappa=0.0, mu=1.0, E_field=1.0, theta=math.atan2(0.4, 0.3))
     H0 = ion_hamiltonian(ion)
     H1 = hamiltonian(params)
@@ -126,7 +140,7 @@ def test_inverse_map_rescaled_sideband():
     1.6 times the one of the unit-momentum builder.
     """
     ion = IonParams(delta=0.5, eta_delta_omega=0.8,
-                    omega1=(0.4, 0.3, 0.0), omega2=(0.0, 0.0, 0.0))
+                    omega1=(0.4, 0.3), omega2=(0.0, 0.0))
     params = DiracParams(m=1.0 / 1.6, kappa=1.0, mu=0.0, E_field=1.0 / 1.6,
                          theta=math.atan2(0.3, 0.4))
     H0 = ion_hamiltonian(ion)
@@ -144,19 +158,14 @@ def formula_ion_hamiltonian(ion):
     def sy(j, k):
         return pair_sigma("y", j, k)
 
-    def sz(j, k):
-        return pair_sigma("z", j, k)
-
-    w1x, w1y, w1z = ion.omega1
-    w2x, w2y, w2z = ion.omega2
-    H = 2.0 * ion.delta * (sz("a", "d") + sz("b", "c"))
+    w1x, w1y = ion.omega1
+    w2x, w2y = ion.omega2
+    H = 2.0 * ion.delta * (pair_sigma("z", "a", "d") + pair_sigma("z", "b", "c"))
     H = H + 2.0 * ion.eta_delta_omega * (sx("a", "d") + sx("b", "c"))
     H = H + 2.0 * w1x * (sx("a", "b") - sx("c", "d"))
     H = H + 2.0 * w1y * (sy("a", "b") - sy("c", "d"))
-    H = H + 2.0 * w1z * (sz("a", "b") - sz("c", "d"))
     H = H + 2.0 * w2x * (-sy("a", "d") - sy("b", "c"))
-    H = H + 2.0 * w2y * (sx("a", "d") - sx("b", "c"))
-    return H + 2.0 * w2z * (sy("b", "d") - sy("a", "c"))
+    return H + 2.0 * w2y * (sx("a", "d") - sx("b", "c"))
 
 
 def assembly_matches_formula(_, ion, H):
@@ -184,7 +193,7 @@ def test_an_overflowing_ion_generator_is_refused_without_a_warning():
     # 2 delta = inf, and inf times the zeros of the other pair sums is NaN
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        H = ion_hamiltonian(IonParams(1e308, 0.5, (0, 0, 0), (0, 0, 0)))
+        H = ion_hamiltonian(IonParams(1e308, 0.5, (0, 0), (0, 0)))
         assert not np.all(np.isfinite(H))
         with pytest.raises(ValueError, match="^evolution generator entries must be finite$"):
             evolve_noisy_stack(np.eye(4) / 4.0, H, 0.5, [0.0, 1.0])

@@ -165,6 +165,35 @@ def test_config_rejects_nonfinite_custom_state():
         ScenarioConfig(initial_state="custom", custom_state=entries)
 
 
+def test_config_stores_each_key_as_its_schema_type(tmp_path):
+    # an int-built config writes the bytes of its float-built twin, and a
+    # path is stored as its str, so the run writes its report.json
+    reports = []
+    for t_max, m in ((2, 1), (2.0, 1.0)):
+        cfg = ScenarioConfig(t_max=t_max, dt=0.5, m_over_p=m, outputs=tmp_path / "run")
+        assert all(type(getattr(cfg, key)) is float for key in scenario._FLOAT_KEYS)
+        assert type(cfg.outputs) is str
+        run_scenario([cfg])
+        reports.append((tmp_path / "run" / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+    assert b'"t_max": 2.0' in reports[0]
+
+
+@pytest.mark.parametrize("key, value", [
+    ("t_max", True), ("kappa", False), ("kappa", "1.0"), ("emit_plots", "false"),
+    ("emit_plots", 0), ("outputs", b"out"), ("outputs", 3),
+])
+def test_config_refuses_a_value_of_another_type(key, value):
+    with pytest.raises(TypeError):
+        ScenarioConfig(**{key: value})
+
+
+def test_config_checks_the_custom_state_length():
+    # as the parser did, before the run could fail reshaping the entries
+    with pytest.raises(UsageError, match="^custom_state expects 16 entries, got 15$"):
+        ScenarioConfig(initial_state="custom", custom_state=[0.25] * 15)
+
+
 def test_config_sample_cap():
     # checked from t_max / dt alone: no grid is allocated for these
     with pytest.raises(UsageError, match="samples"):
@@ -614,6 +643,18 @@ def test_run_scenario_rejects_duplicate_masses(tmp_path):
     with pytest.raises(UsageError, match="twice"):
         run_scenario(parse_config_text(text))
     assert not (tmp_path / "sweep").exists()
+
+
+def test_run_scenario_refuses_points_that_differ_beyond_the_mass(tmp_path):
+    # a sweep writes every point under the first outputs, so points that
+    # differ in any other key are refused before anything is written
+    configs = [ScenarioConfig(m_over_p=1.0, t_max=0.2, dt=0.1, outputs=str(tmp_path / "sw")),
+               ScenarioConfig(m_over_p=2.0, t_max=0.2, dt=0.1, kappa=3.0,
+                              outputs=str(tmp_path / "elsewhere"))]
+    with pytest.raises(UsageError, match="^a sweep's points may differ only in m_over_p, "
+                                         "not in kappa, outputs$"):
+        run_scenario(configs)
+    assert not list(tmp_path.iterdir())
 
 
 def test_run_scenario_rejects_bad_custom_before_running(tmp_path):

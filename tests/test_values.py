@@ -21,7 +21,7 @@ class Rate(ValueType):
 VALUES = [
     lambda: DiracParams(m=1.0, kappa=0.5, mu=-0.5, E_field=2.0),
     lambda: Rate(0.5),
-    lambda: IonParams(1.0, 0.5, (0.1, 0.2, 0.3), (0.0, 0.0, 0.4)),
+    lambda: IonParams(1.0, 0.5, (0.1, 0.2), (0.0, 0.4)),
     lambda: FeatureReport(((1.0, 2.0),), 1, 0.0, 0.8, 0.01, 0.6),
     lambda: ScenarioConfig(m_over_p=2.5, initial_state="custom",
                            custom_state=(0.5,) + (0.0,) * 14 + (0.5,), outputs="x"),
@@ -63,7 +63,7 @@ _CAT = (0.5,) + (0.0,) * 14 + (0.5,)
 
 #: the sequence fields of a value type, given as a tuple, a list and an array
 SEQUENCE_FIELDS = [
-    pytest.param(lambda seq: IonParams(0.5, 0.5, seq((0.1, 0.2, 0.0)), seq((0.0, 0.0, 0.0))),
+    pytest.param(lambda seq: IonParams(0.5, 0.5, seq((0.1, 0.2)), seq((0.0, 0.0))),
                  id="IonParams"),
     pytest.param(lambda seq: ScenarioConfig(initial_state="custom", custom_state=seq(_CAT)),
                  id="ScenarioConfig"),

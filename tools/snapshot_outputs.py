@@ -10,7 +10,9 @@ selects, and writes into OUT (which must not exist yet):
   plots on;
 - `custom/`: a 2-point sweep from the cat state given as custom entries,
   with `--plots`;
-- `plan.txt`: `plan` of those four configs;
+- `plan.txt`: `plan` of those four configs and of PLAN_ONLY, a point off
+  the pi/4 line with kappa != mu, so the x and y drives and the two
+  channels all differ;
 - `selftest.txt`: `selftest`, with its elapsed times masked;
 - `refusals.txt`: the exit code and printed line of each refused
   single-point config of REFUSALS;
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import math
 import os
 import re
 import sys
@@ -58,6 +61,9 @@ outputs = out
 
 CONFIGS = {"figure": FIGURE_CONFIG, "sweep_seed1": sweep_config(1),
            "sweep_seed7": sweep_config(7), "custom": CUSTOM_CONFIG}
+
+#: a config run through `plan` only: theta = pi/3, kappa = 1, mu = 0.5
+PLAN_ONLY = f"theta = {math.pi / 3!r}\nkappa = 1.0\nmu = 0.5\n"
 
 
 def _custom(entries: dict) -> str:
@@ -121,6 +127,9 @@ def snapshot(out: Path) -> None:
         codes.append(f"simulate {name}: {code}")
         code, printed = _run(["plan", "--config", f"{name}.cfg"])
         plans.append(f"# {name} (exit {code})\n{printed}")
+    Path("plan_only.cfg").write_text(PLAN_ONLY)
+    code, printed = _run(["plan", "--config", "plan_only.cfg"])
+    plans.append(f"# plan_only (exit {code})\n{printed}")
     Path("plan.txt").write_text("".join(plans))
     code, printed = _run(["selftest"])
     Path("selftest.txt").write_text(_ELAPSED.sub(r"\1? s", printed))
